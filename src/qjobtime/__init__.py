@@ -11,7 +11,7 @@ extrapolates to large-dataset workloads.
 from .circuit import Circuit, Gate, GateKind, read_circuits, write_circuits
 from .deff import DeffEstimate, effective_layers, equivalent_qv_width
 from .errors import QJobTimeError
-from .execsim import StackTimingParams, fit_params, simulate_job_runtime, sweep
+from .execsim import StackTimingParams, fit_params, simulate_job_runtime
 from .generators import (
     Entanglement,
     KernelFamily,
@@ -77,7 +77,6 @@ __all__ = [
     "StackTimingParams",
     "fit_params",
     "simulate_job_runtime",
-    "sweep",
     "Entanglement",
     "KernelFamily",
     "aspect_label",

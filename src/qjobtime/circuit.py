@@ -261,9 +261,6 @@ class Circuit:
         """Reversed gate order with every gate replaced by its exact inverse."""
         return Circuit(self.width, tuple(g.inverse() for g in reversed(self.gates)), self.base_layers)
 
-    def count_2q(self) -> int:
-        return sum(1 for g in self.gates if len(g.qubits) == 2)
-
     # -- text serialization --------------------------------------------------
 
     def to_text(self) -> str:

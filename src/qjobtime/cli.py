@@ -16,12 +16,7 @@ import numpy as np
 
 from . import deff as deff_mod
 from .circuit import write_circuits
-from .errors import (
-    CouplingError,
-    InvalidParameterError,
-    MalformedRecordsError,
-    QJobTimeError,
-)
+from .errors import CouplingError, InvalidParameterError, QJobTimeError
 from .execsim import StackTimingParams, fit_params, simulate_job_runtime
 from .generators import KernelFamily, kernel_circuit, qv_circuit, sample_features
 from .model import (
@@ -37,7 +32,7 @@ from .model import (
     registry_to_json,
     score,
 )
-from .records import load_runtime_records
+from .records import holds_prediction_pairs, load_dataset, load_prediction_pairs, load_runtime_records
 from .sim import kernel_matrix
 from .transpile.coupling import CouplingMap, named_map
 
@@ -91,23 +86,15 @@ def _parse_map(text: str, registry) -> CouplingMap:
     return CouplingMap.from_json(p.read_text())
 
 
-def _int_list(text: str) -> list[int]:
+def _list(text: str, kind=int) -> list:
+    """Comma-separated ints (or floats with kind=float); at least one."""
+    noun = "integer" if kind is int else "number"
     try:
-        values = [int(v) for v in text.split(",") if v.strip()]
+        values = [kind(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise InvalidParameterError(f"expected comma-separated integers, got {text!r}")
+        raise InvalidParameterError(f"expected comma-separated {noun}s, got {text!r}")
     if not values:
-        raise InvalidParameterError(f"expected at least one integer in {text!r}")
-    return values
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise InvalidParameterError(f"expected comma-separated numbers, got {text!r}")
-    if not values:
-        raise InvalidParameterError(f"expected at least one number in {text!r}")
+        raise InvalidParameterError(f"expected at least one {noun} in {text!r}")
     return values
 
 
@@ -153,15 +140,11 @@ def predict(backend, registry, m, s, k, deff):
 @click.option("--out", type=click.Path(), required=True, help="Report CSV path.")
 def score_cmd(records_path, registry, out):
     """Score predictions against recorded runtimes (ratio r, loss L)."""
-    with open(records_path, newline="") as fh:
-        header = next(csv.reader(fh), None)
     rows = []
-    if header is not None and [h.strip() for h in header] == ["T_pred", "T_actual"]:
-        with open(records_path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                rep = score(float(row["T_pred"]), float(row["T_actual"]))
-                rows.append([rep.predicted, rep.actual, rep.ratio, rep.loss])
+    if holds_prediction_pairs(records_path):
+        for predicted, actual in load_prediction_pairs(records_path):
+            rep = score(predicted, actual)
+            rows.append([rep.predicted, rep.actual, rep.ratio, rep.loss])
         _write_csv(out, ["T_pred", "T_actual", "r", "L"], rows)
     else:
         reg = _load_registry(registry)
@@ -245,17 +228,7 @@ def gen_circuits(family, qv_width, qv_layers, count, seed, out):
 def simulate_kernel(family, data_path, shots, seed, out, summary_path):
     """Compute a pairwise kernel matrix for a dataset (exact or shot-based)."""
     fam = _parse_family(family)
-    dataset = []
-    with open(data_path, newline="") as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            try:
-                dataset.append([float(cell) for cell in row])
-            except ValueError as exc:
-                raise MalformedRecordsError(f"{data_path}:{row_no}: {exc}") from exc
-    if not dataset:
-        raise InvalidParameterError(f"{data_path}: no feature vectors found")
+    dataset = load_dataset(data_path)
     if shots == "exact":
         n_shots = None
     else:
@@ -265,7 +238,7 @@ def simulate_kernel(family, data_path, shots, seed, out, summary_path):
             raise InvalidParameterError(f"--shots must be an integer or 'exact', got {shots!r}")
     matrix = kernel_matrix(fam, dataset, shots=n_shots, seed=seed)
     _write_csv(out, [f"k{j}" for j in range(len(dataset))], matrix.tolist())
-    eigmin = float(np.linalg.eigvalsh(matrix).min()) if len(dataset) else 0.0
+    eigmin = float(np.linalg.eigvalsh(matrix).min())
     summary = {
         "n": len(dataset),
         "pairs_evaluated": len(dataset) * (len(dataset) - 1) // 2,
@@ -291,8 +264,8 @@ def simulate_kernel(family, data_path, shots, seed, out, summary_path):
 def extrapolate_cmd(n, s, deff, clops, out):
     """Extrapolate whole-dataset kernel runtimes over N and CLOPS grids."""
     rows = []
-    for size in _int_list(n):
-        for speed in _float_list(clops):
+    for size in _list(n):
+        for speed in _list(clops, float):
             seconds = extrapolate(size, s, deff, speed)
             rows.append([size, speed, seconds])
             click.echo(
@@ -334,8 +307,8 @@ def sweep_cmd(backend, registry, params_path, m, s, families,
             qv_samples=qv_samples, seed=seed,
         )
         aspect = float(fam.aspect_ratio)
-        for circuits in _int_list(m):
-            for shots in _int_list(s):
+        for circuits in _list(m):
+            for shots in _list(s):
                 job = JobSpec(circuits, shots, 1, est.d_eff)
                 predicted = predict_runtime(job, spec)
                 simulated = simulate_job_runtime(

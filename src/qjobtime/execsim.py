@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import FitError, InvalidParameterError
-from .model import BackendSpec, JobSpec, RuntimeReport, predict_runtime, score
+from .model import JobSpec
 
 
 @dataclass(frozen=True)
@@ -86,8 +85,23 @@ def _design_matrix(jobs: Sequence[JobSpec], fit_t_job: bool) -> np.ndarray:
     if fit_t_job:
         cols.append(np.ones(len(jobs)))
     cols.append(np.array([j.circuits for j in jobs], dtype=float))
-    cols.append(np.array([j.circuits * j.updates * j.shots * j.d_eff for j in jobs]))
+    cols.append(np.array([j.total_layers for j in jobs]))
     return np.column_stack(cols)
+
+
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin ||a x - b|| over x >= 0. The optimum is the least-squares fit on
+    its own support (Lawson & Hanson 1974, ch. 23), so the best nonnegative fit
+    over all column subsets (at most 7 here) is exact; x = 0 if none is."""
+    n = a.shape[1]
+    feasible = [np.zeros(n)]
+    for mask in range(1, 1 << n):
+        cols = [j for j in range(n) if mask >> j & 1]
+        x = np.zeros(n)
+        x[cols] = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
+        if x.min() >= 0:
+            feasible.append(x)
+    return min(feasible, key=lambda x: float(np.sum((a @ x - b) ** 2)))
 
 
 def _diagnose_rank(jobs: Sequence[JobSpec], fit_t_job: bool) -> str:
@@ -131,7 +145,7 @@ def fit_params(
     svals = np.linalg.svd(design, compute_uv=False)
     if svals[-1] < 1e-10 * svals[0]:
         raise FitError(_diagnose_rank(jobs, fit_t_job))
-    coef, _ = nnls(design, target)
+    coef = _nnls(design, target)
     if fit_t_job:
         t_job, t_circ, t_layer_shot = coef
     else:
@@ -144,17 +158,3 @@ def fit_params(
     sigma = float(np.std(times / fitted - 1.0))
     return StackTimingParams(base.t_job, base.t_circ, base.t_layer_shot, min(sigma, 0.999))
 
-
-def sweep(
-    jobs: Sequence[JobSpec],
-    params: StackTimingParams,
-    backend: BackendSpec,
-    seed: int = 0,
-) -> list[RuntimeReport]:
-    """Predicted vs simulated runtime for each job, with per-job derived seeds."""
-    reports = []
-    for k, job in enumerate(jobs):
-        predicted = predict_runtime(job, backend)
-        simulated = simulate_job_runtime(job, params, np.random.SeedSequence((seed, k)))
-        reports.append(score(predicted, simulated))
-    return reports

@@ -14,6 +14,11 @@ from .errors import BackendNotFoundError, InvalidParameterError
 from .transpile.coupling import CouplingMap, heavy_hex_like_map
 
 
+def _check_clops(clops: float) -> None:
+    if not (math.isfinite(clops) and clops > 0):
+        raise InvalidParameterError(f"CLOPS must be positive and finite, got {clops}")
+
+
 @dataclass(frozen=True)
 class BackendSpec:
     """A system's capability and speed: qubit count, quantum volume V
@@ -29,8 +34,7 @@ class BackendSpec:
         v = self.quantum_volume
         if v < 2 or v & (v - 1):
             raise InvalidParameterError(f"quantum volume must be a power of two >= 2, got {v}")
-        if self.clops <= 0:
-            raise InvalidParameterError("CLOPS must be positive")
+        _check_clops(self.clops)
         if self.qv_layers > self.num_qubits:
             raise InvalidParameterError(
                 f"log2(V) = {self.qv_layers} exceeds qubit count {self.num_qubits}"
@@ -63,8 +67,13 @@ class JobSpec:
     def __post_init__(self):
         if self.circuits < 1 or self.shots < 1 or self.updates < 1:
             raise InvalidParameterError("JobSpec needs circuits, shots, updates >= 1")
-        if self.d_eff <= 0:
-            raise InvalidParameterError("JobSpec needs d_eff > 0")
+        if not (math.isfinite(self.d_eff) and self.d_eff > 0):
+            raise InvalidParameterError(f"JobSpec needs a finite d_eff > 0, got {self.d_eff}")
+
+    @property
+    def total_layers(self) -> float:
+        """Circuit layers the job executes: M*K*S*d_eff."""
+        return self.circuits * self.updates * self.shots * self.d_eff
 
 
 @dataclass(frozen=True)
@@ -96,7 +105,7 @@ CLOPS_PROTOCOL = {"circuits": 100, "shots": 100, "updates": 10}
 
 def predict_runtime(job: JobSpec, backend: BackendSpec) -> float:
     """Predicted wall-clock seconds: M*K*S*d_eff / C."""
-    return job.circuits * job.updates * job.shots * job.d_eff / backend.clops
+    return job.total_layers / backend.clops
 
 
 def loss_from_ratio(ratio: float) -> float:
@@ -123,10 +132,8 @@ def kernel_job_size(n_vectors: int) -> int:
 
 def extrapolate(n_vectors: int, shots: int, d_eff: float, clops: float) -> float:
     """Predicted seconds to evaluate every pairwise kernel of an N-point dataset."""
-    if clops <= 0:
-        raise InvalidParameterError("CLOPS must be positive")
-    job = JobSpec(kernel_job_size(n_vectors), shots, 1, d_eff)
-    return job.circuits * job.updates * job.shots * job.d_eff / clops
+    _check_clops(clops)
+    return JobSpec(kernel_job_size(n_vectors), shots, 1, d_eff).total_layers / clops
 
 
 def required_shots(n_vectors: int, epsilon: float, scale: float = 1.0) -> int:
@@ -146,8 +153,7 @@ def total_runtime_scaling(
 ) -> float:
     """Asymptotic whole-dataset runtime law, scale * N^(14/3) * d_eff / (C eps^2):
     the N^2 pair count times the per-entry shot requirement."""
-    if clops <= 0:
-        raise InvalidParameterError("CLOPS must be positive")
+    _check_clops(clops)
     return scale * n_vectors ** (14.0 / 3.0) * d_eff / (clops * epsilon**2)
 
 

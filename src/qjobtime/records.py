@@ -1,17 +1,18 @@
-"""Tabular I/O for recorded job runtimes.
-
-Record CSVs carry one job per row with the header
-`backend,M,S,K,deff,T_seconds`.
+"""Tabular I/O for the CSV inputs: runtime records (header
+`backend,M,S,K,deff,T_seconds`, one job per row), prediction pairs
+(`T_pred,T_actual`) and headerless kernel datasets (one feature vector per row).
 """
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import MalformedRecordsError
+from .errors import InvalidParameterError, MalformedRecordsError
 from .model import JobSpec
 
 RECORD_HEADER = ["backend", "M", "S", "K", "deff", "T_seconds"]
+PAIRS_HEADER = ["T_pred", "T_actual"]
 
 
 @dataclass(frozen=True)
@@ -21,41 +22,69 @@ class RuntimeRecord:
     seconds: float
 
 
+def _number(cell: str, low: float = -math.inf) -> float:
+    value = float(cell)
+    if not low < value < math.inf:
+        raise ValueError(f"{cell.strip()!r} is outside ({low}, inf)")
+    return value
+
+
+def _parse_rows(path, header, parse_row) -> list:
+    """`parse_row` of every nonblank row after `header` (None: no header, any
+    width); every bad row is a `MalformedRecordsError` naming its row number."""
+    out = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if header is not None:
+            first = next(reader, None)
+            if first is None:
+                raise MalformedRecordsError(f"{path}: empty file, expected header {header}")
+            if [h.strip() for h in first] != header:
+                raise MalformedRecordsError(f"{path}: bad header {first}, expected {header}")
+        for row_no, row in enumerate(reader, start=1 if header is None else 2):
+            if not any(cell.strip() for cell in row):
+                continue
+            if header is not None and len(row) != len(header):
+                raise MalformedRecordsError(f"{path}:{row_no}: expected {len(header)} columns")
+            try:
+                out.append(parse_row(row))
+            except (ValueError, InvalidParameterError) as exc:
+                raise MalformedRecordsError(f"{path}:{row_no}: {exc}") from exc
+    return out
+
+
+def _record(row) -> RuntimeRecord:
+    job = JobSpec(int(row[1]), int(row[2]), int(row[3]), float(row[4]))
+    return RuntimeRecord(job, row[0].strip(), _number(row[5], 0.0))
+
+
+def holds_prediction_pairs(path) -> bool:
+    """Whether a CSV's header is `T_pred,T_actual` rather than a record header."""
+    with open(path, newline="") as fh:
+        first = next(csv.reader(fh), [])
+    return [h.strip() for h in first] == PAIRS_HEADER
+
+
 def load_runtime_records(path) -> list[RuntimeRecord]:
     """Parse and validate a runtime-record CSV; error messages carry the
     offending row number. An empty body yields an empty list with a warning."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRecordsError(f"{path}: empty file, expected header {RECORD_HEADER}")
-        if [h.strip() for h in header] != RECORD_HEADER:
-            raise MalformedRecordsError(
-                f"{path}: bad header {header}, expected {RECORD_HEADER}"
-            )
-        records = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(RECORD_HEADER):
-                raise MalformedRecordsError(f"{path}:{row_no}: expected {len(RECORD_HEADER)} columns")
-            backend = row[0].strip()
-            try:
-                m, s, k = int(row[1]), int(row[2]), int(row[3])
-                d_eff, seconds = float(row[4]), float(row[5])
-            except ValueError as exc:
-                raise MalformedRecordsError(f"{path}:{row_no}: {exc}") from exc
-            if seconds <= 0:
-                raise MalformedRecordsError(f"{path}:{row_no}: T_seconds must be positive")
-            try:
-                job = JobSpec(m, s, k, d_eff)
-            except Exception as exc:
-                raise MalformedRecordsError(f"{path}:{row_no}: {exc}") from exc
-            records.append(RuntimeRecord(job, backend, seconds))
+    records = _parse_rows(path, RECORD_HEADER, _record)
     if not records:
         warnings.warn(f"{path}: no runtime records found", stacklevel=2)
     return records
+
+
+def load_prediction_pairs(path) -> list[tuple[float, float]]:
+    """Positive, finite (T_pred, T_actual) rows of a prediction-pair CSV."""
+    return _parse_rows(path, PAIRS_HEADER, lambda row: (_number(row[0], 0.0), _number(row[1], 0.0)))
+
+
+def load_dataset(path) -> list[list[float]]:
+    """Feature vectors of a headerless kernel dataset, one finite row each."""
+    dataset = _parse_rows(path, None, lambda row: [_number(cell) for cell in row])
+    if not dataset:
+        raise InvalidParameterError(f"{path}: no feature vectors found")
+    return dataset
 
 
 def save_runtime_records(path, records) -> None:

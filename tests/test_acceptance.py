@@ -73,7 +73,7 @@ def test_criterion_2_scoring_reproduction():
     _ok("criterion 2")
 
 
-def _consistent(ratio: float, loss: float, r_tol: float = 0.005, l_tol: float = 0.05) -> bool:
+def _consistent(ratio: float, loss: float, r_tol: float = 0.005, l_tol: float = 0.005) -> bool:
     """Is there an unrounded r' with |r' - ratio| <= r_tol whose loss lies
     within l_tol of `loss`?
 

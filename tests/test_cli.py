@@ -1,6 +1,11 @@
 import csv
+import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,23 +264,46 @@ class TestCircuitAndKernelCommands:
 
 
 class TestSweepAndFit:
-    def test_sweep_csv_columns(self, runner, tmp_path):
-        params = tmp_path / "params.json"
-        params.write_text(json.dumps(
-            {"t_job": 0.0, "t_circ": 0.5, "t_layer_shot": 5e-5, "jitter": 0.0}
-        ))
+    def sweep(self, runner, tmp_path, params, *extra, seed=0) -> str:
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
         out = tmp_path / "sweep.csv"
         result = runner.invoke(
             main,
-            ["sweep", "--backend", "ibmq_jakarta", "--params", str(params),
+            ["sweep", "--backend", "ibmq_jakarta", "--params", str(path),
              "--M", "10,100", "--S", "100,1000",
              "--families", '[{"n":3,"d":1,"entanglement":"linear"}]',
-             "--kernel-samples", "5", "--qv-samples", "5", "--out", str(out)],
+             "--kernel-samples", "5", "--qv-samples", "5", "--seed", str(seed),
+             "--out", str(out), *extra],
         )
         assert result.exit_code == 0, result.output
-        rows = list(csv.DictReader(out.open()))
+        return out.read_text()
+
+    def test_sweep_csv_columns(self, runner, tmp_path):
+        text = self.sweep(
+            runner, tmp_path, {"t_job": 0.0, "t_circ": 0.5, "t_layer_shot": 5e-5, "jitter": 0.0}
+        )
+        rows = list(csv.DictReader(io.StringIO(text)))
         assert len(rows) == 4
         assert list(rows[0]) == ["backend", "M", "S", "a", "deff", "T_pred", "T_sim", "r", "L"]
+
+        # No stack overhead at the backend's own speed: every loss is 0. A
+        # power-of-two speed and M keep both products exact in floating point.
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps(
+            {"backends": [{"name": "pow2", "num_qubits": 7, "quantum_volume": 16, "clops": 2048.0}]}
+        ))
+        exact = self.sweep(
+            runner, tmp_path, {"t_job": 0.0, "t_circ": 0.0, "t_layer_shot": 1 / 2048, "jitter": 0.0},
+            "--backend", "pow2", "--registry", str(registry), "--M", "8,64",
+        )
+        assert [float(row["L"]) for row in csv.DictReader(io.StringIO(exact))] == [0.0] * 4
+
+        # Jittered runtimes repeat for a seed and change with it.
+        jittered = {"t_job": 1.0, "t_circ": 0.3, "t_layer_shot": 1e-4, "jitter": 0.2}
+        first = self.sweep(runner, tmp_path, jittered, seed=7)
+        assert self.sweep(runner, tmp_path, jittered, seed=7) == first
+        assert self.sweep(runner, tmp_path, jittered, seed=8) != first
 
     def test_fit_command(self, runner, tmp_path):
         records = write_shot_sweep_records(tmp_path / "runs.csv")
@@ -292,6 +320,65 @@ class TestSweepAndFit:
         result = runner.invoke(main, ["fit", "--records", str(records)])
         assert result.exit_code == 8
         assert json.loads(result.stderr)["error"]["code"] == "FIT_RANK_DEFICIENT"
+
+
+PAIRS = "T_pred,T_actual\n25.6,68.0\n"
+RECORDS = ",".join(RECORD_HEADER) + "\nibm_hanoi,100,100,1,6.0,68.0\n"
+SCORE = ["score", "--records", "INPUT", "--out", "OUT"]
+KERNEL = ["simulate-kernel", "--family", '{"n":2,"d":1}', "--data", "INPUT", "--out", "OUT"]
+PREDICT = ["predict", "--backend", "ibm_hanoi", "--M", "1", "--S", "1", "--deff"]
+EXTRAPOLATE = ["extrapolate", "--N", "100", "--S", "10", "--deff", "2", "--clops"]
+BAD_CSV, BAD_VALUE = ("MALFORMED_CSV", 4), ("INVALID_PARAMETER", 2)
+
+
+@pytest.mark.parametrize(
+    "command, text, error, row",
+    [
+        pytest.param(SCORE, PAIRS + "25.6,abc\n", BAD_CSV, 3, id="pairs-text"),
+        pytest.param(SCORE, PAIRS + "25.6\n", BAD_CSV, 3, id="pairs-short-row"),
+        pytest.param(SCORE, PAIRS + "nan,1\n", BAD_CSV, 3, id="pairs-nan"),
+        pytest.param(SCORE, PAIRS + "1,inf\n", BAD_CSV, 3, id="pairs-inf"),
+        pytest.param(SCORE, PAIRS + "0,1\n", BAD_CSV, 3, id="pairs-zero"),
+        pytest.param(SCORE, PAIRS + "-2,1\n", BAD_CSV, 3, id="pairs-negative"),
+        pytest.param(SCORE, RECORDS + "ibm_hanoi,100,100,1,6.0,inf\n", BAD_CSV, 3,
+                     id="records-inf-seconds"),
+        pytest.param(SCORE, RECORDS + "ibm_hanoi,100,100,1,nan,68.0\n", BAD_CSV, 3,
+                     id="records-nan-deff"),
+        pytest.param(["fit", "--records", "INPUT"], RECORDS + "ibm_hanoi,100,100,1,inf,68.0\n",
+                     BAD_CSV, 3, id="fit-inf-deff"),
+        pytest.param(KERNEL, "0.1,0.2\n0.3,nan\n", BAD_CSV, 2, id="dataset-nan"),
+        pytest.param(KERNEL, "0.1,0.2\n\ninf,0.4\n", BAD_CSV, 3, id="dataset-inf-after-blank"),
+        pytest.param(PREDICT + ["nan"], None, BAD_VALUE, None, id="predict-nan-deff"),
+        pytest.param(PREDICT + ["inf"], None, BAD_VALUE, None, id="predict-inf-deff"),
+        pytest.param(EXTRAPOLATE + ["nan"], None, BAD_VALUE, None, id="extrapolate-nan-clops"),
+        pytest.param(EXTRAPOLATE + ["inf"], None, BAD_VALUE, None, id="extrapolate-inf-clops"),
+    ],
+)
+def test_malformed_input_is_a_coded_error(runner, tmp_path, command, text, error, row):
+    """Bad cells, short rows and non-finite numbers give the error JSON and
+    its exit status, never a traceback or a NaN result."""
+    path = tmp_path / "input.csv"
+    if text is not None:
+        path.write_text(text)
+    names = {"INPUT": str(path), "OUT": str(tmp_path / "out.csv")}
+    result = runner.invoke(main, [names.get(arg, arg) for arg in command])
+    code, status = error
+    assert result.exit_code == status, result.output
+    payload = json.loads(result.stderr)["error"]
+    assert payload["code"] == code
+    if row is not None:
+        assert f"{path}:{row}:" in payload["message"]
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, qjobtime.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestBackendsCommands:

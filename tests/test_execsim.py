@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refdata import CLOPS_JOB_RUNS, SHOT_SWEEP_RUNS, SHOT_SWEEP_SHOTS
 from qjobtime.errors import FitError, InvalidParameterError
 from qjobtime.execsim import (
     StackTimingParams,
+    _nnls,
     fit_params,
     simulate_job_runtime,
-    sweep,
 )
 from qjobtime.model import BackendSpec, JobSpec, get_backend, predict_runtime, score
 
@@ -51,6 +53,15 @@ class TestSimulateJobRuntime:
             job = JobSpec(100, shots, 1, 4.0)
             ratios.append(predict_runtime(job, backend) / simulate_job_runtime(job, params, 0))
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
+
+    def test_ratio_stable_across_circuit_count(self):
+        backend = get_backend("ibm_hanoi")
+        params = StackTimingParams(0.5, 0.65, 5.1e-5, 0.0)
+        jobs = [JobSpec(m, 100, 1, 6.0) for m in (10, 25, 50, 100, 250, 500)]
+        ratios = np.array(
+            [predict_runtime(j, backend) / simulate_job_runtime(j, params, seed=1) for j in jobs]
+        )
+        assert ratios.std() / ratios.mean() < 0.10
 
     def test_jitter_deterministic_and_positive(self):
         params = StackTimingParams(1.0, 0.1, 1e-4, 0.9)
@@ -130,24 +141,34 @@ class TestFitParams:
         assert 0 < best < len(losses) - 1
 
 
-class TestSweep:
-    def test_zero_overhead_sweep_all_losses_zero(self):
-        backend = BackendSpec("pow2", 8, 16, 2048.0)
-        params = StackTimingParams(0.0, 0.0, 1.0 / 2048.0, 0.0)
-        jobs = [JobSpec(m, s, 1, 4.0) for m in (10, 100) for s in (10, 1000)]
-        reports = sweep(jobs, params, backend, seed=0)
-        assert all(rep.loss == 0.0 for rep in reports)
+class TestNNLS:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(st.floats(-10, 10), min_size=n, max_size=n),
+                    min_size=n, max_size=8,
+                ),
+                st.lists(st.floats(-10, 10), min_size=8, max_size=8),
+            )
+        )
+    )
+    def test_kkt_conditions(self, design_and_target):
+        rows, target = design_and_target
+        a = np.array(rows)
+        b = np.array(target[: len(rows)])
+        x = _nnls(a, b)
+        grad = a.T @ (a @ x - b)
+        tol = 1e-8 * (1.0 + np.abs(a).max() ** 2) * (1.0 + np.abs(b).max() + np.abs(x).max())
+        assert np.all(x >= 0)
+        assert np.all(grad[x == 0] >= -tol)
+        assert np.all(np.abs(grad[x > 0]) <= tol)
 
-    def test_ratio_stable_across_circuit_count(self):
-        backend = get_backend("ibm_hanoi")
-        params = StackTimingParams(0.5, 0.65, 5.1e-5, 0.0)
-        jobs = [JobSpec(m, 100, 1, 6.0) for m in (10, 25, 50, 100, 250, 500)]
-        ratios = np.array([rep.ratio for rep in sweep(jobs, params, backend, seed=1)])
-        assert ratios.std() / ratios.mean() < 0.10
-
-    def test_deterministic_per_seed(self):
-        backend = get_backend("ibmq_toronto")
-        params = StackTimingParams(1.0, 0.3, 1e-4, 0.2)
-        jobs = [JobSpec(100, s, 1, 5.0) for s in (10, 100, 1000)]
-        assert sweep(jobs, params, backend, seed=7) == sweep(jobs, params, backend, seed=7)
-        assert sweep(jobs, params, backend, seed=7) != sweep(jobs, params, backend, seed=8)
+    def test_active_constraint_is_hit(self):
+        # The unconstrained fit is (2, -1); the constrained optimum pins x1 = 0.
+        a = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
+        b = a @ np.array([2.0, -1.0])
+        x = _nnls(a, b)
+        assert x[1] == 0.0
+        assert x[0] == pytest.approx(b.mean())
