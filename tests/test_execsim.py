@@ -1,9 +1,15 @@
+import csv
+import io
+import json
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refdata import CLOPS_JOB_RUNS, SHOT_SWEEP_RUNS, SHOT_SWEEP_SHOTS
+from qjobtime.cli import main
 from qjobtime.errors import FitError, InvalidParameterError
 from qjobtime.execsim import (
     StackTimingParams,
@@ -139,6 +145,44 @@ class TestFitParams:
             losses.append(rep.loss)
         best = losses.index(min(losses))
         assert 0 < best < len(losses) - 1
+
+
+class TestSweep:
+    """The CLI `sweep` command is the one sweep over (M, S) pairs."""
+
+    def sweep(self, tmp_path, params, *extra, seed=0) -> str:
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        out = tmp_path / "sweep.csv"
+        result = CliRunner().invoke(
+            main,
+            ["sweep", "--backend", "ibmq_jakarta", "--params", str(path),
+             "--M", "10,100", "--S", "100,1000",
+             "--families", '[{"n":3,"d":1,"entanglement":"linear"}]',
+             "--kernel-samples", "5", "--qv-samples", "5", "--seed", str(seed),
+             "--out", str(out), *extra],
+        )
+        assert result.exit_code == 0, result.output
+        return out.read_text()
+
+    def test_zero_overhead_sweep_all_losses_zero(self, tmp_path):
+        # No stack overhead at the backend's own speed: every loss is 0. A
+        # power-of-two speed and M keep both products exact in floating point.
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps(
+            {"backends": [{"name": "pow2", "num_qubits": 7, "quantum_volume": 16, "clops": 2048.0}]}
+        ))
+        text = self.sweep(
+            tmp_path, {"t_job": 0.0, "t_circ": 0.0, "t_layer_shot": 1 / 2048, "jitter": 0.0},
+            "--backend", "pow2", "--registry", str(registry), "--M", "8,64",
+        )
+        assert [float(row["L"]) for row in csv.DictReader(io.StringIO(text))] == [0.0] * 4
+
+    def test_deterministic_per_seed(self, tmp_path):
+        params = {"t_job": 1.0, "t_circ": 0.3, "t_layer_shot": 1e-4, "jitter": 0.2}
+        first = self.sweep(tmp_path, params, seed=7)
+        assert self.sweep(tmp_path, params, seed=7) == first
+        assert self.sweep(tmp_path, params, seed=8) != first
 
 
 class TestNNLS:
