@@ -4,13 +4,13 @@ The stack is modeled with a per-job overhead, a per-circuit overhead (compile
 and waveform load), and a per-(layer x shot) execution rate, plus optional
 multiplicative jitter:
 
-    T = (t_job + M*(t_circ + K*S*d_eff*t_layer_shot)) * (1 + eta)
+    T = (t_job + M*t_circ + M*K*S*d_eff*t_layer_shot) * (1 + eta)
 
 With zero overheads and t_layer_shot = 1/C this reproduces the prediction
-exactly; with t_circ > 0 it reproduces the under-prediction of low-shot jobs
-(predictions scale with S while the simulated time has an S-independent
-floor), and a t_layer_shot below the CLOPS-implied rate yields over-prediction
-at high S.
+(bit for bit when C is a power of two, for any M); with t_circ > 0 it
+reproduces the under-prediction of low-shot jobs (predictions scale with S
+while the simulated time has an S-independent floor), and a t_layer_shot
+below the CLOPS-implied rate yields over-prediction at high S.
 """
 
 from dataclasses import dataclass
@@ -60,8 +60,7 @@ class StackTimingParams:
 
 
 def _noiseless_runtime(job: JobSpec, params: StackTimingParams) -> float:
-    per_circuit = params.t_circ + job.updates * job.shots * job.d_eff * params.t_layer_shot
-    return params.t_job + job.circuits * per_circuit
+    return params.t_job + job.circuits * params.t_circ + job.total_layers * params.t_layer_shot
 
 
 def simulate_job_runtime(job: JobSpec, params: StackTimingParams, seed=0) -> float:

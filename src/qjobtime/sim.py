@@ -2,7 +2,9 @@
 
 This is the semantic oracle for everything that produces circuits: small
 circuits are simulated densely (default cap 12 qubits) and kernel values are
-either read off the final amplitude or estimated by Born sampling.
+either read off the final amplitude or estimated by Born sampling. A kernel
+matrix simulates only its N encoded states; the overlap circuit U(x)U(y)^dagger
+behind `exact_kernel` is the single-pair oracle it is checked against.
 
 Basis convention: the state is stored as a rank-n tensor with axis i belonging
 to qubit i; in the flattened vector, qubit 0 is the most significant bit.
@@ -15,7 +17,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, GateKind
 from .errors import InvalidParameterError, SimulationCapError, UnsupportedGateError
-from .generators import KernelFamily, kernel_circuit
+from .generators import KernelFamily, encoding_circuit, kernel_circuit
 
 DEFAULT_QUBIT_CAP = 12
 
@@ -88,9 +90,6 @@ class StateVector:
     amplitudes: np.ndarray
     n: int
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
     def zero_probability(self) -> float:
         """Probability of the all-zeros outcome."""
         return float(abs(self.amplitudes[0]) ** 2)
@@ -143,18 +142,15 @@ def exact_kernel(
     return simulate(kernel_circuit(fam, x, y), max_qubits).zero_probability()
 
 
-def _born_sample_zero_count(probs: np.ndarray, shots: int, seed_seq: np.random.SeedSequence) -> int:
-    """Count draws landing on index 0, by inverse-CDF over the distribution.
+def _zero_count(p0: float, shots: int, seed_seq: np.random.SeedSequence) -> int:
+    """Count of `shots` Born draws that land on the all-zeros outcome.
 
-    Philox is counter-based, so per-pair streams derived from spawn keys stay
-    reproducible no matter how a batch is parallelized.
+    An inverse-CDF draw u lands on outcome 0 exactly when u < p0, so the count
+    needs only p0. Philox is counter-based, so per-pair streams derived from
+    spawn keys stay reproducible no matter how a batch is parallelized.
     """
     rng = np.random.Generator(np.random.Philox(seed_seq))
-    cdf = np.cumsum(probs)
-    cdf[-1] = max(cdf[-1], 1.0)
-    draws = rng.random(shots)
-    outcomes = np.searchsorted(cdf, draws, side="right")
-    return int(np.count_nonzero(outcomes == 0))
+    return int(np.count_nonzero(rng.random(shots) < p0))
 
 
 def estimate_kernel(
@@ -169,8 +165,7 @@ def estimate_kernel(
     and return the zero-string frequency; deterministic for a fixed seed."""
     if shots < 1:
         raise InvalidParameterError("shots must be >= 1")
-    sv = simulate(kernel_circuit(fam, x, y), max_qubits)
-    count = _born_sample_zero_count(sv.probabilities(), shots, np.random.SeedSequence(seed))
+    count = _zero_count(exact_kernel(fam, x, y, max_qubits), shots, np.random.SeedSequence(seed))
     return KernelEstimate(count / shots, shots, count)
 
 
@@ -183,24 +178,23 @@ def kernel_matrix(
 ) -> np.ndarray:
     """Symmetric N x N kernel matrix over a dataset.
 
-    Each unordered pair is evaluated once (N*(N-1)/2 circuit evaluations); the
-    diagonal is pinned to 1. With `shots=None` entries are exact, otherwise
-    each entry is a shot estimate with its own derived random stream.
+    Each vector's encoded state is simulated once (N simulations) and entry
+    (i, j) is |<phi(x_j)|phi(x_i)>|^2; the diagonal is pinned to 1. With
+    `shots=None` entries are exact, otherwise each unordered pair is a shot
+    estimate with its own random stream derived from (seed, i, j).
     """
-    data = [np.asarray(v, dtype=float).reshape(-1) for v in dataset]
-    n = len(data)
+    if shots is not None and shots < 1:
+        raise InvalidParameterError(f"shots must be >= 1, got {shots}")
+    n = len(dataset)
     if n == 0:
         return np.zeros((0, 0))
+    states = np.array([simulate(encoding_circuit(fam, v), max_qubits).amplitudes for v in dataset])
+    p0 = np.abs(states.conj() @ states.T) ** 2
     out = np.eye(n)
     for i in range(n):
         for j in range(i + 1, n):
-            if shots is None:
-                val = exact_kernel(fam, data[i], data[j], max_qubits)
-            else:
-                sv = simulate(kernel_circuit(fam, data[i], data[j]), max_qubits)
-                count = _born_sample_zero_count(
-                    sv.probabilities(), shots, np.random.SeedSequence((seed, i, j))
-                )
-                val = count / shots
+            val = p0[i, j]
+            if shots is not None:
+                val = _zero_count(val, shots, np.random.SeedSequence((seed, i, j))) / shots
             out[i, j] = out[j, i] = val
     return out

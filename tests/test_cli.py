@@ -324,6 +324,10 @@ BAD_CSV, BAD_VALUE = ("MALFORMED_CSV", 4), ("INVALID_PARAMETER", 2)
                      BAD_CSV, 3, id="fit-inf-deff"),
         pytest.param(KERNEL, "0.1,0.2\n0.3,nan\n", BAD_CSV, 2, id="dataset-nan"),
         pytest.param(KERNEL, "0.1,0.2\n\ninf,0.4\n", BAD_CSV, 3, id="dataset-inf-after-blank"),
+        pytest.param(KERNEL + ["--shots", "0"], "0.1,0.2\n", BAD_VALUE, None,
+                     id="kernel-zero-shots"),
+        pytest.param(KERNEL + ["--shots", "-3"], "0.1,0.2\n", BAD_VALUE, None,
+                     id="kernel-negative-shots"),
         pytest.param(PREDICT + ["nan"], None, BAD_VALUE, None, id="predict-nan-deff"),
         pytest.param(PREDICT + ["inf"], None, BAD_VALUE, None, id="predict-inf-deff"),
         pytest.param(EXTRAPOLATE + ["nan"], None, BAD_VALUE, None, id="extrapolate-nan-clops"),
@@ -331,8 +335,8 @@ BAD_CSV, BAD_VALUE = ("MALFORMED_CSV", 4), ("INVALID_PARAMETER", 2)
     ],
 )
 def test_malformed_input_is_a_coded_error(runner, tmp_path, command, text, error, row):
-    """Bad cells, short rows and non-finite numbers give the error JSON and
-    its exit status, never a traceback or a NaN result."""
+    """Bad cells, short rows, non-finite numbers and out-of-range values give
+    the error JSON and its exit status, never a traceback or a NaN result."""
     path = tmp_path / "input.csv"
     if text is not None:
         path.write_text(text)

@@ -35,13 +35,15 @@ def reference_observations(name: str) -> list[tuple[JobSpec, float]]:
 
 class TestSimulateJobRuntime:
     def test_exact_when_model_assumptions_hold(self):
+        # a power-of-two speed makes 1/C exact, so T_sim = T_pred bit for bit
         backend = BackendSpec("pow2", 8, 16, 1024.0)
         params = StackTimingParams(0.0, 0.0, 1.0 / 1024.0, 0.0)
-        for shots in (10, 100, 1000, 8000):
-            job = JobSpec(100, shots, 1, 4.0)
-            simulated = simulate_job_runtime(job, params, seed=0)
-            assert simulated == predict_runtime(job, backend)
-            assert score(predict_runtime(job, backend), simulated).loss == 0.0
+        for m in (1, 3, 7, 100, 333):
+            for shots in (10, 100, 1000, 8000):
+                job = JobSpec(m, shots, 3, 4.37)
+                simulated = simulate_job_runtime(job, params, seed=0)
+                assert simulated == predict_runtime(job, backend)
+                assert score(predict_runtime(job, backend), simulated).loss == 0.0
 
     def test_circuit_overhead_causes_under_prediction_at_low_shots(self):
         backend = BackendSpec("b", 8, 16, 2000.0)
@@ -167,14 +169,14 @@ class TestSweep:
 
     def test_zero_overhead_sweep_all_losses_zero(self, tmp_path):
         # No stack overhead at the backend's own speed: every loss is 0. A
-        # power-of-two speed and M keep both products exact in floating point.
+        # power-of-two speed keeps T_sim = T_pred exact in floating point.
         registry = tmp_path / "registry.json"
         registry.write_text(json.dumps(
             {"backends": [{"name": "pow2", "num_qubits": 7, "quantum_volume": 16, "clops": 2048.0}]}
         ))
         text = self.sweep(
             tmp_path, {"t_job": 0.0, "t_circ": 0.0, "t_layer_shot": 1 / 2048, "jitter": 0.0},
-            "--backend", "pow2", "--registry", str(registry), "--M", "8,64",
+            "--backend", "pow2", "--registry", str(registry),
         )
         assert [float(row["L"]) for row in csv.DictReader(io.StringIO(text))] == [0.0] * 4
 

@@ -13,6 +13,17 @@ from qjobtime.sim import (
     simulate,
 )
 
+FAMILIES = [KernelFamily(n, 2, ent) for n in (1, 2, 3, 4) for ent in Entanglement]
+
+
+def inverse_cdf_zero_count(fam, x, y, shots, seed_seq):
+    """Reference sampler: inverse-CDF draws over the overlap circuit's full
+    output distribution, counting those that land on the all-zeros string."""
+    cdf = np.cumsum(np.abs(simulate(kernel_circuit(fam, x, y)).amplitudes) ** 2)
+    cdf[-1] = max(cdf[-1], 1.0)
+    draws = np.random.Generator(np.random.Philox(seed_seq)).random(shots)
+    return int(np.count_nonzero(np.searchsorted(cdf, draws, side="right") == 0))
+
 
 class TestSimulate:
     def test_hadamard_superposition(self):
@@ -111,23 +122,44 @@ class TestKernelMatrix:
         assert np.allclose(kernel_matrix(fam, data), np.ones((4, 4)), atol=1e-10)
 
     def test_matches_pairwise_exact_kernel(self, rng):
-        fam = KernelFamily(2, 1)
-        data = [sample_features(fam, rng) for _ in range(3)]
-        k = kernel_matrix(fam, data)
-        for i in range(3):
-            for j in range(3):
-                expected = 1.0 if i == j else exact_kernel(fam, data[i], data[j])
-                assert k[i, j] == pytest.approx(expected, abs=1e-10)
-        assert np.array_equal(k, k.T)
+        for fam in FAMILIES:
+            data = [sample_features(fam, rng) for _ in range(4)]
+            k = kernel_matrix(fam, data)
+            for i in range(4):
+                for j in range(4):
+                    expected = 1.0 if i == j else exact_kernel(fam, data[i], data[j])
+                    assert k[i, j] == pytest.approx(expected, abs=1e-12)
+            assert np.array_equal(k, k.T)
 
-    def test_one_evaluation_per_unordered_pair(self, rng, monkeypatch):
+    def test_one_simulation_per_vector(self, rng, monkeypatch):
         fam = KernelFamily(2, 1)
         data = [sample_features(fam, rng) for _ in range(4)]
         calls = []
-        real = sim.exact_kernel
-        monkeypatch.setattr(sim, "exact_kernel", lambda *a, **k: calls.append(1) or real(*a, **k))
+        real = sim.simulate
+        monkeypatch.setattr(sim, "simulate", lambda *a, **k: calls.append(1) or real(*a, **k))
         kernel_matrix(fam, data)
-        assert len(calls) == 6
+        kernel_matrix(fam, data, shots=10)
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("seed", [0, 5, 99])
+    def test_shot_counts_match_inverse_cdf_sampler(self, seed):
+        rng = np.random.default_rng(seed)
+        shots = 300
+        for fam in FAMILIES:
+            data = [sample_features(fam, rng) for _ in range(3)]
+            data.append(data[1])  # a repeated vector: p0 = 1 up to rounding
+            k = kernel_matrix(fam, data, shots=shots, seed=seed)
+            assert k[1, 3] == 1.0
+            for i in range(4):
+                for j in range(i + 1, 4):
+                    count = inverse_cdf_zero_count(
+                        fam, data[i], data[j], shots, np.random.SeedSequence((seed, i, j))
+                    )
+                    assert k[i, j] == count / shots
+                    est = estimate_kernel(fam, data[i], data[j], shots, seed=seed)
+                    assert est.zero_count == inverse_cdf_zero_count(
+                        fam, data[i], data[j], shots, np.random.SeedSequence(seed)
+                    )
 
     def test_exact_matrix_positive_semidefinite(self, rng):
         fam = KernelFamily(3, 1, Entanglement.FULL)
