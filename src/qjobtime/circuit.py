@@ -51,6 +51,10 @@ _NPARAMS = {
     GateKind.U3: 4,
 }
 
+# largest entry of |M M^dagger - I| an SU4 payload may have; KAK decomposition
+# uses the same bound on the imaginary part of its real orthogonal factor
+UNITARY_TOL = 1e-7
+
 # SX written as a U3; its inverse is a U3, and inverting that folds back to SX
 # so that double inversion is structure-preserving.
 _SX_AS_U3 = (np.pi / 2, -np.pi / 2, np.pi / 2, np.pi / 4)
@@ -98,7 +102,7 @@ class Gate:
             m = self.matrix
             if m is None or m.shape != (4, 4):
                 raise InvalidGateError("SU4 requires a 4x4 unitary matrix payload")
-            if np.abs(m @ m.conj().T - np.eye(4)).max() > 1e-6:
+            if not np.abs(m @ m.conj().T - np.eye(4)).max() <= UNITARY_TOL:  # NaN fails too
                 raise InvalidGateError("SU4 matrix payload is not unitary")
             m = np.array(m, dtype=complex)
             m.setflags(write=False)
@@ -107,6 +111,24 @@ class Gate:
             raise InvalidGateError(f"{self.kind.value} does not take a matrix payload")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, kind: GateKind, qubits: tuple[int, ...], params: tuple[float, ...] = (),
+                 matrix: np.ndarray | None = None) -> "Gate":
+        """Build without `__post_init__`, for the transpiler's own output only.
+
+        The caller guarantees what the checks would: `qubits` a tuple of
+        distinct nonnegative ints of the kind's arity, `params` a tuple of
+        floats of the kind's count, and `matrix` a read-only checked payload
+        (SU4) or None. Each use derives the gate from an already-checked one.
+        """
+        g = object.__new__(cls)
+        fields = g.__dict__
+        fields["kind"] = kind
+        fields["qubits"] = qubits
+        fields["params"] = params
+        fields["matrix"] = matrix
+        return g
 
     @classmethod
     def h(cls, q: int) -> "Gate":
@@ -215,6 +237,17 @@ class Circuit:
             if any(q >= self.width for q in g.qubits):
                 raise InvalidCircuitError(f"gate {g!r} exceeds circuit width {self.width}")
 
+    @classmethod
+    def _trusted(cls, width: int, gates: tuple[Gate, ...], base_layers: int | None) -> "Circuit":
+        """Build without `__post_init__`, for the transpiler's own output only:
+        the caller guarantees that every gate fits `width`."""
+        c = object.__new__(cls)
+        fields = c.__dict__
+        fields["width"] = width
+        fields["gates"] = gates
+        fields["base_layers"] = base_layers
+        return c
+
     def __len__(self) -> int:
         return len(self.gates)
 
@@ -239,10 +272,20 @@ class Circuit:
         ready = [0] * self.width
         top = 0
         for g in self.gates:
-            layer = 1 + max((ready[q] for q in g.qubits), default=0)
-            for q in g.qubits:
-                ready[q] = layer
-            top = max(top, layer)
+            qubits = g.qubits
+            if len(qubits) == 1:
+                q = qubits[0]
+                layer = ready[q] = ready[q] + 1
+            elif len(qubits) == 2:
+                a, b = qubits
+                layer = ready[a] if ready[a] > ready[b] else ready[b]
+                layer = ready[a] = ready[b] = layer + 1
+            else:  # PERMUTATION spans the register
+                layer = 1 + max((ready[q] for q in qubits), default=0)
+                for q in qubits:
+                    ready[q] = layer
+            if layer > top:
+                top = layer
         return top
 
     def compose(self, other: "Circuit") -> "Circuit":

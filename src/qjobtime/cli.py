@@ -56,6 +56,13 @@ def _json_out(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
 
+def _read_json(path, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise InvalidParameterError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def _load_registry(path) -> dict[str, BackendSpec]:
     if path is None:
         return builtin_backends()
@@ -114,7 +121,12 @@ class _App(click.Group):
 def main(ctx, config):
     """Predict, score, and extrapolate quantum job runtimes."""
     if config:
-        ctx.default_map = json.loads(Path(config).read_text())
+        defaults = _read_json(config, "--config")
+        if not isinstance(defaults, dict) or not all(isinstance(v, dict) for v in defaults.values()):
+            raise InvalidParameterError(
+                f"--config {config} must map subcommand names to objects of flag defaults"
+            )
+        ctx.default_map = defaults
 
 
 @main.command()
@@ -293,7 +305,7 @@ def sweep_cmd(backend, registry, params_path, m, s, families,
     """Grid of predicted vs simulated runtimes over (family, M, S)."""
     reg = _load_registry(registry)
     spec = get_backend(backend, reg)
-    params = StackTimingParams.from_dict(json.loads(Path(params_path).read_text()))
+    params = StackTimingParams.from_dict(_read_json(params_path, "--params"))
     try:
         descriptors = json.loads(families)
     except json.JSONDecodeError as exc:

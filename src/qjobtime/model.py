@@ -203,17 +203,16 @@ def registry_to_json(registry: dict[str, BackendSpec]) -> str:
 
 
 def registry_from_json(text: str) -> dict[str, BackendSpec]:
-    spec = json.loads(text)
+    try:
+        entries = [
+            (e["name"], int(e["num_qubits"]), int(e["quantum_volume"]), float(e["clops"]))
+            for e in json.loads(text)["backends"]
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"bad backend registry JSON: {exc!r}") from exc
     out = {}
-    for entry in spec["backends"]:
-        b = BackendSpec(
-            entry["name"],
-            int(entry["num_qubits"]),
-            int(entry["quantum_volume"]),
-            float(entry["clops"]),
-            coupling=heavy_hex_like_map(int(entry["num_qubits"])),
-        )
-        out[b.name] = b
+    for name, qubits, volume, clops in entries:
+        out[name] = BackendSpec(name, qubits, volume, clops, coupling=heavy_hex_like_map(qubits))
     return out
 
 

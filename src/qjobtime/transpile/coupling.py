@@ -10,8 +10,9 @@ from ..errors import CouplingError
 class CouplingMap:
     """Undirected connectivity over `num_qubits` physical qubits.
 
-    Immutable by convention; adjacency and all-pairs shortest distances are
-    precomputed (maps are small: tens of qubits).
+    Immutable by convention; adjacency, all-pairs shortest distances and the
+    first hop of each shortest path are precomputed (maps are small: tens of
+    qubits).
     """
 
     def __init__(self, num_qubits: int, edges: Iterable[tuple[int, int]], tag: str = "custom"):
@@ -31,7 +32,7 @@ class CouplingMap:
         self._adj: tuple[tuple[int, ...], ...] = self._adjacency()
         if num_qubits > 1:
             self._check_connected()
-        self._dist = self._all_pairs_distances()
+        self._dist, self._hop = self._all_pairs_bfs()
 
     def _adjacency(self):
         adj = [[] for _ in range(self.num_qubits)]
@@ -52,11 +53,18 @@ class CouplingMap:
         if len(seen) != self.num_qubits:
             raise CouplingError("coupling map is not connected")
 
-    def _all_pairs_distances(self):
+    def _all_pairs_bfs(self):
+        """Distances and first hops from one BFS per source.
+
+        hop[src][dst] is the first step of the BFS shortest path from src to
+        dst: neighbors are visited in ascending order, so ties go to the
+        smallest index. hop[src][src] is src.
+        """
         n = self.num_qubits
-        dist = [[0] * n for _ in range(n)]
+        dist, hop = [], []
         for src in range(n):
             d = [-1] * n
+            h = [src] * n
             d[src] = 0
             queue = deque([src])
             while queue:
@@ -64,9 +72,11 @@ class CouplingMap:
                 for v in self._adj[u]:
                     if d[v] < 0:
                         d[v] = d[u] + 1
+                        h[v] = v if u == src else h[u]
                         queue.append(v)
-            dist[src] = d
-        return tuple(tuple(row) for row in dist)
+            dist.append(tuple(d))
+            hop.append(tuple(h))
+        return tuple(dist), tuple(hop)
 
     def neighbors(self, q: int) -> tuple[int, ...]:
         return self._adj[q]
@@ -77,24 +87,10 @@ class CouplingMap:
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
 
-    def shortest_path(self, src: int, dst: int) -> list[int]:
-        """One BFS shortest path; ties broken by ascending neighbor index."""
-        if src == dst:
-            return [src]
-        parent = {src: src}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in self._adj[u]:
-                if v not in parent:
-                    parent[v] = u
-                    if v == dst:
-                        path = [dst]
-                        while path[-1] != src:
-                            path.append(parent[path[-1]])
-                        return path[::-1]
-                    queue.append(v)
-        raise CouplingError(f"no path between {src} and {dst}")  # pragma: no cover
+    def next_hop(self, src: int, dst: int) -> int:
+        """First step of a BFS shortest path from src to dst (ties broken by
+        ascending neighbor index); src itself when src == dst."""
+        return self._hop[src][dst]
 
     def __repr__(self):
         return f"CouplingMap({self.tag}, n={self.num_qubits}, edges={len(self.edges)})"
@@ -106,8 +102,13 @@ class CouplingMap:
 
     @classmethod
     def from_json(cls, text: str) -> "CouplingMap":
-        spec = json.loads(text)
-        return cls(int(spec["n"]), [tuple(e) for e in spec["edges"]], spec.get("tag", "custom"))
+        try:
+            spec = json.loads(text)
+            n, edges = int(spec["n"]), [(int(a), int(b)) for a, b in spec["edges"]]
+            tag = spec.get("tag", "custom")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CouplingError(f"bad coupling map JSON: {exc!r}") from exc
+        return cls(n, edges, tag)
 
 
 def line_map(n: int) -> CouplingMap:

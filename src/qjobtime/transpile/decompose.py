@@ -8,6 +8,10 @@ Output is unitarily equivalent to the input up to global phase. Fixed rules:
     U3        -> ZYZ Euler angles as an RZ/SX string
     SU4       -> three CX with 1q dressings (see kak)
     PERMUTATION -> SWAP network over its cycles, then CX triples
+
+Every emitted gate acts on the qubits of an already-checked input gate, so it
+is built with `Gate._trusted` (angles passed as Python floats), skipping the
+construction checks.
 """
 
 import numpy as np
@@ -25,15 +29,18 @@ def _emit_1q(out: list[Gate], q: int, matrix: np.ndarray) -> None:
     angles = zsx_angles(matrix)
     if angles is None:
         return
+    qubits = (q,)
     if len(angles) == 1:
-        out.append(Gate.rz(q, angles[0]))
+        out.append(Gate._trusted(GateKind.RZ, qubits, (float(angles[0]),)))
         return
-    a1, a2, a3 = angles
-    out.extend([Gate.rz(q, a1), Gate.sx(q), Gate.rz(q, a2), Gate.sx(q), Gate.rz(q, a3)])
+    rz1, rz2, rz3 = (Gate._trusted(GateKind.RZ, qubits, (float(a),)) for a in angles)
+    sx = Gate._trusted(GateKind.SX, qubits)
+    out.extend([rz1, sx, rz2, sx, rz3])
 
 
 def _emit_swap(out: list[Gate], a: int, b: int) -> None:
-    out.extend([Gate.cx(a, b), Gate.cx(b, a), Gate.cx(a, b)])
+    ab = Gate._trusted(GateKind.CX, (a, b))
+    out.extend([ab, Gate._trusted(GateKind.CX, (b, a)), ab])
 
 
 def _emit_su4(out: list[Gate], qa: int, qb: int, matrix: np.ndarray) -> None:
@@ -41,13 +48,14 @@ def _emit_su4(out: list[Gate], qa: int, qb: int, matrix: np.ndarray) -> None:
     (pre_hi, pre_lo), (m1_hi, m1_lo), (m2_hi, m2_lo) = canonical_layers(x, y, z)
     _emit_1q(out, qa, pre_hi @ b1)
     _emit_1q(out, qb, pre_lo @ b0)
-    out.append(Gate.cx(qa, qb))
+    cx = Gate._trusted(GateKind.CX, (qa, qb))
+    out.append(cx)
     _emit_1q(out, qa, m1_hi)
     _emit_1q(out, qb, m1_lo)
-    out.append(Gate.cx(qa, qb))
+    out.append(cx)
     _emit_1q(out, qa, m2_hi)
     _emit_1q(out, qb, m2_lo)
-    out.append(Gate.cx(qa, qb))
+    out.append(cx)
     _emit_1q(out, qa, a1)
     _emit_1q(out, qb, a0)
 
@@ -79,11 +87,11 @@ def decompose(c: Circuit) -> Circuit:
         if k in (GateKind.X, GateKind.SX, GateKind.RZ, GateKind.CX):
             out.append(g)
         elif k is GateKind.H:
-            q = g.qubits[0]
-            out.extend([Gate.rz(q, np.pi / 2), Gate.sx(q), Gate.rz(q, np.pi / 2)])
+            rz = Gate._trusted(GateKind.RZ, g.qubits, (np.pi / 2,))
+            out.extend([rz, Gate._trusted(GateKind.SX, g.qubits), rz])
         elif k is GateKind.RZZ:
-            a, b = g.qubits
-            out.extend([Gate.cx(a, b), Gate.rz(b, g.params[0]), Gate.cx(a, b)])
+            cx = Gate._trusted(GateKind.CX, g.qubits)
+            out.extend([cx, Gate._trusted(GateKind.RZ, g.qubits[1:], g.params), cx])
         elif k is GateKind.SWAP:
             _emit_swap(out, *g.qubits)
         elif k is GateKind.U3:
@@ -95,4 +103,4 @@ def decompose(c: Circuit) -> Circuit:
                 _emit_swap(out, a, b)
         else:
             raise UnsupportedGateError(f"no basis decomposition for {k.value}")
-    return Circuit(c.width, tuple(out), c.base_layers)
+    return Circuit._trusted(c.width, tuple(out), c.base_layers)

@@ -16,6 +16,9 @@ Single-qubit factors are lowered to RZ/SX strings via ZYZ Euler angles.
 
 import numpy as np
 
+from ..circuit import UNITARY_TOL
+from ..errors import InvalidGateError
+
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -75,6 +78,30 @@ def _simdiag_symmetric_unitary(m2: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return v
 
 
+# retries after the cluster-refined basis, each on a seeded random real
+# combination of Re and Im (as in Qiskit's Weyl decomposition); the fixed seed
+# keeps the decomposition a deterministic function of its input
+_RETRIES = 100
+_RETRY_SEED = 2020
+
+
+def _interaction_bases(m2: np.ndarray):
+    """Candidate real orthogonal P (det +1) diagonalizing m2, best guess first.
+
+    Near a degenerate spectrum the cluster threshold of the first candidate
+    can split a cluster wrongly; a generic combination a*Re + b*Im has
+    simple eigenvalues there, so its eigenvectors diagonalize both parts.
+    """
+    yield _simdiag_symmetric_unitary(m2)
+    rng = np.random.default_rng(_RETRY_SEED)
+    for _ in range(_RETRIES):
+        a, b = rng.random(2)
+        _, v = np.linalg.eigh(a * m2.real + b * m2.imag)
+        if np.linalg.det(v) < 0:
+            v[:, 0] = -v[:, 0]
+        yield v
+
+
 def factor_kron(m4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split an exact tensor product into (hi, lo) with m4 = kron(hi, lo)."""
     r = m4.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
@@ -102,18 +129,21 @@ def kak_decompose(u: np.ndarray):
     gamma = np.angle(det) / 4
     us = u * np.exp(-1j * gamma)
     m = MAGIC.conj().T @ us @ MAGIC
-    m2 = m.T @ m
-    p = _simdiag_symmetric_unitary(m2)
-    mp = m @ p
-    # column j of m@p equals e^{i theta_j} times a real orthonormal column
-    d = np.einsum("ij,ij->j", mp, mp)
-    theta = 0.5 * np.angle(d)
-    # keep half-angles in (-pi/2, pi/2]; values at the boundary snap upward so
-    # that repeated runs land on the same branch
-    theta = np.where(theta < -np.pi / 2 + 1e-12, theta + np.pi, theta)
-    k1 = mp * np.exp(-1j * theta)[None, :]
-    if np.abs(k1.imag).max() > 1e-7:
-        raise ArithmeticError("interaction diagonalization failed; input not unitary?")
+    for p in _interaction_bases(m.T @ m):
+        mp = m @ p
+        # column j of m@p equals e^{i theta_j} times a real orthonormal column
+        d = np.einsum("ij,ij->j", mp, mp)
+        theta = 0.5 * np.angle(d)
+        # keep half-angles in (-pi/2, pi/2]; values at the boundary snap upward
+        # so that repeated runs land on the same branch
+        theta = np.where(theta < -np.pi / 2 + 1e-12, theta + np.pi, theta)
+        k1 = mp * np.exp(-1j * theta)[None, :]
+        if np.abs(k1.imag).max() <= UNITARY_TOL:
+            break
+    else:
+        raise InvalidGateError(
+            f"KAK decomposition failed: input is not unitary within {UNITARY_TOL}"
+        )
     k1 = k1.real
     if np.linalg.det(k1) < 0:
         k1[:, 0] = -k1[:, 0]

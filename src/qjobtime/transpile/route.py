@@ -2,9 +2,9 @@
 
 No lookahead: whenever a two-qubit gate straddles non-adjacent physical
 qubits, the endpoint with the lower physical index walks one step along a BFS
-shortest path (ties broken by ascending neighbor index) until the pair is
-adjacent. Inserted swaps are emitted as CX triples so routed circuits stay
-inside the two-qubit basis. Deterministic by construction.
+shortest path (ties broken by ascending neighbor index; the map precomputes
+each path's first hop) until the pair is adjacent. Inserted swaps are emitted
+as CX triples so routed circuits stay inside the two-qubit basis. Deterministic by construction.
 """
 
 from dataclasses import dataclass
@@ -35,9 +35,17 @@ def route(c: Circuit, cmap: CouplingMap) -> RoutedCircuit:
     p2l: list[int | None] = list(range(c.width)) + [None] * (cmap.num_qubits - c.width)
     out: list[Gate] = []
     swaps = 0
+    # Every gate emitted is one of c's checked gates moved to other physical
+    # qubits, or a swap CX, so it is built with `Gate._trusted`. Gates are
+    # immutable, so each swap pair's CX triple is built once and shared.
+    swap_cx: dict[tuple[int, int], tuple[Gate, Gate, Gate]] = {}
 
     def do_swap(pa: int, pb: int) -> None:
-        out.extend([Gate.cx(pa, pb), Gate.cx(pb, pa), Gate.cx(pa, pb)])
+        triple = swap_cx.get((pa, pb))
+        if triple is None:
+            ab = Gate._trusted(GateKind.CX, (pa, pb))
+            triple = swap_cx[pa, pb] = (ab, Gate._trusted(GateKind.CX, (pb, pa)), ab)
+        out.extend(triple)
         la, lb = p2l[pa], p2l[pb]
         p2l[pa], p2l[pb] = lb, la
         if la is not None:
@@ -49,19 +57,21 @@ def route(c: Circuit, cmap: CouplingMap) -> RoutedCircuit:
         if g.kind is GateKind.PERMUTATION:
             raise UnsupportedGateError("decompose PERMUTATION gates before routing")
         if len(g.qubits) == 1:
-            out.append(Gate(g.kind, (l2p[g.qubits[0]],), g.params, g.matrix))
-            continue
-        la, lb = g.qubits
-        while cmap.distance(l2p[la], l2p[lb]) > 1:
-            pa, pb = l2p[la], l2p[lb]
-            mover, target = (pa, pb) if pa < pb else (pb, pa)
-            step = cmap.shortest_path(mover, target)[1]
-            do_swap(mover, step)
-            swaps += 1
-        out.append(Gate(g.kind, (l2p[la], l2p[lb]), g.params, g.matrix))
+            physical = (l2p[g.qubits[0]],)
+        else:
+            la, lb = g.qubits
+            while cmap.distance(l2p[la], l2p[lb]) > 1:
+                pa, pb = l2p[la], l2p[lb]
+                mover, target = (pa, pb) if pa < pb else (pb, pa)
+                do_swap(mover, cmap.next_hop(mover, target))
+                swaps += 1
+            physical = (l2p[la], l2p[lb])
+        if physical != g.qubits:  # a gate that stays on its qubits is reused as is
+            g = Gate._trusted(g.kind, physical, g.params, g.matrix)
+        out.append(g)
 
     return RoutedCircuit(
-        Circuit(cmap.num_qubits, tuple(out), c.base_layers), tuple(l2p), swaps
+        Circuit._trusted(cmap.num_qubits, tuple(out), c.base_layers), tuple(l2p), swaps
     )
 
 

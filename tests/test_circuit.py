@@ -127,6 +127,10 @@ class TestValidation:
     def test_su4_payload_must_be_unitary(self):
         with pytest.raises(InvalidGateError):
             Gate(GateKind.SU4, (0, 1), (), np.ones((4, 4), dtype=complex))
+        with pytest.raises(InvalidGateError):
+            Gate.su4(0, 1, np.full((4, 4), np.nan))
+        with pytest.raises(InvalidGateError):  # off by more than UNITARY_TOL = 1e-7
+            Gate.su4(0, 1, np.diag([1, 1, 1, 1 + 5e-7]))
 
     def test_permutation_must_cover_register(self):
         with pytest.raises(InvalidCircuitError):

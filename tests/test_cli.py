@@ -304,6 +304,12 @@ SCORE = ["score", "--records", "INPUT", "--out", "OUT"]
 KERNEL = ["simulate-kernel", "--family", '{"n":2,"d":1}', "--data", "INPUT", "--out", "OUT"]
 PREDICT = ["predict", "--backend", "ibm_hanoi", "--M", "1", "--S", "1", "--deff"]
 EXTRAPOLATE = ["extrapolate", "--N", "100", "--S", "10", "--deff", "2", "--clops"]
+CONFIG = ["--config", "INPUT"] + PREDICT + ["2"]
+MAP_FILE = ["deff", "--family", '{"n":2,"d":1}', "--map", "INPUT"]
+REGISTRY = ["backends", "list", "--registry", "INPUT"]
+PARAMS = ["sweep", "--backend", "ibm_hanoi", "--params", "INPUT", "--M", "1", "--S", "1",
+          "--families", '[{"n":2,"d":1}]', "--out", "OUT"]
+BAD_MAP = ("COUPLING_MAP", 6)
 BAD_CSV, BAD_VALUE = ("MALFORMED_CSV", 4), ("INVALID_PARAMETER", 2)
 
 
@@ -332,11 +338,23 @@ BAD_CSV, BAD_VALUE = ("MALFORMED_CSV", 4), ("INVALID_PARAMETER", 2)
         pytest.param(PREDICT + ["inf"], None, BAD_VALUE, None, id="predict-inf-deff"),
         pytest.param(EXTRAPOLATE + ["nan"], None, BAD_VALUE, None, id="extrapolate-nan-clops"),
         pytest.param(EXTRAPOLATE + ["inf"], None, BAD_VALUE, None, id="extrapolate-inf-clops"),
+        pytest.param(CONFIG, '{"predict": ', BAD_VALUE, None, id="config-bad-json"),
+        pytest.param(CONFIG, '{"predict": [1]}', BAD_VALUE, None, id="config-not-flag-defaults"),
+        pytest.param(MAP_FILE, '{"n": 3, "edges": [[0, 1]', BAD_MAP, None, id="map-bad-json"),
+        pytest.param(MAP_FILE, '{"n": 3}', BAD_MAP, None, id="map-missing-edges"),
+        pytest.param(MAP_FILE, '{"n": 3, "edges": [[0, 1, 2]]}', BAD_MAP, None,
+                     id="map-edge-not-a-pair"),
+        pytest.param(REGISTRY, '{"backends": [', BAD_VALUE, None, id="registry-bad-json"),
+        pytest.param(REGISTRY, '{"backends": [{"name": "x", "num_qubits": 5}]}', BAD_VALUE, None,
+                     id="registry-missing-key"),
+        pytest.param(PARAMS, '{"t_job": 1.0,', BAD_VALUE, None, id="params-bad-json"),
+        pytest.param(PARAMS, '{"t_job": 1.0}', BAD_VALUE, None, id="params-missing-key"),
     ],
 )
 def test_malformed_input_is_a_coded_error(runner, tmp_path, command, text, error, row):
-    """Bad cells, short rows, non-finite numbers and out-of-range values give
-    the error JSON and its exit status, never a traceback or a NaN result."""
+    """Bad cells, short rows, non-finite numbers, out-of-range values and
+    malformed JSON inputs give the error JSON and its exit status, never a
+    traceback or a NaN result."""
     path = tmp_path / "input.csv"
     if text is not None:
         path.write_text(text)
