@@ -10,7 +10,7 @@ circuits in one file are separated by blank lines.
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -27,10 +27,9 @@ class GateKind(Enum):
     SWAP = "SWAP"
     U3 = "U3"
     SU4 = "SU4"
-    PERMUTATION = "PERMUTATION"
 
 
-# number of qubit operands; PERMUTATION spans the full register (checked per circuit)
+# number of qubit operands: every gate acts on one or two qubits
 _ARITY = {
     GateKind.H: 1,
     GateKind.X: 1,
@@ -81,14 +80,6 @@ class Gate:
             raise InvalidGateError(f"{self.kind.value}: repeated qubit in {self.qubits}")
         if any(q < 0 for q in self.qubits):
             raise InvalidGateError(f"{self.kind.value}: negative qubit index")
-        if self.kind is GateKind.PERMUTATION:
-            if self.params:
-                raise InvalidGateError("PERMUTATION takes no parameters")
-            if sorted(self.qubits) != list(range(len(self.qubits))):
-                raise InvalidGateError(
-                    "PERMUTATION qubits must be a permutation of 0..k-1 in one-line notation"
-                )
-            return
         if len(self.qubits) != _ARITY[self.kind]:
             raise InvalidGateError(
                 f"{self.kind.value} acts on {_ARITY[self.kind]} qubit(s), got {self.qubits}"
@@ -166,10 +157,6 @@ class Gate:
     def su4(cls, a: int, b: int, matrix: np.ndarray) -> "Gate":
         return cls(GateKind.SU4, (a, b), (), np.asarray(matrix, dtype=complex))
 
-    @classmethod
-    def permutation(cls, images: Sequence[int]) -> "Gate":
-        return cls(GateKind.PERMUTATION, tuple(images))
-
     # -- behaviour ---------------------------------------------------------
 
     def inverse(self) -> "Gate":
@@ -188,12 +175,7 @@ class Gate:
             if inv == _SX_AS_U3:
                 return Gate(GateKind.SX, self.qubits)
             return Gate(k, self.qubits, inv)
-        if k is GateKind.SU4:
-            return Gate(k, self.qubits, (), self.matrix.conj().T)
-        if k is GateKind.PERMUTATION:
-            inv = tuple(int(i) for i in np.argsort(self.qubits))
-            return Gate(k, inv)
-        raise InvalidGateError(f"no inverse for {k}")  # pragma: no cover
+        return Gate(k, self.qubits, (), self.matrix.conj().T)  # SU4
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gate):
@@ -230,10 +212,6 @@ class Circuit:
         if self.width < 0:
             raise InvalidCircuitError("width must be nonnegative")
         for g in self.gates:
-            if g.kind is GateKind.PERMUTATION and len(g.qubits) != self.width:
-                raise InvalidCircuitError(
-                    f"PERMUTATION spans {len(g.qubits)} wires on a width-{self.width} circuit"
-                )
             if any(q >= self.width for q in g.qubits):
                 raise InvalidCircuitError(f"gate {g!r} exceeds circuit width {self.width}")
 
@@ -276,14 +254,10 @@ class Circuit:
             if len(qubits) == 1:
                 q = qubits[0]
                 layer = ready[q] = ready[q] + 1
-            elif len(qubits) == 2:
+            else:
                 a, b = qubits
                 layer = ready[a] if ready[a] > ready[b] else ready[b]
                 layer = ready[a] = ready[b] = layer + 1
-            else:  # PERMUTATION spans the register
-                layer = 1 + max((ready[q] for q in qubits), default=0)
-                for q in qubits:
-                    ready[q] = layer
             if layer > top:
                 top = layer
         return top
@@ -326,26 +300,31 @@ class Circuit:
         lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("width="):
             raise InvalidCircuitError("circuit text must start with a width=<n> header")
-        width = int(lines[0].split("=", 1)[1])
-        base_layers = None
-        body = lines[1:]
-        if body and body[0].startswith("layers="):
-            base_layers = int(body[0].split("=", 1)[1])
-            body = body[1:]
-        gates = []
-        for ln in body:
-            fields = ln.split()
-            kind = GateKind(fields[0])
-            qubits = tuple(int(q) for q in fields[1].split(","))
-            raw = tuple(float(p) for p in fields[2].split(",")) if len(fields) > 2 else ()
-            if kind is GateKind.SU4:
-                if len(raw) != 32:
-                    raise InvalidCircuitError("SU4 line needs 32 re,im values")
-                vals = np.array(raw).reshape(16, 2)
-                mat = (vals[:, 0] + 1j * vals[:, 1]).reshape(4, 4)
-                gates.append(Gate(kind, qubits, (), mat))
-            else:
-                gates.append(Gate(kind, qubits, raw))
+        ln = lines[0]
+        try:
+            width = int(ln.split("=", 1)[1])
+            base_layers = None
+            body = lines[1:]
+            if body and body[0].startswith("layers="):
+                ln = body[0]
+                base_layers = int(ln.split("=", 1)[1])
+                body = body[1:]
+            gates = []
+            for ln in body:
+                fields = ln.split()
+                kind = GateKind(fields[0])
+                qubits = tuple(int(q) for q in fields[1].split(","))
+                raw = tuple(float(p) for p in fields[2].split(",")) if len(fields) > 2 else ()
+                if kind is GateKind.SU4:
+                    if len(raw) != 32:
+                        raise ValueError("SU4 needs 32 re,im values")
+                    vals = np.array(raw).reshape(16, 2)
+                    mat = (vals[:, 0] + 1j * vals[:, 1]).reshape(4, 4)
+                    gates.append(Gate(kind, qubits, (), mat))
+                else:
+                    gates.append(Gate(kind, qubits, raw))
+        except (ValueError, IndexError) as exc:
+            raise InvalidCircuitError(f"bad circuit line {ln!r}: {exc}") from exc
         return cls(width, tuple(gates), base_layers)
 
 

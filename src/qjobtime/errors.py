@@ -23,11 +23,6 @@ class WidthMismatchError(QJobTimeError):
     exit_code = 5
 
 
-class UnsupportedGateError(QJobTimeError):
-    code = "UNSUPPORTED_GATE"
-    exit_code = 5
-
-
 class CouplingError(QJobTimeError):
     code = "COUPLING_MAP"
     exit_code = 6

@@ -13,6 +13,7 @@ while the simulated time has an S-independent floor), and a t_layer_shot
 below the CLOPS-implied rate yields over-prediction at high S.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,6 +21,12 @@ import numpy as np
 
 from .errors import FitError, InvalidParameterError
 from .model import JobSpec
+
+
+def _check_seconds(**values: float) -> None:
+    for name, value in values.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise InvalidParameterError(f"{name} must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -33,8 +40,7 @@ class StackTimingParams:
     jitter: float = 0.0
 
     def __post_init__(self):
-        if min(self.t_job, self.t_circ, self.t_layer_shot) < 0:
-            raise InvalidParameterError("timing parameters must be nonnegative")
+        _check_seconds(t_job=self.t_job, t_circ=self.t_circ, t_layer_shot=self.t_layer_shot)
         if not 0 <= self.jitter < 1:
             raise InvalidParameterError("jitter must lie in [0, 1)")
 
@@ -130,6 +136,8 @@ def fit_params(
     rank-deficient designs, naming the parameters it cannot separate; fixing
     t_job (e.g. to 0) restores identifiability for constant-M data.
     """
+    if fix_t_job is not None:
+        _check_seconds(t_job=fix_t_job)
     if len(observations) < 3:
         raise FitError("need at least 3 observations to fit 3 timing parameters")
     jobs = [job for job, _ in observations]

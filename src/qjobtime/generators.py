@@ -108,6 +108,8 @@ def _as_features(fam: KernelFamily, x: Sequence[float]) -> np.ndarray:
         raise InvalidParameterError(
             f"feature vector has {arr.shape[0]} components, family needs {fam.n}"
         )
+    if not np.isfinite(arr).all():
+        raise InvalidParameterError(f"feature vector has non-finite components: {arr}")
     return arr
 
 

@@ -103,9 +103,20 @@ def clops_from_measurement(circuits: int, layers: int, updates: int, shots: int,
 CLOPS_PROTOCOL = {"circuits": 100, "shots": 100, "updates": 10}
 
 
+def _seconds(job: JobSpec, clops: float) -> float:
+    """M*K*S*d_eff / C, refused when it is not a finite float."""
+    try:
+        seconds = job.total_layers / clops
+    except OverflowError:  # an integer M*K*S beyond float range
+        seconds = math.inf
+    if not math.isfinite(seconds):
+        raise InvalidParameterError("predicted runtime M*K*S*d_eff / C overflows a float")
+    return seconds
+
+
 def predict_runtime(job: JobSpec, backend: BackendSpec) -> float:
     """Predicted wall-clock seconds: M*K*S*d_eff / C."""
-    return job.total_layers / backend.clops
+    return _seconds(job, backend.clops)
 
 
 def loss_from_ratio(ratio: float) -> float:
@@ -133,7 +144,7 @@ def kernel_job_size(n_vectors: int) -> int:
 def extrapolate(n_vectors: int, shots: int, d_eff: float, clops: float) -> float:
     """Predicted seconds to evaluate every pairwise kernel of an N-point dataset."""
     _check_clops(clops)
-    return JobSpec(kernel_job_size(n_vectors), shots, 1, d_eff).total_layers / clops
+    return _seconds(JobSpec(kernel_job_size(n_vectors), shots, 1, d_eff), clops)
 
 
 def required_shots(n_vectors: int, epsilon: float, scale: float = 1.0) -> int:

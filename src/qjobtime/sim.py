@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind
-from .errors import InvalidParameterError, SimulationCapError, UnsupportedGateError
+from .errors import InvalidParameterError, SimulationCapError
 from .generators import KernelFamily, encoding_circuit, kernel_circuit
 
 DEFAULT_QUBIT_CAP = 12
@@ -59,20 +59,15 @@ def gate_matrix(gate: Gate) -> np.ndarray:
         t = gate.params[0]
         e = np.exp(-0.5j * t)
         return np.diag([e, e.conjugate(), e.conjugate(), e])
-    if k is GateKind.SU4:
-        return gate.matrix
-    raise UnsupportedGateError(f"{k.value} has no fixed-size matrix")
+    return gate.matrix  # SU4
 
 
-def _apply_gate(state: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    """Apply a gate to a state tensor whose first n axes are the qubits.
+def _apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
+    """Apply a gate to a state tensor whose leading axes are the qubits.
 
     Trailing axes (if any) are carried along untouched, which lets the same
     code build full unitaries column-wise.
     """
-    if gate.kind is GateKind.PERMUTATION:
-        dest = list(gate.qubits) + list(range(n, state.ndim))
-        return np.moveaxis(state, range(state.ndim), dest)
     m = gate_matrix(gate)
     qs = gate.qubits
     if len(qs) == 1:
@@ -108,7 +103,7 @@ def simulate(c: Circuit, max_qubits: int = DEFAULT_QUBIT_CAP) -> StateVector:
     state = np.zeros((2,) * c.width, dtype=complex)
     state[(0,) * c.width] = 1.0
     for g in c.gates:
-        state = _apply_gate(state, g, c.width)
+        state = _apply_gate(state, g)
     return StateVector(state.reshape(-1), c.width)
 
 
@@ -119,7 +114,7 @@ def circuit_unitary(c: Circuit, max_qubits: int = DEFAULT_QUBIT_CAP) -> np.ndarr
     dim = 2 ** c.width
     u = np.eye(dim, dtype=complex).reshape((2,) * c.width + (dim,))
     for g in c.gates:
-        u = _apply_gate(u, g, c.width)
+        u = _apply_gate(u, g)
     return u.reshape(dim, dim)
 
 

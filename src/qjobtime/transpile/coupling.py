@@ -30,9 +30,9 @@ class CouplingMap:
         self.edges = frozenset(norm)
         self.tag = tag
         self._adj: tuple[tuple[int, ...], ...] = self._adjacency()
-        if num_qubits > 1:
-            self._check_connected()
         self._dist, self._hop = self._all_pairs_bfs()
+        if -1 in self._dist[0]:
+            raise CouplingError("coupling map is not connected")
 
     def _adjacency(self):
         adj = [[] for _ in range(self.num_qubits)]
@@ -41,20 +41,9 @@ class CouplingMap:
             adj[b].append(a)
         return tuple(tuple(sorted(nbrs)) for nbrs in adj)
 
-    def _check_connected(self):
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in self._adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        if len(seen) != self.num_qubits:
-            raise CouplingError("coupling map is not connected")
-
     def _all_pairs_bfs(self):
-        """Distances and first hops from one BFS per source.
+        """Distances and first hops from one BFS per source; -1 marks an
+        unreachable qubit.
 
         hop[src][dst] is the first step of the BFS shortest path from src to
         dst: neighbors are visited in ascending order, so ties go to the

@@ -7,7 +7,6 @@ Output is unitarily equivalent to the input up to global phase. Fixed rules:
     SWAP      -> CX, CX, CX                             (exact)
     U3        -> ZYZ Euler angles as an RZ/SX string
     SU4       -> three CX with 1q dressings (see kak)
-    PERMUTATION -> SWAP network over its cycles, then CX triples
 
 Every emitted gate acts on the qubits of an already-checked input gate, so it
 is built with `Gate._trusted` (angles passed as Python floats), skipping the
@@ -17,7 +16,6 @@ construction checks.
 import numpy as np
 
 from ..circuit import Circuit, Gate, GateKind
-from ..errors import UnsupportedGateError
 from ..sim import gate_matrix
 from .kak import canonical_layers, kak_decompose, zsx_angles
 
@@ -60,25 +58,6 @@ def _emit_su4(out: list[Gate], qa: int, qb: int, matrix: np.ndarray) -> None:
     _emit_1q(out, qb, a0)
 
 
-def _permutation_swaps(images: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Transpositions realizing wire i -> images[i]: each cycle (a b c ...)
-    becomes SWAP(a,b), SWAP(a,c), ... applied in that order."""
-    seen: set[int] = set()
-    swaps = []
-    for start in range(len(images)):
-        if start in seen:
-            continue
-        cycle = [start]
-        seen.add(start)
-        nxt = images[start]
-        while nxt != start:
-            cycle.append(nxt)
-            seen.add(nxt)
-            nxt = images[nxt]
-        swaps.extend((cycle[0], other) for other in cycle[1:])
-    return swaps
-
-
 def decompose(c: Circuit) -> Circuit:
     """Rewrite every gate into basis gates; width and metadata preserved."""
     out: list[Gate] = []
@@ -96,11 +75,6 @@ def decompose(c: Circuit) -> Circuit:
             _emit_swap(out, *g.qubits)
         elif k is GateKind.U3:
             _emit_1q(out, g.qubits[0], gate_matrix(g))
-        elif k is GateKind.SU4:
+        else:  # SU4
             _emit_su4(out, g.qubits[0], g.qubits[1], g.matrix)
-        elif k is GateKind.PERMUTATION:
-            for a, b in _permutation_swaps(g.qubits):
-                _emit_swap(out, a, b)
-        else:
-            raise UnsupportedGateError(f"no basis decomposition for {k.value}")
     return Circuit._trusted(c.width, tuple(out), c.base_layers)

@@ -124,7 +124,10 @@ def kak_decompose(u: np.ndarray):
         u == phase * kron(a1, a0) @ canonical_matrix(x, y, z) @ kron(b1, b0)
 
     where a*/b* are single-qubit unitaries acting on the high/low bit.
+    One Newton-Schulz step first moves u to the nearest unitary, so that any
+    payload within `UNITARY_TOL` of unitary factors.
     """
+    u = u @ (1.5 * np.eye(4) - 0.5 * (u.conj().T @ u))
     det = np.linalg.det(u)
     gamma = np.angle(det) / 4
     us = u * np.exp(-1j * gamma)

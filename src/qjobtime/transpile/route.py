@@ -10,7 +10,7 @@ as CX triples so routed circuits stay inside the two-qubit basis. Deterministic 
 from dataclasses import dataclass
 
 from ..circuit import Circuit, Gate, GateKind
-from ..errors import CouplingError, UnsupportedGateError
+from ..errors import CouplingError
 from .coupling import CouplingMap
 from .decompose import decompose
 
@@ -54,8 +54,6 @@ def route(c: Circuit, cmap: CouplingMap) -> RoutedCircuit:
             l2p[lb] = pa
 
     for g in c.gates:
-        if g.kind is GateKind.PERMUTATION:
-            raise UnsupportedGateError("decompose PERMUTATION gates before routing")
         if len(g.qubits) == 1:
             physical = (l2p[g.qubits[0]],)
         else:

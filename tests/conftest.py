@@ -20,7 +20,7 @@ def up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
 
 def random_circuit(width: int, n_gates: int, rng: np.random.Generator,
                    two_qubit_only_cx: bool = False) -> Circuit:
-    """Random circuit over the full gate alphabet (no PERMUTATION)."""
+    """Random circuit over the full gate alphabet."""
     gates = []
     for _ in range(n_gates):
         choice = rng.integers(0, 8 if not two_qubit_only_cx else 6)

@@ -5,7 +5,7 @@ from conftest import random_circuit, up_to_phase
 from qjobtime.circuit import Circuit, Gate, GateKind, read_circuits, write_circuits
 from qjobtime.errors import InvalidCircuitError, InvalidGateError, WidthMismatchError
 from qjobtime.generators import haar_su4
-from qjobtime.sim import circuit_unitary, simulate
+from qjobtime.sim import circuit_unitary
 
 
 def longest_dag_path(c: Circuit) -> int:
@@ -104,12 +104,6 @@ class TestInverse:
         assert c.inverse().width == 4
         assert c.compose(c).width == 4
 
-    def test_permutation_inverse(self):
-        g = Gate.permutation((2, 0, 1))
-        c = Circuit(3, (g, g.inverse()))
-        state = simulate(c)
-        assert abs(state.amplitudes[0] - 1.0) < 1e-12
-
 
 class TestValidation:
     def test_gate_exceeding_width_rejected(self):
@@ -132,10 +126,6 @@ class TestValidation:
         with pytest.raises(InvalidGateError):  # off by more than UNITARY_TOL = 1e-7
             Gate.su4(0, 1, np.diag([1, 1, 1, 1 + 5e-7]))
 
-    def test_permutation_must_cover_register(self):
-        with pytest.raises(InvalidCircuitError):
-            Circuit(3, (Gate.permutation((1, 0)),))
-
 
 class TestTextFormat:
     def test_round_trip_all_kinds(self, rng):
@@ -143,7 +133,6 @@ class TestTextFormat:
             Gate.h(0), Gate.x(1), Gate.sx(2), Gate.rz(0, -1.25),
             Gate.rzz(0, 2, 2.5), Gate.cx(1, 0), Gate.swap(1, 2),
             Gate.u3(1, 0.1, -0.2, 0.3, 0.4), Gate.su4(0, 2, haar_su4(rng)),
-            Gate.permutation((1, 2, 0)),
         )
         c = Circuit(3, gates, base_layers=4)
         assert Circuit.from_text(c.to_text()) == c
@@ -158,6 +147,24 @@ class TestTextFormat:
         c = random_circuit(3, 15, rng)
         c2 = Circuit.from_text(c.to_text())
         assert up_to_phase(circuit_unitary(c), circuit_unitary(c2)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            pytest.param("width=2\nFOO 0\n", "FOO 0", id="unknown-kind"),
+            pytest.param("width=2\nPERMUTATION 1,0\n", "PERMUTATION 1,0", id="permutation"),
+            pytest.param("width=2\nH\n", "H", id="no-qubit-field"),
+            pytest.param("width=2\nCX 0,x\n", "CX 0,x", id="bad-qubit"),
+            pytest.param("width=1\nRZ 0 1.5e\n", "RZ 0 1.5e", id="bad-param"),
+            pytest.param("width=2\nSU4 0,1 1,0\n", "SU4 0,1 1,0", id="short-su4"),
+            pytest.param("width=x\nH 0\n", "width=x", id="bad-width"),
+            pytest.param("width=1\nlayers=two\nH 0\n", "layers=two", id="bad-layers"),
+        ],
+    )
+    def test_parse_error_is_coded_and_names_the_line(self, text, line):
+        with pytest.raises(InvalidCircuitError) as info:
+            Circuit.from_text(text)
+        assert repr(line) in str(info.value)
 
     def test_missing_header_rejected(self):
         with pytest.raises(InvalidCircuitError):

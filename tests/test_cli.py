@@ -309,12 +309,16 @@ MAP_FILE = ["deff", "--family", '{"n":2,"d":1}', "--map", "INPUT"]
 REGISTRY = ["backends", "list", "--registry", "INPUT"]
 PARAMS = ["sweep", "--backend", "ibm_hanoi", "--params", "INPUT", "--M", "1", "--S", "1",
           "--families", '[{"n":2,"d":1}]', "--out", "OUT"]
+FIT_RECORDS = RECORDS + "ibm_hanoi,100,1000,1,6.0,300.0\nibm_hanoi,100,4000,1,6.0,1100.0\n"
+FIX_T_JOB = ["fit", "--records", "INPUT", "--fix-t-job"]
+TIMING = '{"t_job": %s, "t_circ": 0.1, "t_layer_shot": 0.001}'
+HUGE = "1" + "0" * 400
 BAD_MAP = ("COUPLING_MAP", 6)
 BAD_CSV, BAD_VALUE = ("MALFORMED_CSV", 4), ("INVALID_PARAMETER", 2)
 
 
 @pytest.mark.parametrize(
-    "command, text, error, row",
+    "command, text, error, detail",
     [
         pytest.param(SCORE, PAIRS + "25.6,abc\n", BAD_CSV, 3, id="pairs-text"),
         pytest.param(SCORE, PAIRS + "25.6\n", BAD_CSV, 3, id="pairs-short-row"),
@@ -338,6 +342,15 @@ BAD_CSV, BAD_VALUE = ("MALFORMED_CSV", 4), ("INVALID_PARAMETER", 2)
         pytest.param(PREDICT + ["inf"], None, BAD_VALUE, None, id="predict-inf-deff"),
         pytest.param(EXTRAPOLATE + ["nan"], None, BAD_VALUE, None, id="extrapolate-nan-clops"),
         pytest.param(EXTRAPOLATE + ["inf"], None, BAD_VALUE, None, id="extrapolate-inf-clops"),
+        pytest.param(["predict", "--backend", "ibm_hanoi", "--M", HUGE, "--S", "1", "--deff", "2"],
+                     None, BAD_VALUE, "overflows", id="predict-huge-m"),
+        pytest.param(PREDICT + ["1e308", "--K", "100"], None, BAD_VALUE, "overflows",
+                     id="predict-overflowing-product"),
+        pytest.param(["extrapolate", "--N", HUGE[:201], "--S", "1", "--deff", "2", "--clops", "1"],
+                     None, BAD_VALUE, "overflows", id="extrapolate-huge-n"),
+        pytest.param(["extrapolate", "--N", "10000000000", "--S", "1000000000", "--deff", "1e300",
+                      "--clops", "1"], None, BAD_VALUE, "overflows",
+                     id="extrapolate-overflowing-product"),
         pytest.param(CONFIG, '{"predict": ', BAD_VALUE, None, id="config-bad-json"),
         pytest.param(CONFIG, '{"predict": [1]}', BAD_VALUE, None, id="config-not-flag-defaults"),
         pytest.param(MAP_FILE, '{"n": 3, "edges": [[0, 1]', BAD_MAP, None, id="map-bad-json"),
@@ -349,12 +362,20 @@ BAD_CSV, BAD_VALUE = ("MALFORMED_CSV", 4), ("INVALID_PARAMETER", 2)
                      id="registry-missing-key"),
         pytest.param(PARAMS, '{"t_job": 1.0,', BAD_VALUE, None, id="params-bad-json"),
         pytest.param(PARAMS, '{"t_job": 1.0}', BAD_VALUE, None, id="params-missing-key"),
+        pytest.param(PARAMS, TIMING % "NaN", BAD_VALUE, "t_job must be finite", id="params-nan"),
+        pytest.param(PARAMS, TIMING % "Infinity", BAD_VALUE, "t_job must be finite",
+                     id="params-inf"),
+        pytest.param(FIX_T_JOB + ["nan"], FIT_RECORDS, BAD_VALUE, "t_job must be finite",
+                     id="fit-nan-fixed-t-job"),
+        pytest.param(FIX_T_JOB + ["inf"], FIT_RECORDS, BAD_VALUE, "t_job must be finite",
+                     id="fit-inf-fixed-t-job"),
     ],
 )
-def test_malformed_input_is_a_coded_error(runner, tmp_path, command, text, error, row):
-    """Bad cells, short rows, non-finite numbers, out-of-range values and
-    malformed JSON inputs give the error JSON and its exit status, never a
-    traceback or a NaN result."""
+def test_malformed_input_is_a_coded_error(runner, tmp_path, command, text, error, detail):
+    """Bad cells, short rows, non-finite numbers, out-of-range values,
+    overflowing results and malformed JSON inputs give the error JSON and its
+    exit status, never a traceback or a NaN result. `detail` is the CSV row
+    the message must name, or a phrase it must contain."""
     path = tmp_path / "input.csv"
     if text is not None:
         path.write_text(text)
@@ -364,8 +385,10 @@ def test_malformed_input_is_a_coded_error(runner, tmp_path, command, text, error
     assert result.exit_code == status, result.output
     payload = json.loads(result.stderr)["error"]
     assert payload["code"] == code
-    if row is not None:
-        assert f"{path}:{row}:" in payload["message"]
+    if isinstance(detail, int):
+        assert f"{path}:{detail}:" in payload["message"]
+    elif detail is not None:
+        assert detail in payload["message"]
 
 
 def test_cli_import_leaves_scipy_out():

@@ -180,3 +180,8 @@ class TestKernelMatrix:
 
     def test_empty_dataset(self):
         assert kernel_matrix(KernelFamily(2, 1), []).shape == (0, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_is_a_coded_error(self, bad):
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            kernel_matrix(KernelFamily(2, 1), [[bad, 0.1], [0.2, 0.3]])

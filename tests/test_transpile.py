@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_circuit, up_to_phase
-from qjobtime.circuit import Circuit, Gate, GateKind
+from qjobtime.circuit import UNITARY_TOL, Circuit, Gate, GateKind
 from qjobtime.deff import effective_layers, sample_kernel_circuits, sample_qv_circuits
-from qjobtime.errors import CouplingError, InvalidGateError, UnsupportedGateError
+from qjobtime.errors import CouplingError, InvalidGateError
 from qjobtime.generators import Entanglement, KernelFamily, haar_su4, qv_circuit
 from qjobtime.sim import circuit_unitary, gate_matrix, simulate
 from qjobtime.transpile import (
@@ -90,6 +90,25 @@ class TestKak:
         got = circuit_unitary(decompose(Circuit(2, (Gate.su4(0, 1, u),))))
         assert 1.0 - abs(np.trace(u.conj().T @ got) / 4) ** 2 <= 1e-12
 
+    # seeds 124 and 241 failed every retry before kak_decompose re-unitarized
+    # its input
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=124)
+    @example(seed=241)
+    def test_every_accepted_payload_decomposes(self, seed):
+        """A Haar SU(4) perturbed to a unitarity error of 0.99 * UNITARY_TOL
+        passes `Gate.su4` and factors to within that error."""
+        rng = np.random.default_rng(seed)
+        u = haar_su4(rng)
+        kick = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        kick *= 1e-7 / np.abs(kick).max()
+        unitarity_error = lambda m: np.abs(m @ m.conj().T - np.eye(4)).max()
+        u = u + kick * (0.99 * UNITARY_TOL / unitarity_error(u + kick))
+        phase, a1, a0, xyz, b1, b0 = kak_decompose(Gate.su4(0, 1, u).matrix)
+        v = phase * np.kron(a1, a0) @ canonical_matrix(*xyz) @ np.kron(b1, b0)
+        assert np.abs(u - v).max() < 2 * UNITARY_TOL
+
     def test_non_unitary_input_is_a_coded_error(self, rng):
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         with pytest.raises(InvalidGateError):
@@ -146,14 +165,6 @@ class TestDecompose:
             d = decompose(Circuit(2, (Gate.su4(0, 1, u),)))
             assert_basis_only(d)
             assert up_to_phase(circuit_unitary(d), u) < 1e-8
-
-    def test_permutation_lowering(self):
-        for images in [(1, 0), (2, 0, 1), (1, 2, 3, 0), (0, 2, 1, 3)]:
-            c = Circuit(len(images), (Gate.permutation(images),))
-            d = decompose(c)
-            assert_basis_only(d)
-            err = np.abs(circuit_unitary(c) - circuit_unitary(d)).max()
-            assert err < 1e-12
 
     def test_random_circuits_land_in_basis(self, rng):
         for _ in range(10):
@@ -217,10 +228,6 @@ class TestRoute:
     def test_width_overflow_rejected(self):
         with pytest.raises(CouplingError):
             route(Circuit(5), line_map(3))
-
-    def test_permutation_must_be_decomposed_first(self):
-        with pytest.raises(UnsupportedGateError):
-            route(Circuit(3, (Gate.permutation((1, 2, 0)),)), line_map(3))
 
 
 class TestTranspiledDepth:
@@ -387,10 +394,8 @@ def test_pinned_deff_and_checked_transpiler_output(rng):
                 lowered = decompose(c)
                 assert_passes_checks(lowered)
                 assert_passes_checks(route(lowered, maps[map_name]).circuit)
-    # every gate kind, including U3, SWAP and PERMUTATION lowering
-    circuits = [random_circuit(5, 40, rng) for _ in range(10)]
-    circuits.append(Circuit(4, (Gate.permutation((2, 0, 3, 1)),), base_layers=1))
-    for c in circuits:
+    # every gate kind, including U3 and SWAP lowering
+    for c in [random_circuit(5, 40, rng) for _ in range(10)]:
         lowered = decompose(c)
         assert_passes_checks(lowered)
         assert_passes_checks(route(lowered, heavy_hex_like_map(7)).circuit)
