@@ -8,6 +8,8 @@ depth to derive d_eff, scores predictions against recorded runtimes, and
 extrapolates to large-dataset workloads.
 """
 
+from types import ModuleType as _ModuleType
+
 from .circuit import Circuit, Gate, GateKind, read_circuits, write_circuits
 from .deff import DeffEstimate, effective_layers, equivalent_qv_width
 from .errors import QJobTimeError
@@ -64,61 +66,8 @@ from .transpile import (
 
 __version__ = "0.1.0"
 
+# every public name bound above, the submodules aside
 __all__ = [
-    "Circuit",
-    "Gate",
-    "GateKind",
-    "read_circuits",
-    "write_circuits",
-    "DeffEstimate",
-    "effective_layers",
-    "equivalent_qv_width",
-    "QJobTimeError",
-    "StackTimingParams",
-    "fit_params",
-    "simulate_job_runtime",
-    "Entanglement",
-    "KernelFamily",
-    "aspect_label",
-    "encoding_circuit",
-    "haar_su4",
-    "kernel_circuit",
-    "qv_circuit",
-    "sample_features",
-    "BackendSpec",
-    "JobSpec",
-    "RuntimeReport",
-    "builtin_backends",
-    "clops_from_measurement",
-    "extrapolate",
-    "format_duration",
-    "get_backend",
-    "kernel_job_size",
-    "loss_from_ratio",
-    "predict_runtime",
-    "required_shots",
-    "score",
-    "shot_limited_runtime",
-    "total_runtime_scaling",
-    "RuntimeRecord",
-    "load_runtime_records",
-    "save_runtime_records",
-    "KernelEstimate",
-    "StateVector",
-    "circuit_unitary",
-    "estimate_kernel",
-    "exact_kernel",
-    "kernel_matrix",
-    "simulate",
-    "CouplingMap",
-    "all_to_all_map",
-    "decompose",
-    "heavy_hex_like_map",
-    "line_map",
-    "named_map",
-    "ring_map",
-    "route",
-    "transpiled_depth",
-    "uses_only_map_edges",
-    "__version__",
-]
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

@@ -8,6 +8,7 @@ header), then one gate per line as `KIND q0[,q1,...] [param,...]`. Multiple
 circuits in one file are separated by blank lines.
 """
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
@@ -89,6 +90,8 @@ class Gate:
                 f"{self.kind.value} takes {_NPARAMS.get(self.kind, 0)} parameter(s), "
                 f"got {len(self.params)}"
             )
+        if not all(map(math.isfinite, self.params)):
+            raise InvalidGateError(f"{self.kind.value}: non-finite parameter in {self.params}")
         if self.kind is GateKind.SU4:
             m = self.matrix
             if m is None or m.shape != (4, 4):
@@ -323,7 +326,7 @@ class Circuit:
                     gates.append(Gate(kind, qubits, (), mat))
                 else:
                     gates.append(Gate(kind, qubits, raw))
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, InvalidGateError) as exc:
             raise InvalidCircuitError(f"bad circuit line {ln!r}: {exc}") from exc
         return cls(width, tuple(gates), base_layers)
 

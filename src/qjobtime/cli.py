@@ -6,7 +6,6 @@ artifacts. Failures print a machine-readable error JSON on stderr and exit
 with the error's code-specific status.
 """
 
-import csv
 import json
 import sys
 from pathlib import Path
@@ -18,7 +17,7 @@ from . import deff as deff_mod
 from .circuit import write_circuits
 from .errors import CouplingError, InvalidParameterError, QJobTimeError
 from .execsim import StackTimingParams, fit_params, simulate_job_runtime
-from .generators import KernelFamily, kernel_circuit, qv_circuit, sample_features
+from .generators import KernelFamily, kernel_circuit, qv_circuit
 from .model import (
     BackendSpec,
     JobSpec,
@@ -32,28 +31,23 @@ from .model import (
     registry_to_json,
     score,
 )
-from .records import holds_prediction_pairs, load_dataset, load_prediction_pairs, load_runtime_records
+from .records import (
+    holds_prediction_pairs,
+    load_dataset,
+    load_prediction_pairs,
+    load_runtime_records,
+    write_csv,
+)
 from .sim import kernel_matrix
 from .transpile.coupling import CouplingMap, named_map
 
 
-def _fmt(value) -> str:
-    """Stable text form for CSV cells (shortest round-trip repr for floats)."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _json_out(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True)
+def _echo_json(data, path=None, err: bool = False) -> None:
+    """Print `data` as indented JSON with sorted keys; with `path`, write it there too."""
+    text = json.dumps(data, indent=2, sort_keys=True)
+    if path:
+        Path(path).write_text(text + "\n")
+    click.echo(text, err=err)
 
 
 def _read_json(path, what: str):
@@ -110,7 +104,7 @@ class _App(click.Group):
         try:
             return super().invoke(ctx)
         except QJobTimeError as exc:
-            click.echo(_json_out({"error": {"code": exc.code, "message": str(exc)}}), err=True)
+            _echo_json({"error": {"code": exc.code, "message": str(exc)}}, err=True)
             ctx.exit(exc.exit_code)
 
 
@@ -157,7 +151,7 @@ def score_cmd(records_path, registry, out):
         for predicted, actual in load_prediction_pairs(records_path):
             rep = score(predicted, actual)
             rows.append([rep.predicted, rep.actual, rep.ratio, rep.loss])
-        _write_csv(out, ["T_pred", "T_actual", "r", "L"], rows)
+        write_csv(out, ["T_pred", "T_actual", "r", "L"], rows)
     else:
         reg = _load_registry(registry)
         for rec in load_runtime_records(records_path):
@@ -167,7 +161,7 @@ def score_cmd(records_path, registry, out):
                 [rec.backend, rec.job.circuits, rec.job.shots, rec.job.updates,
                  rec.job.d_eff, rep.predicted, rec.seconds, rep.ratio, rep.loss]
             )
-        _write_csv(
+        write_csv(
             out,
             ["backend", "M", "S", "K", "deff", "T_pred", "T_actual", "r", "L"],
             rows,
@@ -193,10 +187,7 @@ def deff_cmd(family, map_spec, registry, kernel_samples, qv_samples, seed, qv_jo
         fam, cmap, kernel_samples=kernel_samples, qv_samples=qv_samples,
         seed=seed, as_qv_job=qv_job,
     )
-    text = _json_out(est.to_dict())
-    if out:
-        Path(out).write_text(text + "\n")
-    click.echo(text)
+    _echo_json(est.to_dict(), out)
 
 
 @main.command(name="gen-circuits")
@@ -208,18 +199,16 @@ def deff_cmd(family, map_spec, registry, kernel_samples, qv_samples, seed, qv_jo
 @click.option("--out", type=click.Path(), required=True)
 def gen_circuits(family, qv_width, qv_layers, count, seed, out):
     """Emit circuits in the line-oriented text format."""
-    circuits = []
     if family is not None:
         fam = _parse_family(family)
-        for k in range(count):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, 0, k)))
-            circuits.append(kernel_circuit(fam, sample_features(fam, rng), sample_features(fam, rng)))
+        circuits = [
+            kernel_circuit(fam, *deff_mod.kernel_features(fam, seed, k)) for k in range(count)
+        ]
     elif qv_width is not None:
         if qv_layers is None:
             raise InvalidParameterError("--qv-layers is required with --qv-width")
         circuits = [
-            qv_circuit(qv_width, qv_layers, np.random.SeedSequence((seed, 1, k)))
-            for k in range(count)
+            qv_circuit(qv_width, qv_layers, deff_mod.qv_seed(seed, k)) for k in range(count)
         ]
     else:
         raise InvalidParameterError("provide --family or --qv-width/--qv-layers")
@@ -249,7 +238,7 @@ def simulate_kernel(family, data_path, shots, seed, out, summary_path):
         except ValueError:
             raise InvalidParameterError(f"--shots must be an integer or 'exact', got {shots!r}")
     matrix = kernel_matrix(fam, dataset, shots=n_shots, seed=seed)
-    _write_csv(out, [f"k{j}" for j in range(len(dataset))], matrix.tolist())
+    write_csv(out, [f"k{j}" for j in range(len(dataset))], matrix.tolist())
     eigmin = float(np.linalg.eigvalsh(matrix).min())
     summary = {
         "n": len(dataset),
@@ -261,10 +250,7 @@ def simulate_kernel(family, data_path, shots, seed, out, summary_path):
         "positive_semidefinite": bool(eigmin >= -1e-8),
         "shots": n_shots,
     }
-    text = _json_out(summary)
-    if summary_path:
-        Path(summary_path).write_text(text + "\n")
-    click.echo(text)
+    _echo_json(summary, summary_path)
 
 
 @main.command(name="extrapolate")
@@ -281,10 +267,10 @@ def extrapolate_cmd(n, s, deff, clops, out):
             seconds = extrapolate(size, s, deff, speed)
             rows.append([size, speed, seconds])
             click.echo(
-                f"N={size} clops={_fmt(speed)} seconds={seconds!r} (~{format_duration(seconds)})"
+                f"N={size} clops={speed!r} seconds={seconds!r} (~{format_duration(seconds)})"
             )
     if out:
-        _write_csv(out, ["N", "clops", "seconds"], rows)
+        write_csv(out, ["N", "clops", "seconds"], rows)
 
 
 @main.command(name="sweep")
@@ -332,7 +318,7 @@ def sweep_cmd(backend, registry, params_path, m, s, families,
                      ratio, loss_from_ratio(ratio)]
                 )
                 job_index += 1
-    _write_csv(out, ["backend", "M", "S", "a", "deff", "T_pred", "T_sim", "r", "L"], rows)
+    write_csv(out, ["backend", "M", "S", "a", "deff", "T_pred", "T_sim", "r", "L"], rows)
     click.echo(f"swept {len(rows)} job(s) -> {out}")
 
 
@@ -345,10 +331,7 @@ def fit_cmd(records_path, fix_t_job, out):
     """Calibrate stack timing parameters from recorded runtimes."""
     records = load_runtime_records(records_path)
     params = fit_params([(r.job, r.seconds) for r in records], fix_t_job=fix_t_job)
-    text = _json_out(params.to_dict())
-    if out:
-        Path(out).write_text(text + "\n")
-    click.echo(text)
+    _echo_json(params.to_dict(), out)
 
 
 @main.group()

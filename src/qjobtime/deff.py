@@ -14,7 +14,7 @@ regardless of evaluation order.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -51,36 +51,28 @@ class DeffEstimate:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "v": self.v,
-            "mean_kernel_depth": self.mean_kernel_depth,
-            "mean_qv_depth": self.mean_qv_depth,
-            "d_eff": self.d_eff,
-            "kernel_samples": self.kernel_samples,
-            "qv_samples": self.qv_samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
-def _derived_seed(seed: int, stream: int, index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence((int(seed), stream, index))
+def kernel_features(fam: KernelFamily, seed: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, y) of kernel sample k, drawn from stream (seed, 0, k)."""
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0, k)))
+    return sample_features(fam, rng), sample_features(fam, rng)
+
+
+def qv_seed(seed: int, k: int) -> np.random.SeedSequence:
+    """The seed of QV sample k: stream (seed, 1, k)."""
+    return np.random.SeedSequence((int(seed), 1, k))
 
 
 def sample_kernel_circuits(fam: KernelFamily, count: int, seed: int) -> list[Circuit]:
-    """Kernel circuits at `count` independent (x, y) draws; stream 0 of `seed`."""
-    out = []
-    for k in range(count):
-        rng = np.random.default_rng(_derived_seed(seed, 0, k))
-        out.append(kernel_circuit(fam, sample_features(fam, rng), sample_features(fam, rng)))
-    return out
+    """Kernel circuits at `count` independent (x, y) draws."""
+    return [kernel_circuit(fam, *kernel_features(fam, seed, k)) for k in range(count)]
 
 
 def sample_qv_circuits(width: int, layers: int, count: int, seed: int) -> list[Circuit]:
-    """QV circuits from per-sample seeds; stream 1 of `seed`."""
-    return [
-        qv_circuit(width, layers, _derived_seed(seed, 1, k))
-        for k in range(count)
-    ]
+    """QV circuits from per-sample seeds."""
+    return [qv_circuit(width, layers, qv_seed(seed, k)) for k in range(count)]
 
 
 def mean_transpiled_depth(circuits: Sequence[Circuit], cmap: CouplingMap) -> float:

@@ -14,7 +14,7 @@ below the CLOPS-implied rate yields over-prediction at high S.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -45,12 +45,7 @@ class StackTimingParams:
             raise InvalidParameterError("jitter must lie in [0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "t_job": self.t_job,
-            "t_circ": self.t_circ,
-            "t_layer_shot": self.t_layer_shot,
-            "jitter": self.jitter,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, spec: dict) -> "StackTimingParams":

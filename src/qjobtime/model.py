@@ -14,9 +14,21 @@ from .errors import BackendNotFoundError, InvalidParameterError
 from .transpile.coupling import CouplingMap, heavy_hex_like_map
 
 
-def _check_clops(clops: float) -> None:
-    if not (math.isfinite(clops) and clops > 0):
-        raise InvalidParameterError(f"CLOPS must be positive and finite, got {clops}")
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidParameterError(f"{name} must be positive and finite, got {value}")
+
+
+def _finite(what: str, compute) -> float:
+    """`compute()`, refused when it is not a finite float: an int or a power
+    beyond float range raises OverflowError, a float product turns inf."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"{what} overflows a float")
+    return value
 
 
 @dataclass(frozen=True)
@@ -34,7 +46,7 @@ class BackendSpec:
         v = self.quantum_volume
         if v < 2 or v & (v - 1):
             raise InvalidParameterError(f"quantum volume must be a power of two >= 2, got {v}")
-        _check_clops(self.clops)
+        _check_positive("CLOPS", self.clops)
         if self.qv_layers > self.num_qubits:
             raise InvalidParameterError(
                 f"log2(V) = {self.qv_layers} exceeds qubit count {self.num_qubits}"
@@ -67,8 +79,8 @@ class JobSpec:
     def __post_init__(self):
         if self.circuits < 1 or self.shots < 1 or self.updates < 1:
             raise InvalidParameterError("JobSpec needs circuits, shots, updates >= 1")
-        if not (math.isfinite(self.d_eff) and self.d_eff > 0):
-            raise InvalidParameterError(f"JobSpec needs a finite d_eff > 0, got {self.d_eff}")
+        _check_positive("d_eff", self.d_eff)
+        _finite("M*K*S*d_eff", lambda: self.total_layers)
 
     @property
     def total_layers(self) -> float:
@@ -95,9 +107,8 @@ def clops_from_measurement(circuits: int, layers: int, updates: int, shots: int,
     """Layers per second from one timed run: M*D*K*S / T."""
     if min(circuits, layers, updates, shots) < 1:
         raise InvalidParameterError("all job counts must be positive")
-    if elapsed <= 0:
-        raise InvalidParameterError("elapsed time must be positive")
-    return circuits * layers * updates * shots / elapsed
+    _check_positive("elapsed time", elapsed)
+    return _finite("measured CLOPS", lambda: circuits * layers * updates * shots / elapsed)
 
 # the standard speed-measurement job shape: S = M = 100 with K = 10 updates
 CLOPS_PROTOCOL = {"circuits": 100, "shots": 100, "updates": 10}
@@ -105,13 +116,7 @@ CLOPS_PROTOCOL = {"circuits": 100, "shots": 100, "updates": 10}
 
 def _seconds(job: JobSpec, clops: float) -> float:
     """M*K*S*d_eff / C, refused when it is not a finite float."""
-    try:
-        seconds = job.total_layers / clops
-    except OverflowError:  # an integer M*K*S beyond float range
-        seconds = math.inf
-    if not math.isfinite(seconds):
-        raise InvalidParameterError("predicted runtime M*K*S*d_eff / C overflows a float")
-    return seconds
+    return _finite("predicted runtime M*K*S*d_eff / C", lambda: job.total_layers / clops)
 
 
 def predict_runtime(job: JobSpec, backend: BackendSpec) -> float:
@@ -121,15 +126,14 @@ def predict_runtime(job: JobSpec, backend: BackendSpec) -> float:
 
 def loss_from_ratio(ratio: float) -> float:
     """r - 1 when over-predicting (r >= 1), 1/r - 1 when under-predicting."""
-    if ratio <= 0:
-        raise InvalidParameterError("runtime ratio must be positive")
+    _check_positive("runtime ratio", ratio)
     return ratio - 1.0 if ratio >= 1.0 else 1.0 / ratio - 1.0
 
 
 def score(predicted: float, actual: float) -> RuntimeReport:
     """Score a prediction against a recorded runtime."""
-    if predicted <= 0 or actual <= 0:
-        raise InvalidParameterError("runtimes must be positive to score")
+    _check_positive("predicted runtime", predicted)
+    _check_positive("actual runtime", actual)
     ratio = predicted / actual
     return RuntimeReport(predicted, actual, ratio, loss_from_ratio(ratio))
 
@@ -143,20 +147,24 @@ def kernel_job_size(n_vectors: int) -> int:
 
 def extrapolate(n_vectors: int, shots: int, d_eff: float, clops: float) -> float:
     """Predicted seconds to evaluate every pairwise kernel of an N-point dataset."""
-    _check_clops(clops)
+    _check_positive("CLOPS", clops)
     return _seconds(JobSpec(kernel_job_size(n_vectors), shots, 1, d_eff), clops)
+
+
+def _check_shot_law(n_vectors: int, epsilon: float, scale: float) -> None:
+    if n_vectors < 2:
+        raise InvalidParameterError("need at least 2 feature vectors")
+    if not 0 < epsilon <= 1:
+        raise InvalidParameterError(f"epsilon must lie in (0, 1], got {epsilon}")
+    _check_positive("scale", scale)
 
 
 def required_shots(n_vectors: int, epsilon: float, scale: float = 1.0) -> int:
     """Shots per kernel entry for generalization error at most epsilon,
     following the N^(8/3) / epsilon^2 law with calibration constant `scale`."""
-    if n_vectors < 2:
-        raise InvalidParameterError("need at least 2 feature vectors")
-    if not 0 < epsilon <= 1:
-        raise InvalidParameterError("epsilon must lie in (0, 1]")
-    if scale <= 0:
-        raise InvalidParameterError("scale must be positive")
-    return math.ceil(scale * n_vectors ** (8.0 / 3.0) / epsilon**2)
+    _check_shot_law(n_vectors, epsilon, scale)
+    shots = _finite("required shots", lambda: scale * n_vectors ** (8.0 / 3.0) / epsilon**2)
+    return math.ceil(shots)
 
 
 def total_runtime_scaling(
@@ -164,8 +172,13 @@ def total_runtime_scaling(
 ) -> float:
     """Asymptotic whole-dataset runtime law, scale * N^(14/3) * d_eff / (C eps^2):
     the N^2 pair count times the per-entry shot requirement."""
-    _check_clops(clops)
-    return scale * n_vectors ** (14.0 / 3.0) * d_eff / (clops * epsilon**2)
+    _check_shot_law(n_vectors, epsilon, scale)
+    _check_positive("d_eff", d_eff)
+    _check_positive("CLOPS", clops)
+    return _finite(
+        "whole-dataset runtime",
+        lambda: scale * n_vectors ** (14.0 / 3.0) * d_eff / (clops * epsilon**2),
+    )
 
 
 def shot_limited_runtime(
@@ -229,8 +242,8 @@ def registry_from_json(text: str) -> dict[str, BackendSpec]:
 
 def format_duration(seconds: float) -> str:
     """Human-readable magnitude for long runtimes, e.g. '292.3 days'."""
-    if seconds < 0:
-        raise InvalidParameterError("duration must be nonnegative")
+    if not 0 <= seconds < math.inf:
+        raise InvalidParameterError(f"duration must be finite and nonnegative, got {seconds}")
     units = (("years", 365.25 * 86400.0), ("days", 86400.0), ("hours", 3600.0), ("minutes", 60.0))
     for label, span in units:
         if seconds >= span:

@@ -87,18 +87,16 @@ def load_dataset(path) -> list[list[float]]:
     return dataset
 
 
-def save_runtime_records(path, records) -> None:
+def write_csv(path, header, rows) -> None:
+    """A CSV of `header` then `rows`, every float as its shortest round-trip repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RECORD_HEADER)
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.backend,
-                    rec.job.circuits,
-                    rec.job.shots,
-                    rec.job.updates,
-                    repr(rec.job.d_eff),
-                    repr(rec.seconds),
-                ]
-            )
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+
+
+def save_runtime_records(path, records) -> None:
+    rows = [[r.backend, r.job.circuits, r.job.shots, r.job.updates, r.job.d_eff, r.seconds]
+            for r in records]
+    write_csv(path, RECORD_HEADER, rows)

@@ -93,13 +93,18 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def simulate(c: Circuit, max_qubits: int = DEFAULT_QUBIT_CAP) -> StateVector:
-    """Apply every gate to |0...0> in order; norm preserved to 1e-10."""
+def _check_cap(c: Circuit, max_qubits: int) -> None:
+    """Dense simulation holds 2^width amplitudes; a library caller who accepts
+    that memory passes a larger `max_qubits`."""
     if c.width > max_qubits:
         raise SimulationCapError(
-            f"circuit width {c.width} exceeds the dense-simulation cap of {max_qubits}; "
-            "raise max_qubits explicitly if you accept the memory cost"
+            f"circuit width {c.width} exceeds the dense-simulation cap of {max_qubits} qubits"
         )
+
+
+def simulate(c: Circuit, max_qubits: int = DEFAULT_QUBIT_CAP) -> StateVector:
+    """Apply every gate to |0...0> in order; norm preserved to 1e-10."""
+    _check_cap(c, max_qubits)
     state = np.zeros((2,) * c.width, dtype=complex)
     state[(0,) * c.width] = 1.0
     for g in c.gates:
@@ -109,8 +114,7 @@ def simulate(c: Circuit, max_qubits: int = DEFAULT_QUBIT_CAP) -> StateVector:
 
 def circuit_unitary(c: Circuit, max_qubits: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
     """Full 2^n x 2^n unitary of the circuit."""
-    if c.width > max_qubits:
-        raise SimulationCapError(f"circuit width {c.width} exceeds the cap of {max_qubits}")
+    _check_cap(c, max_qubits)
     dim = 2 ** c.width
     u = np.eye(dim, dtype=complex).reshape((2,) * c.width + (dim,))
     for g in c.gates:

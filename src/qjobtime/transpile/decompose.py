@@ -36,9 +36,10 @@ def _emit_1q(out: list[Gate], q: int, matrix: np.ndarray) -> None:
     out.extend([rz1, sx, rz2, sx, rz3])
 
 
-def _emit_swap(out: list[Gate], a: int, b: int) -> None:
+def swap_as_cx(a: int, b: int) -> tuple[Gate, Gate, Gate]:
+    """SWAP(a, b) as CX(a,b), CX(b,a), CX(a,b); the outer two are one shared gate."""
     ab = Gate._trusted(GateKind.CX, (a, b))
-    out.extend([ab, Gate._trusted(GateKind.CX, (b, a)), ab])
+    return ab, Gate._trusted(GateKind.CX, (b, a)), ab
 
 
 def _emit_su4(out: list[Gate], qa: int, qb: int, matrix: np.ndarray) -> None:
@@ -72,7 +73,7 @@ def decompose(c: Circuit) -> Circuit:
             cx = Gate._trusted(GateKind.CX, g.qubits)
             out.extend([cx, Gate._trusted(GateKind.RZ, g.qubits[1:], g.params), cx])
         elif k is GateKind.SWAP:
-            _emit_swap(out, *g.qubits)
+            out.extend(swap_as_cx(*g.qubits))
         elif k is GateKind.U3:
             _emit_1q(out, g.qubits[0], gate_matrix(g))
         else:  # SU4

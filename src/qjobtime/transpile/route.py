@@ -9,10 +9,10 @@ as CX triples so routed circuits stay inside the two-qubit basis. Deterministic 
 
 from dataclasses import dataclass
 
-from ..circuit import Circuit, Gate, GateKind
+from ..circuit import Circuit, Gate
 from ..errors import CouplingError
 from .coupling import CouplingMap
-from .decompose import decompose
+from .decompose import decompose, swap_as_cx
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,7 @@ def route(c: Circuit, cmap: CouplingMap) -> RoutedCircuit:
     def do_swap(pa: int, pb: int) -> None:
         triple = swap_cx.get((pa, pb))
         if triple is None:
-            ab = Gate._trusted(GateKind.CX, (pa, pb))
-            triple = swap_cx[pa, pb] = (ab, Gate._trusted(GateKind.CX, (pb, pa)), ab)
+            triple = swap_cx[pa, pb] = swap_as_cx(pa, pb)
         out.extend(triple)
         la, lb = p2l[pa], p2l[pb]
         p2l[pa], p2l[pb] = lb, la

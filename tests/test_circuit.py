@@ -156,6 +156,7 @@ class TestTextFormat:
             pytest.param("width=2\nH\n", "H", id="no-qubit-field"),
             pytest.param("width=2\nCX 0,x\n", "CX 0,x", id="bad-qubit"),
             pytest.param("width=1\nRZ 0 1.5e\n", "RZ 0 1.5e", id="bad-param"),
+            pytest.param("width=1\nRZ 0 nan\nH 0\n", "RZ 0 nan", id="nan-param"),
             pytest.param("width=2\nSU4 0,1 1,0\n", "SU4 0,1 1,0", id="short-su4"),
             pytest.param("width=x\nH 0\n", "width=x", id="bad-width"),
             pytest.param("width=1\nlayers=two\nH 0\n", "layers=two", id="bad-layers"),

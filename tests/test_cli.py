@@ -221,6 +221,14 @@ class TestCircuitAndKernelCommands:
         assert payload["v"] == 3
         assert payload["d_eff"] > 0
 
+    def test_deff_on_a_backend_map(self, runner):
+        """`--map backend:<name>` is that backend's coupling map."""
+        family = ["deff", "--family", '{"n":3,"d":1}', "--map"]
+        by_name = runner.invoke(main, family + ["backend:ibmq_jakarta"])
+        by_shape = runner.invoke(main, family + ["heavy-hex-like:7"])
+        assert by_name.exit_code == 0, by_name.output
+        assert by_name.output == by_shape.output
+
     def test_deff_qv_job_bypass(self, runner):
         result = runner.invoke(
             main,
@@ -313,6 +321,7 @@ FIT_RECORDS = RECORDS + "ibm_hanoi,100,1000,1,6.0,300.0\nibm_hanoi,100,4000,1,6.
 FIX_T_JOB = ["fit", "--records", "INPUT", "--fix-t-job"]
 TIMING = '{"t_job": %s, "t_circ": 0.1, "t_layer_shot": 0.001}'
 HUGE = "1" + "0" * 400
+GEN = ["gen-circuits", "--out", "OUT"]
 BAD_MAP = ("COUPLING_MAP", 6)
 BAD_CSV, BAD_VALUE = ("MALFORMED_CSV", 4), ("INVALID_PARAMETER", 2)
 
@@ -332,8 +341,14 @@ BAD_CSV, BAD_VALUE = ("MALFORMED_CSV", 4), ("INVALID_PARAMETER", 2)
                      id="records-nan-deff"),
         pytest.param(["fit", "--records", "INPUT"], RECORDS + "ibm_hanoi,100,100,1,inf,68.0\n",
                      BAD_CSV, 3, id="fit-inf-deff"),
+        pytest.param(["fit", "--records", "INPUT"],
+                     FIT_RECORDS + f"ibm_hanoi,{HUGE},100,1,6.0,68.0\n", BAD_CSV, 5,
+                     id="fit-overflowing-m"),
         pytest.param(KERNEL, "0.1,0.2\n0.3,nan\n", BAD_CSV, 2, id="dataset-nan"),
         pytest.param(KERNEL, "0.1,0.2\n\ninf,0.4\n", BAD_CSV, 3, id="dataset-inf-after-blank"),
+        pytest.param(["simulate-kernel", "--family", '{"n":13,"d":1}'] + KERNEL[3:],
+                     ",".join(["0.1"] * 13) + "\n", ("WIDTH_OVER_CAP", 7), "cap of 12 qubits",
+                     id="kernel-width-over-cap"),
         pytest.param(KERNEL + ["--shots", "0"], "0.1,0.2\n", BAD_VALUE, None,
                      id="kernel-zero-shots"),
         pytest.param(KERNEL + ["--shots", "-3"], "0.1,0.2\n", BAD_VALUE, None,
@@ -355,6 +370,11 @@ BAD_CSV, BAD_VALUE = ("MALFORMED_CSV", 4), ("INVALID_PARAMETER", 2)
         pytest.param(CONFIG, '{"predict": [1]}', BAD_VALUE, None, id="config-not-flag-defaults"),
         pytest.param(MAP_FILE, '{"n": 3, "edges": [[0, 1]', BAD_MAP, None, id="map-bad-json"),
         pytest.param(MAP_FILE, '{"n": 3}', BAD_MAP, None, id="map-missing-edges"),
+        pytest.param(MAP_FILE[:-1] + ["backend:nope"], None, ("BACKEND_NOT_FOUND", 3), "'nope'",
+                     id="map-unknown-backend"),
+        pytest.param(GEN + ["--qv-width", "3"], None, BAD_VALUE, "--qv-layers is required",
+                     id="gen-qv-width-without-layers"),
+        pytest.param(GEN, None, BAD_VALUE, "provide --family", id="gen-no-family-or-qv"),
         pytest.param(MAP_FILE, '{"n": 3, "edges": [[0, 1, 2]]}', BAD_MAP, None,
                      id="map-edge-not-a-pair"),
         pytest.param(REGISTRY, '{"backends": [', BAD_VALUE, None, id="registry-bad-json"),

@@ -172,6 +172,34 @@ class TestRequiredShots:
         assert shot_limited_runtime(n, eps, 1.0, 2.0, 1000.0) == expected
 
 
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: score(NAN, 1.0), id="score-nan-predicted"),
+        pytest.param(lambda: score(1.0, NAN), id="score-nan-actual"),
+        pytest.param(lambda: loss_from_ratio(NAN), id="loss-nan-ratio"),
+        pytest.param(lambda: clops_from_measurement(1, 1, 1, 1, NAN), id="clops-nan-elapsed"),
+        pytest.param(lambda: format_duration(NAN), id="duration-nan"),
+        pytest.param(lambda: format_duration(math.inf), id="duration-inf"),
+        pytest.param(lambda: required_shots(10, 0.1, NAN), id="shots-nan-scale"),
+        pytest.param(lambda: required_shots(10, 0.1, math.inf), id="shots-inf-scale"),
+        pytest.param(lambda: required_shots(10**200, 0.1), id="shots-overflowing-n"),
+        pytest.param(lambda: total_runtime_scaling(100, 0.0, 1.0, 2.0, 1000.0), id="scaling-zero-eps"),
+        pytest.param(lambda: total_runtime_scaling(100, 0.1, 1.0, NAN, 1000.0), id="scaling-nan-deff"),
+        pytest.param(lambda: total_runtime_scaling(10**200, 0.1, 1.0, 2.0, 1000.0),
+                     id="scaling-overflowing-n"),
+    ],
+)
+def test_non_finite_input_or_result_is_a_coded_error(call):
+    """NaN, infinite and overflowing inputs raise the coded error, never
+    return NaN or raise a bare Python arithmetic error."""
+    with pytest.raises(InvalidParameterError):
+        call()
+
+
 class TestRegistry:
     def test_builtin_contents(self):
         reg = builtin_backends()
