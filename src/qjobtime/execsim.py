@@ -13,20 +13,13 @@ while the simulated time has an S-independent floor), and a t_layer_shot
 below the CLOPS-implied rate yields over-prediction at high S.
 """
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import FitError, InvalidParameterError
-from .model import JobSpec
-
-
-def _check_seconds(**values: float) -> None:
-    for name, value in values.items():
-        if not (math.isfinite(value) and value >= 0):
-            raise InvalidParameterError(f"{name} must be finite and nonnegative, got {value}")
+from .model import JobSpec, check_range
 
 
 @dataclass(frozen=True)
@@ -40,7 +33,8 @@ class StackTimingParams:
     jitter: float = 0.0
 
     def __post_init__(self):
-        _check_seconds(t_job=self.t_job, t_circ=self.t_circ, t_layer_shot=self.t_layer_shot)
+        for name in ("t_job", "t_circ", "t_layer_shot"):
+            check_range(name, getattr(self, name), 0.0, closed=True)
         if not 0 <= self.jitter < 1:
             raise InvalidParameterError("jitter must lie in [0, 1)")
 
@@ -132,7 +126,7 @@ def fit_params(
     t_job (e.g. to 0) restores identifiability for constant-M data.
     """
     if fix_t_job is not None:
-        _check_seconds(t_job=fix_t_job)
+        check_range("t_job", fix_t_job, 0.0, closed=True)
     if len(observations) < 3:
         raise FitError("need at least 3 observations to fit 3 timing parameters")
     jobs = [job for job, _ in observations]

@@ -14,9 +14,16 @@ from .errors import BackendNotFoundError, InvalidParameterError
 from .transpile.coupling import CouplingMap, heavy_hex_like_map
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise InvalidParameterError(f"{name} must be positive and finite, got {value}")
+def check_range(name: str, value: float, low: float = -math.inf, *, closed: bool = False) -> None:
+    """Refuse `value` unless it is finite and above `low` (or equal to it when
+    `closed`); an int beyond float range is refused like inf."""
+    try:
+        ok = math.isfinite(value) and (value >= low if closed else value > low)
+    except OverflowError:
+        ok, value = False, "an int beyond float range"
+    if not ok:
+        bound = "" if low == -math.inf else f" and {'at least' if closed else 'above'} {low:g}"
+        raise InvalidParameterError(f"{name} must be finite{bound}, got {value}")
 
 
 def _finite(what: str, compute) -> float:
@@ -46,7 +53,7 @@ class BackendSpec:
         v = self.quantum_volume
         if v < 2 or v & (v - 1):
             raise InvalidParameterError(f"quantum volume must be a power of two >= 2, got {v}")
-        _check_positive("CLOPS", self.clops)
+        check_range("CLOPS", self.clops, 0.0)
         if self.qv_layers > self.num_qubits:
             raise InvalidParameterError(
                 f"log2(V) = {self.qv_layers} exceeds qubit count {self.num_qubits}"
@@ -79,7 +86,7 @@ class JobSpec:
     def __post_init__(self):
         if self.circuits < 1 or self.shots < 1 or self.updates < 1:
             raise InvalidParameterError("JobSpec needs circuits, shots, updates >= 1")
-        _check_positive("d_eff", self.d_eff)
+        check_range("d_eff", self.d_eff, 0.0)
         _finite("M*K*S*d_eff", lambda: self.total_layers)
 
     @property
@@ -107,7 +114,7 @@ def clops_from_measurement(circuits: int, layers: int, updates: int, shots: int,
     """Layers per second from one timed run: M*D*K*S / T."""
     if min(circuits, layers, updates, shots) < 1:
         raise InvalidParameterError("all job counts must be positive")
-    _check_positive("elapsed time", elapsed)
+    check_range("elapsed time", elapsed, 0.0)
     return _finite("measured CLOPS", lambda: circuits * layers * updates * shots / elapsed)
 
 # the standard speed-measurement job shape: S = M = 100 with K = 10 updates
@@ -126,14 +133,14 @@ def predict_runtime(job: JobSpec, backend: BackendSpec) -> float:
 
 def loss_from_ratio(ratio: float) -> float:
     """r - 1 when over-predicting (r >= 1), 1/r - 1 when under-predicting."""
-    _check_positive("runtime ratio", ratio)
+    check_range("runtime ratio", ratio, 0.0)
     return ratio - 1.0 if ratio >= 1.0 else 1.0 / ratio - 1.0
 
 
 def score(predicted: float, actual: float) -> RuntimeReport:
     """Score a prediction against a recorded runtime."""
-    _check_positive("predicted runtime", predicted)
-    _check_positive("actual runtime", actual)
+    check_range("predicted runtime", predicted, 0.0)
+    check_range("actual runtime", actual, 0.0)
     ratio = predicted / actual
     return RuntimeReport(predicted, actual, ratio, loss_from_ratio(ratio))
 
@@ -147,7 +154,7 @@ def kernel_job_size(n_vectors: int) -> int:
 
 def extrapolate(n_vectors: int, shots: int, d_eff: float, clops: float) -> float:
     """Predicted seconds to evaluate every pairwise kernel of an N-point dataset."""
-    _check_positive("CLOPS", clops)
+    check_range("CLOPS", clops, 0.0)
     return _seconds(JobSpec(kernel_job_size(n_vectors), shots, 1, d_eff), clops)
 
 
@@ -156,7 +163,7 @@ def _check_shot_law(n_vectors: int, epsilon: float, scale: float) -> None:
         raise InvalidParameterError("need at least 2 feature vectors")
     if not 0 < epsilon <= 1:
         raise InvalidParameterError(f"epsilon must lie in (0, 1], got {epsilon}")
-    _check_positive("scale", scale)
+    check_range("scale", scale, 0.0)
 
 
 def required_shots(n_vectors: int, epsilon: float, scale: float = 1.0) -> int:
@@ -173,8 +180,8 @@ def total_runtime_scaling(
     """Asymptotic whole-dataset runtime law, scale * N^(14/3) * d_eff / (C eps^2):
     the N^2 pair count times the per-entry shot requirement."""
     _check_shot_law(n_vectors, epsilon, scale)
-    _check_positive("d_eff", d_eff)
-    _check_positive("CLOPS", clops)
+    check_range("d_eff", d_eff, 0.0)
+    check_range("CLOPS", clops, 0.0)
     return _finite(
         "whole-dataset runtime",
         lambda: scale * n_vectors ** (14.0 / 3.0) * d_eff / (clops * epsilon**2),
@@ -242,8 +249,7 @@ def registry_from_json(text: str) -> dict[str, BackendSpec]:
 
 def format_duration(seconds: float) -> str:
     """Human-readable magnitude for long runtimes, e.g. '292.3 days'."""
-    if not 0 <= seconds < math.inf:
-        raise InvalidParameterError(f"duration must be finite and nonnegative, got {seconds}")
+    check_range("duration", seconds, 0.0, closed=True)
     units = (("years", 365.25 * 86400.0), ("days", 86400.0), ("hours", 3600.0), ("minutes", 60.0))
     for label, span in units:
         if seconds >= span:

@@ -9,7 +9,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, MalformedRecordsError
-from .model import JobSpec
+from .model import JobSpec, check_range
 
 RECORD_HEADER = ["backend", "M", "S", "K", "deff", "T_seconds"]
 PAIRS_HEADER = ["T_pred", "T_actual"]
@@ -24,8 +24,7 @@ class RuntimeRecord:
 
 def _number(cell: str, low: float = -math.inf) -> float:
     value = float(cell)
-    if not low < value < math.inf:
-        raise ValueError(f"{cell.strip()!r} is outside ({low}, inf)")
+    check_range(repr(cell.strip()), value, low)
     return value
 
 

@@ -6,7 +6,8 @@ Output is unitarily equivalent to the input up to global phase. Fixed rules:
     RZZ(t)    -> CX, RZ(t) on the target, CX            (exact)
     SWAP      -> CX, CX, CX                             (exact)
     U3        -> ZYZ Euler angles as an RZ/SX string
-    SU4       -> three CX with 1q dressings (see kak)
+    SU4       -> three CX with 1q dressings (see kak); all SU4 payloads of a
+                 circuit are factored as one stack
 
 Every emitted gate acts on the qubits of an already-checked input gate, so it
 is built with `Gate._trusted` (angles passed as Python floats), skipping the
@@ -23,17 +24,20 @@ BASIS_1Q = (GateKind.RZ, GateKind.SX, GateKind.X)
 BASIS_2Q = (GateKind.CX,)
 
 
-def _emit_1q(out: list[Gate], q: int, matrix: np.ndarray) -> None:
-    angles = zsx_angles(matrix)
-    if angles is None:
+def _emit_1q(out: list[Gate], sx: Gate, n: int, angles: list[float]) -> None:
+    """Append one row of `zsx_angles`, its n gates, on the qubit of `sx`."""
+    if n == 0:
         return
-    qubits = (q,)
-    if len(angles) == 1:
-        out.append(Gate._trusted(GateKind.RZ, qubits, (float(angles[0]),)))
+    qubits = sx.qubits
+    if n == 1:
+        out.append(Gate._trusted(GateKind.RZ, qubits, (angles[0],)))
         return
-    rz1, rz2, rz3 = (Gate._trusted(GateKind.RZ, qubits, (float(a),)) for a in angles)
-    sx = Gate._trusted(GateKind.SX, qubits)
-    out.extend([rz1, sx, rz2, sx, rz3])
+    a1, a2, a3 = angles
+    out.extend([
+        Gate._trusted(GateKind.RZ, qubits, (a1,)), sx,
+        Gate._trusted(GateKind.RZ, qubits, (a2,)), sx,
+        Gate._trusted(GateKind.RZ, qubits, (a3,)),
+    ])
 
 
 def swap_as_cx(a: int, b: int) -> tuple[Gate, Gate, Gate]:
@@ -42,25 +46,23 @@ def swap_as_cx(a: int, b: int) -> tuple[Gate, Gate, Gate]:
     return ab, Gate._trusted(GateKind.CX, (b, a)), ab
 
 
-def _emit_su4(out: list[Gate], qa: int, qb: int, matrix: np.ndarray) -> None:
-    _, a1, a0, (x, y, z), b1, b0 = kak_decompose(matrix)
-    (pre_hi, pre_lo), (m1_hi, m1_lo), (m2_hi, m2_lo) = canonical_layers(x, y, z)
-    _emit_1q(out, qa, pre_hi @ b1)
-    _emit_1q(out, qb, pre_lo @ b0)
-    cx = Gate._trusted(GateKind.CX, (qa, qb))
-    out.append(cx)
-    _emit_1q(out, qa, m1_hi)
-    _emit_1q(out, qb, m1_lo)
-    out.append(cx)
-    _emit_1q(out, qa, m2_hi)
-    _emit_1q(out, qb, m2_lo)
-    out.append(cx)
-    _emit_1q(out, qa, a1)
-    _emit_1q(out, qb, a0)
+def _su4_dressings(payloads: list[np.ndarray]):
+    """Per SU4 payload, the `zsx_angles` rows (counts, angles) of its eight 1q
+    dressings in emission order: (hi, lo) before the first CX and after each
+    of the three CX. All payloads go through one stacked KAK pass."""
+    _, a1, a0, xyz, b1, b0 = kak_decompose(np.stack(payloads))
+    (pre_hi, pre_lo), (m1_hi, m1_lo), (m2_hi, m2_lo) = canonical_layers(*xyz.T)
+    layers = np.broadcast_arrays(pre_hi @ b1, pre_lo @ b0, m1_hi, m1_lo, m2_hi, m2_lo, a1, a0)
+    counts, angles = zsx_angles(np.stack(layers, axis=1).reshape(-1, 2, 2))
+    return zip(counts.reshape(-1, 8).tolist(), angles.reshape(-1, 8, 3).tolist())
 
 
 def decompose(c: Circuit) -> Circuit:
     """Rewrite every gate into basis gates; width and metadata preserved."""
+    su4 = [g.matrix for g in c.gates if g.kind is GateKind.SU4]
+    dressings = _su4_dressings(su4) if su4 else None
+    # gates are immutable, so each qubit's SX is built once and shared
+    sx = [Gate._trusted(GateKind.SX, (q,)) for q in range(c.width)]
     out: list[Gate] = []
     for g in c.gates:
         k = g.kind
@@ -68,14 +70,22 @@ def decompose(c: Circuit) -> Circuit:
             out.append(g)
         elif k is GateKind.H:
             rz = Gate._trusted(GateKind.RZ, g.qubits, (np.pi / 2,))
-            out.extend([rz, Gate._trusted(GateKind.SX, g.qubits), rz])
+            out.extend([rz, sx[g.qubits[0]], rz])
         elif k is GateKind.RZZ:
             cx = Gate._trusted(GateKind.CX, g.qubits)
             out.extend([cx, Gate._trusted(GateKind.RZ, g.qubits[1:], g.params), cx])
         elif k is GateKind.SWAP:
             out.extend(swap_as_cx(*g.qubits))
         elif k is GateKind.U3:
-            _emit_1q(out, g.qubits[0], gate_matrix(g))
-        else:  # SU4
-            _emit_su4(out, g.qubits[0], g.qubits[1], g.matrix)
+            counts, angles = zsx_angles(gate_matrix(g)[None])
+            _emit_1q(out, sx[g.qubits[0]], int(counts[0]), angles[0].tolist())
+        else:  # SU4: a 1q layer, then three times CX and a 1q layer
+            counts, angles = next(dressings)
+            qa, qb = g.qubits
+            cx = Gate._trusted(GateKind.CX, g.qubits)
+            for i in (0, 2, 4, 6):
+                if i:
+                    out.append(cx)
+                _emit_1q(out, sx[qa], counts[i], angles[i])
+                _emit_1q(out, sx[qb], counts[i + 1], angles[i + 1])
     return Circuit._trusted(c.width, tuple(out), c.base_layers)

@@ -12,6 +12,10 @@ identity that reproduces exp(i(x XX + y YY + z ZZ)) exactly, including phase:
     CX . (Rx(-2x) (x) Rz(-2z)H) . CX . (Rx(2y)S (x) HS) . CX . (I (x) Sdg)
 
 Single-qubit factors are lowered to RZ/SX strings via ZYZ Euler angles.
+
+Every step works on a stack (k, 4, 4) of payloads at once, so a circuit's
+SU(4) gates are factored in one pass; only the rows whose interaction
+spectrum is near-degenerate take the per-matrix refinement and retries.
 """
 
 import numpy as np
@@ -37,13 +41,17 @@ _COEFF = np.array(
 )
 
 
-def _rx(t):
+def _rx(t: np.ndarray) -> np.ndarray:
+    """Rx(t) for each angle of t, as a stack (k, 2, 2)."""
     c, s = np.cos(t / 2), np.sin(t / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]])
+    return np.stack([np.stack([c, -1j * s], -1), np.stack([-1j * s, c], -1)], -2)
 
 
-def _rz(t):
-    return np.array([[np.exp(-0.5j * t), 0], [0, np.exp(0.5j * t)]])
+def _rz(t: np.ndarray) -> np.ndarray:
+    """Rz(t) for each angle of t, as a stack (k, 2, 2)."""
+    lo, hi = np.exp(-0.5j * t), np.exp(0.5j * t)
+    zero = np.zeros_like(lo)
+    return np.stack([np.stack([lo, zero], -1), np.stack([zero, hi], -1)], -2)
 
 
 def canonical_matrix(x: float, y: float, z: float) -> np.ndarray:
@@ -54,15 +62,17 @@ def canonical_matrix(x: float, y: float, z: float) -> np.ndarray:
     return out
 
 
-def _simdiag_symmetric_unitary(m2: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Real orthogonal P (det +1) with P.T @ m2 @ P diagonal.
+def _proper(v: np.ndarray) -> np.ndarray:
+    """Negate column 0 of each real orthogonal matrix of the stack v whose
+    determinant is -1, in place; returns the mask of negated rows."""
+    neg = np.linalg.det(v) < 0
+    v[neg, :, 0] = -v[neg, :, 0]
+    return neg
 
-    m2 is complex symmetric unitary, so its real and imaginary parts are
-    commuting real symmetric matrices: diagonalize the real part, then refine
-    inside (near-)degenerate eigenspaces with the imaginary part.
-    """
-    a, b = m2.real, m2.imag
-    w, v = np.linalg.eigh(a)
+
+def _refine_clusters(w: np.ndarray, v: np.ndarray, b: np.ndarray, tol: float) -> None:
+    """Inside each run of eigenvalues w closer than tol, rotate the columns of
+    v (one matrix, in place) onto eigenvectors of b restricted to that run."""
     i, n = 0, len(w)
     while i < n:
         j = i + 1
@@ -73,8 +83,21 @@ def _simdiag_symmetric_unitary(m2: np.ndarray, tol: float = 1e-9) -> np.ndarray:
             _, bv = np.linalg.eigh(sub.T @ b @ sub)
             v[:, i:j] = sub @ bv
         i = j
-    if np.linalg.det(v) < 0:
-        v[:, 0] = -v[:, 0]
+
+
+def _simdiag_symmetric_unitary(m2: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Real orthogonal P (det +1) with P.T @ m2 @ P diagonal, for each m2 of a
+    stack of complex symmetric unitaries.
+
+    The real and imaginary parts of m2 are commuting real symmetric matrices:
+    diagonalize the real part, then, on the rows whose spectrum has
+    (near-)degenerate eigenvalues, refine inside those eigenspaces with the
+    imaginary part.
+    """
+    w, v = np.linalg.eigh(m2.real)
+    for r in np.flatnonzero((np.diff(w, axis=-1) < tol).any(axis=-1)):
+        _refine_clusters(w[r], v[r], m2[r].imag, tol)
+    _proper(v)
     return v
 
 
@@ -85,36 +108,48 @@ _RETRIES = 100
 _RETRY_SEED = 2020
 
 
-def _interaction_bases(m2: np.ndarray):
-    """Candidate real orthogonal P (det +1) diagonalizing m2, best guess first.
+def _retry_bases(m2: np.ndarray):
+    """Further candidate bases P (one-row stacks) for one matrix m2.
 
     Near a degenerate spectrum the cluster threshold of the first candidate
     can split a cluster wrongly; a generic combination a*Re + b*Im has
     simple eigenvalues there, so its eigenvectors diagonalize both parts.
     """
-    yield _simdiag_symmetric_unitary(m2)
     rng = np.random.default_rng(_RETRY_SEED)
     for _ in range(_RETRIES):
         a, b = rng.random(2)
-        _, v = np.linalg.eigh(a * m2.real + b * m2.imag)
-        if np.linalg.det(v) < 0:
-            v[:, 0] = -v[:, 0]
+        _, v = np.linalg.eigh((a * m2.real + b * m2.imag)[None])
+        _proper(v)
         yield v
 
 
+def _phase_columns(m: np.ndarray, p: np.ndarray):
+    """(theta, k1, ok) per row of the stacks m, p: m @ p == k1 * e^{i theta}
+    column by column, and ok where k1 is real within `UNITARY_TOL`."""
+    mp = m @ p
+    # column j of m@p equals e^{i theta_j} times a real orthonormal column
+    d = np.einsum("kij,kij->kj", mp, mp)
+    theta = 0.5 * np.angle(d)
+    # keep half-angles in (-pi/2, pi/2]; values at the boundary snap upward
+    # so that repeated runs land on the same branch
+    theta = np.where(theta < -np.pi / 2 + 1e-12, theta + np.pi, theta)
+    k1 = mp * np.exp(-1j * theta)[:, None, :]
+    return theta, k1, np.abs(k1.imag).max(axis=(1, 2)) <= UNITARY_TOL
+
+
 def factor_kron(m4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split an exact tensor product into (hi, lo) with m4 = kron(hi, lo)."""
-    r = m4.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    """Split each exact tensor product of a stack into (hi, lo) with
+    m4 == kron(hi, lo), scaled to det(lo) == 1 unless |det(lo)| <= 1e-12."""
+    r = m4.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
     u, s, vh = np.linalg.svd(r)
-    hi = u[:, 0] * np.sqrt(s[0])
-    lo = vh[0, :] * np.sqrt(s[0])
-    hi = hi.reshape(2, 2)
-    lo = lo.reshape(2, 2)
+    scale = np.sqrt(s[:, :1])
+    hi = (u[:, :, 0] * scale).reshape(-1, 2, 2)
+    lo = (vh[:, 0, :] * scale).reshape(-1, 2, 2)
     det = np.linalg.det(lo)
-    if abs(det) > 1e-12:
-        phase = np.sqrt(det)
-        lo = lo / phase
-        hi = hi * phase
+    big = np.abs(det) > 1e-12
+    phase = np.sqrt(det[big])[:, None, None]
+    lo[big] /= phase
+    hi[big] *= phase
     return hi, lo
 
 
@@ -124,78 +159,73 @@ def kak_decompose(u: np.ndarray):
         u == phase * kron(a1, a0) @ canonical_matrix(x, y, z) @ kron(b1, b0)
 
     where a*/b* are single-qubit unitaries acting on the high/low bit.
+    `u` is one (4, 4) matrix or a stack (k, 4, 4); for a stack every value
+    gains a leading axis of length k and (x, y, z) is a (k, 3) array.
     One Newton-Schulz step first moves u to the nearest unitary, so that any
     payload within `UNITARY_TOL` of unitary factors.
     """
-    u = u @ (1.5 * np.eye(4) - 0.5 * (u.conj().T @ u))
-    det = np.linalg.det(u)
-    gamma = np.angle(det) / 4
-    us = u * np.exp(-1j * gamma)
+    single = u.ndim == 2
+    u = u.reshape(-1, 4, 4)
+    u = u @ (1.5 * np.eye(4) - 0.5 * (u.conj().swapaxes(1, 2) @ u))
+    gamma = np.angle(np.linalg.det(u)) / 4
+    us = u * np.exp(-1j * gamma)[:, None, None]
     m = MAGIC.conj().T @ us @ MAGIC
-    for p in _interaction_bases(m.T @ m):
-        mp = m @ p
-        # column j of m@p equals e^{i theta_j} times a real orthonormal column
-        d = np.einsum("ij,ij->j", mp, mp)
-        theta = 0.5 * np.angle(d)
-        # keep half-angles in (-pi/2, pi/2]; values at the boundary snap upward
-        # so that repeated runs land on the same branch
-        theta = np.where(theta < -np.pi / 2 + 1e-12, theta + np.pi, theta)
-        k1 = mp * np.exp(-1j * theta)[None, :]
-        if np.abs(k1.imag).max() <= UNITARY_TOL:
-            break
-    else:
-        raise InvalidGateError(
-            f"KAK decomposition failed: input is not unitary within {UNITARY_TOL}"
-        )
+    m2 = m.swapaxes(1, 2) @ m
+    p = _simdiag_symmetric_unitary(m2)
+    theta, k1, ok = _phase_columns(m, p)
+    for r in np.flatnonzero(~ok):
+        for pr in _retry_bases(m2[r]):
+            tr, kr, okr = _phase_columns(m[r : r + 1], pr)
+            if okr[0]:
+                p[r], theta[r], k1[r] = pr[0], tr[0], kr[0]
+                break
+        else:
+            raise InvalidGateError(
+                f"KAK decomposition failed: input is not unitary within {UNITARY_TOL}"
+            )
     k1 = k1.real
-    if np.linalg.det(k1) < 0:
-        k1[:, 0] = -k1[:, 0]
-        theta = theta.copy()
-        theta[0] += np.pi
-    x, y, z, w = np.linalg.solve(_COEFF, theta)
-    l1 = MAGIC @ k1 @ MAGIC.conj().T
-    l2 = MAGIC @ p.T @ MAGIC.conj().T
-    a1, a0 = factor_kron(l1)
-    b1, b0 = factor_kron(l2)
-    return np.exp(1j * (gamma + w)), a1, a0, (float(x), float(y), float(z)), b1, b0
+    theta[_proper(k1), 0] += np.pi
+    x, y, z, w = np.linalg.solve(_COEFF, theta[:, :, None])[:, :, 0].T
+    a1, a0 = factor_kron(MAGIC @ k1 @ MAGIC.conj().T)
+    b1, b0 = factor_kron(MAGIC @ p.swapaxes(1, 2) @ MAGIC.conj().T)
+    phase = np.exp(1j * (gamma + w))
+    if single:
+        return phase[0], a1[0], a0[0], (float(x[0]), float(y[0]), float(z[0])), b1[0], b0[0]
+    return phase, a1, a0, np.stack([x, y, z], -1), b1, b0
 
 
-def zyz_angles(u: np.ndarray) -> tuple[float, float, float]:
-    """Euler angles with u ~ phase * [[c, -e^{i lam} s], [e^{i phi} s, e^{i(phi+lam)} c]]."""
-    theta = 2.0 * np.arctan2(abs(u[1, 0]), abs(u[0, 0]))
-    if abs(u[0, 0]) < 1e-12:
-        return np.pi, float(np.angle(u[1, 0]) - np.angle(-u[0, 1])), 0.0
-    if abs(u[1, 0]) < 1e-12:
-        return 0.0, float(np.angle(u[1, 1]) - np.angle(u[0, 0])), 0.0
-    phi = np.angle(u[1, 0]) - np.angle(u[0, 0])
-    lam = np.angle(-u[0, 1]) - np.angle(u[0, 0])
-    return float(theta), float(phi), float(lam)
-
-
-def _wrap(angle: float) -> float:
-    return float((angle + np.pi) % (2 * np.pi) - np.pi)
-
-
-def zsx_angles(u: np.ndarray) -> list[float] | None:
-    """RZ angles for u ~ RZ(a3) . SX . RZ(a2) . SX . RZ(a1) (matrix order),
-    returned in application order [a1, a2, a3].
-
-    Diagonal inputs collapse to a single angle [a]; identity returns None.
+def zsx_angles(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, angles) for a stack u (k, 2, 2): row i of angles holds RZ angles
+    [a1, a2, a3] (application order) with
+    u[i] ~ RZ(a3) . SX . RZ(a2) . SX . RZ(a1) (matrix order), and n[i] is the
+    gate count: 3 for that string, 1 for a diagonal u[i] (a single RZ(a1)),
+    0 for the identity (no gate).
     """
-    theta, phi, lam = zyz_angles(u)
-    if abs(theta) < 1e-12:
-        a = _wrap(phi + lam)
-        return None if abs(a) < 1e-12 else [a]
-    return [lam, theta + np.pi, phi + np.pi]
+    u00, u01, u10, u11 = u[:, 0, 0], u[:, 0, 1], u[:, 1, 0], u[:, 1, 1]
+    # ZYZ Euler angles: u ~ phase * [[c, -e^{i lam} s], [e^{i phi} s, e^{i(phi+lam)} c]]
+    # with c, s = cos, sin(theta / 2); a zero in the first column fixes theta
+    # at pi or 0 and leaves only phi + lam, carried by phi
+    antidiag = np.abs(u00) < 1e-12
+    diag = ~antidiag & (np.abs(u10) < 1e-12)
+    p00, p10, pm01 = np.angle(u00), np.angle(u10), np.angle(-u01)
+    theta = np.select([antidiag, diag], [np.pi, 0.0], 2.0 * np.arctan2(np.abs(u10), np.abs(u00)))
+    phi = np.select([antidiag, diag], [p10 - pm01, np.angle(u11) - p00], p10 - p00)
+    lam = np.where(antidiag | diag, 0.0, pm01 - p00)
+    one_rz = np.abs(theta) < 1e-12
+    a = (phi + lam + np.pi) % (2 * np.pi) - np.pi
+    n = np.where(one_rz, np.where(np.abs(a) < 1e-12, 0, 1), 3)
+    return n, np.stack([np.where(one_rz, a, lam), theta + np.pi, phi + np.pi], -1)
 
 
 # interaction-part dressings for the three-CX identity, in application order:
 # layer after the first CX, and layer after the second CX
-def canonical_layers(x: float, y: float, z: float):
-    """1q dressings (hi, lo) of the 3-CX circuit for exp(i(x XX + y YY + z ZZ)).
+def canonical_layers(x: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """1q dressings (hi, lo) of the 3-CX circuit for exp(i(x XX + y YY + z ZZ)),
+    for arrays x, y, z of length k.
 
     Application order: PRE (hi, lo), CX, MID1, CX, MID2, CX. PRE is I (x) Sdg,
-    returned so callers can merge it with preceding gates.
+    returned so callers can merge it with preceding gates. Factors that do not
+    depend on (x, y, z) are single 2x2 matrices, the others (k, 2, 2) stacks.
     """
     pre = (_I2, _S.conj().T)
     mid1 = (_rx(2 * y) @ _S, _H @ _S)

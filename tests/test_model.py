@@ -191,11 +191,14 @@ NAN = math.nan
         pytest.param(lambda: total_runtime_scaling(100, 0.1, 1.0, NAN, 1000.0), id="scaling-nan-deff"),
         pytest.param(lambda: total_runtime_scaling(10**200, 0.1, 1.0, 2.0, 1000.0),
                      id="scaling-overflowing-n"),
+        pytest.param(lambda: JobSpec(1, 1, 1, 10**400), id="job-huge-int-deff"),
+        pytest.param(lambda: score(10**400, 1.0), id="score-huge-int-predicted"),
     ],
 )
 def test_non_finite_input_or_result_is_a_coded_error(call):
-    """NaN, infinite and overflowing inputs raise the coded error, never
-    return NaN or raise a bare Python arithmetic error."""
+    """NaN, infinite and overflowing inputs (floats, and ints beyond float
+    range) raise the coded error, never return NaN or raise a bare Python
+    arithmetic error."""
     with pytest.raises(InvalidParameterError):
         call()
 

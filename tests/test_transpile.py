@@ -1,3 +1,4 @@
+import importlib
 from collections import deque
 
 import numpy as np
@@ -25,6 +26,7 @@ from qjobtime.transpile import (
     transpiled_depth,
     uses_only_map_edges,
 )
+from qjobtime.transpile import kak
 from qjobtime.transpile.kak import canonical_matrix, kak_decompose
 
 BASIS = set(BASIS_1Q) | set(BASIS_2Q)
@@ -114,6 +116,52 @@ class TestKak:
         with pytest.raises(InvalidGateError):
             kak_decompose(g)
 
+    def test_stack_matches_one_row_calls(self, monkeypatch):
+        """Each row of one stacked call reassembles its input as closely as a
+        one-row call on that row, and the per-matrix retries run on the same
+        rows. The stack mixes Haar matrices with CX, SWAP, identity and a
+        degenerate canonical gate times exp(i eps H), among them the CX input
+        (eps = 1e-10, seed 84) that needs a retry."""
+        retried = []
+        retry_bases = kak._retry_bases
+
+        def counted_retry_bases(m2):
+            retried.append(m2)
+            return retry_bases(m2)
+
+        monkeypatch.setattr(kak, "_retry_bases", counted_retry_bases)
+        bases = [gate_matrix(Gate.cx(0, 1)), gate_matrix(Gate.swap(0, 1)),
+                 np.eye(4, dtype=complex), canonical_matrix(np.pi / 8, np.pi / 8, 0.0)]
+        rng = np.random.default_rng(3)
+        rows = [haar_su4(rng) for _ in range(40)]
+        for i, (log_eps, seed) in enumerate([(-10.0, 84)] + [
+            (rng.uniform(-14.0, -6.0), int(rng.integers(2**32))) for _ in range(160)
+        ]):
+            kick_rng = np.random.default_rng(seed)
+            a = kick_rng.standard_normal((4, 4)) + 1j * kick_rng.standard_normal((4, 4))
+            w, v = np.linalg.eigh((a + a.conj().T) / 2)
+            kick = (v * np.exp(1j * 10.0**log_eps * w)) @ v.conj().T
+            rows.append(kick @ bases[i % 4] if i % 2 else bases[i % 4] @ kick)
+
+        def error(u, phase, a1, a0, xyz, b1, b0):
+            return np.abs(u - phase * np.kron(a1, a0) @ canonical_matrix(*xyz) @ np.kron(b1, b0)).max()
+
+        phase, a1, a0, xyz, b1, b0 = kak_decompose(np.stack(rows))
+        stacked_retries = len(retried)
+        assert stacked_retries >= 1
+        retried.clear()
+        for i, u in enumerate(rows):
+            stacked = error(u, phase[i], a1[i], a0[i], tuple(xyz[i]), b1[i], b0[i])
+            single = error(u, *kak_decompose(u))
+            assert stacked <= single + 1e-14 and stacked < 2 * UNITARY_TOL, i
+        assert len(retried) == stacked_retries
+
+    def test_stack_with_one_non_unitary_row_is_a_coded_error(self, rng):
+        rows = [haar_su4(rng) for _ in range(5)]
+        rows[2] = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        with pytest.raises(InvalidGateError):
+            kak_decompose(np.stack(rows))
+
 
 class TestDecompose:
     def test_hadamard_rule(self):
@@ -176,6 +224,25 @@ class TestDecompose:
     def test_metadata_preserved(self):
         c = Circuit(2, (Gate.h(0),), base_layers=3)
         assert decompose(c).base_layers == 3
+
+    def test_one_kak_call_per_circuit(self, monkeypatch):
+        """All SU4 gates of a circuit are factored in one stacked call, made
+        through the module attribute that the benchmark's tracer wraps; a
+        circuit without SU4 gates makes none."""
+        module = importlib.import_module("qjobtime.transpile.decompose")
+        shapes = []
+        kak_decompose = module.kak_decompose
+
+        def counted_kak_decompose(u):
+            shapes.append(u.shape)
+            return kak_decompose(u)
+
+        monkeypatch.setattr(module, "kak_decompose", counted_kak_decompose)
+        decompose(qv_circuit(6, 6, seed=3))
+        assert shapes == [(18, 4, 4)]
+        shapes.clear()
+        decompose(sample_kernel_circuits(KernelFamily(4, 2, Entanglement.FULL), 1, seed=0)[0])
+        assert shapes == []
 
 
 class TestRoute:
@@ -269,6 +336,20 @@ class TestTranspiledDepth:
     def test_qv_circuits_transpile(self):
         c = qv_circuit(4, 4, seed=8)
         assert transpiled_depth(c, heavy_hex_like_map(7)) > 0
+
+    def test_qv_depth_does_not_depend_on_payloads(self):
+        """Replacing every SU4 payload of a QV circuit with one fixed Haar
+        matrix leaves its transpiled depth unchanged: the depth follows the
+        pairings, and the payloads matter only through the 1e-12 branches of
+        `zsx_angles`. This bounds what a batching fault could change unseen."""
+        fixed = haar_su4(np.random.default_rng(2024))
+        maps = (line_map(9), heavy_hex_like_map(16))
+        for v in range(4, 10):
+            for seed in range(10):
+                c = qv_circuit(v, v, seed=seed)
+                same = Circuit(c.width, tuple(Gate.su4(*g.qubits, fixed) for g in c.gates))
+                for cmap in maps:
+                    assert transpiled_depth(same, cmap) == transpiled_depth(c, cmap), (v, seed)
 
 
 class TestCouplingMaps:
