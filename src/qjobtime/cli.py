@@ -199,6 +199,7 @@ def deff_cmd(family, map_spec, registry, kernel_samples, qv_samples, seed, qv_jo
 @click.option("--out", type=click.Path(), required=True)
 def gen_circuits(family, qv_width, qv_layers, count, seed, out):
     """Emit circuits in the line-oriented text format."""
+    deff_mod.check_sample_ceiling("--count", count)
     if family is not None:
         fam = _parse_family(family)
         circuits = [

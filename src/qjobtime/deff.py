@@ -27,6 +27,12 @@ from .transpile.route import transpiled_depth
 
 DEFAULT_KERNEL_SAMPLES = 25
 DEFAULT_QV_SAMPLES = 20
+MAX_SAMPLES = 10_000  # ceiling on every sample count, refused before any circuit is built
+
+
+def check_sample_ceiling(name: str, count: int) -> None:
+    if count > MAX_SAMPLES:
+        raise InvalidParameterError(f"{name} must be <= {MAX_SAMPLES}, got {count}")
 
 
 def equivalent_qv_width(n: int, d: int) -> int:
@@ -100,6 +106,7 @@ def effective_layers(
     if as_qv_job:
         if fam.n > cmap.num_qubits:
             raise CouplingError(f"map has {cmap.num_qubits} qubits, job needs {fam.n}")
+        check_sample_ceiling("qv_samples", qv_samples)
         circuits = sample_qv_circuits(fam.n, fam.d, qv_samples, seed)
         mean_depth = mean_transpiled_depth(circuits, cmap)
         return DeffEstimate(
@@ -110,6 +117,8 @@ def effective_layers(
         raise CouplingError(
             f"map has {cmap.num_qubits} qubits but the comparison needs {max(fam.n, v)}"
         )
+    check_sample_ceiling("kernel_samples", kernel_samples)
+    check_sample_ceiling("qv_samples", qv_samples)
     kernel_mean = mean_transpiled_depth(sample_kernel_circuits(fam, kernel_samples, seed), cmap)
     qv_mean = mean_transpiled_depth(sample_qv_circuits(v, v, qv_samples, seed), cmap)
     return DeffEstimate(

@@ -1,10 +1,12 @@
 """Exact statevector simulation and shot-based kernel estimation.
 
 This is the semantic oracle for everything that produces circuits: small
-circuits are simulated densely (default cap 12 qubits) and kernel values are
-either read off the final amplitude or estimated by Born sampling. A kernel
-matrix simulates only its N encoded states; the overlap circuit U(x)U(y)^dagger
-behind `exact_kernel` is the single-pair oracle it is checked against.
+circuits are simulated densely, gate by gate (default cap 12 qubits), and
+kernel values are either read off the final amplitude or estimated by Born
+sampling. A kernel matrix needs no circuits: it builds its N encoded states
+together in closed form, d rounds of a Walsh-Hadamard transform and a diagonal
+phase, and the gate-by-gate overlap circuit U(x)U(y)^dagger behind
+`exact_kernel` is the single-pair oracle it is checked against.
 
 Basis convention: the state is stored as a rank-n tensor with axis i belonging
 to qubit i; in the flattened vector, qubit 0 is the most significant bit.
@@ -16,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind
-from .errors import InvalidParameterError, SimulationCapError
-from .generators import KernelFamily, encoding_circuit, kernel_circuit
+from .errors import InvalidGateError, InvalidParameterError, SimulationCapError
+from .generators import KernelFamily, _as_features, kernel_circuit
 
 DEFAULT_QUBIT_CAP = 12
 
@@ -66,7 +68,7 @@ def _apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     """Apply a gate to a state tensor whose leading axes are the qubits.
 
     Trailing axes (if any) are carried along untouched, which lets the same
-    code build full unitaries column-wise.
+    code build full unitaries column-wise and transform a batch of states.
     """
     m = gate_matrix(gate)
     qs = gate.qubits
@@ -93,18 +95,18 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _check_cap(c: Circuit, max_qubits: int) -> None:
+def _check_cap(width: int, max_qubits: int) -> None:
     """Dense simulation holds 2^width amplitudes; a library caller who accepts
     that memory passes a larger `max_qubits`."""
-    if c.width > max_qubits:
+    if width > max_qubits:
         raise SimulationCapError(
-            f"circuit width {c.width} exceeds the dense-simulation cap of {max_qubits} qubits"
+            f"circuit width {width} exceeds the dense-simulation cap of {max_qubits} qubits"
         )
 
 
 def simulate(c: Circuit, max_qubits: int = DEFAULT_QUBIT_CAP) -> StateVector:
     """Apply every gate to |0...0> in order; norm preserved to 1e-10."""
-    _check_cap(c, max_qubits)
+    _check_cap(c.width, max_qubits)
     state = np.zeros((2,) * c.width, dtype=complex)
     state[(0,) * c.width] = 1.0
     for g in c.gates:
@@ -114,7 +116,7 @@ def simulate(c: Circuit, max_qubits: int = DEFAULT_QUBIT_CAP) -> StateVector:
 
 def circuit_unitary(c: Circuit, max_qubits: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
     """Full 2^n x 2^n unitary of the circuit."""
-    _check_cap(c, max_qubits)
+    _check_cap(c.width, max_qubits)
     dim = 2 ** c.width
     u = np.eye(dim, dtype=complex).reshape((2,) * c.width + (dim,))
     for g in c.gates:
@@ -168,6 +170,51 @@ def estimate_kernel(
     return KernelEstimate(count / shots, shots, count)
 
 
+def _phase_angles(fam: KernelFamily, x: Sequence[float]) -> np.ndarray:
+    """One vector's phase-layer angles: x_j per qubit, then
+    (pi - x_j)(pi - x_k) per entangled pair, each reduced mod 2*pi so that any
+    sum of them stays finite.
+
+    The encoding circuit's RZ(2 x_j) and RZZ(2 (pi - x_j)(pi - x_k)) refuse a
+    parameter that overflows to infinity; this refuses the same vectors with
+    the same error.
+    """
+    v = _as_features(fam, x)
+    j, k = np.array(fam.entanglement.pairs(fam.n), dtype=int).reshape(-1, 2).T
+    with np.errstate(over="ignore"):
+        angles = np.concatenate([v, (np.pi - v[j]) * (np.pi - v[k])])
+        if not np.isfinite(2.0 * angles).all():
+            raise InvalidGateError(f"feature vector {v} gives a non-finite phase angle")
+    return np.remainder(angles, 2.0 * np.pi)
+
+
+def _encoded_states(fam: KernelFamily, angles: np.ndarray) -> np.ndarray:
+    """|phi(x)> for every row of `angles` (see `_phase_angles`), as one
+    (N, 2^n) batch.
+
+    The encoding circuit is d rounds of [H on every qubit, then RZ and RZZ].
+    The RZ/RZZ layer is diagonal: it multiplies amplitude b by exp(-i phi_b)
+    with phi_b = sum_j x_j s_j + sum_(j,k) (pi - x_j)(pi - x_k) s_j s_k, where
+    s are the Z eigenvalues of b. Round one maps |0...0> to the uniform state;
+    each later H layer acts on all N states at once, which ride along as a
+    trailing axis.
+    """
+    n = fam.n
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    s = 1.0 - 2.0 * bits  # s[b, j]: Z eigenvalue of qubit j in basis state b
+    phase = angles[:, :n] @ s.T
+    for p, (j, k) in enumerate(fam.entanglement.pairs(n)):
+        phase += angles[:, n + p, None] * (s[:, j] * s[:, k])
+    diag = np.exp(-1j * phase)
+    states = diag / np.sqrt(2.0**n)
+    for _ in range(fam.d - 1):
+        t = states.T.reshape((2,) * n + (-1,))
+        for q in range(n):
+            t = _apply_gate(t, Gate.h(q))
+        states = diag * t.reshape(-1, len(diag)).T
+    return states
+
+
 def kernel_matrix(
     fam: KernelFamily,
     dataset: Sequence[Sequence[float]],
@@ -177,17 +224,25 @@ def kernel_matrix(
 ) -> np.ndarray:
     """Symmetric N x N kernel matrix over a dataset.
 
-    Each vector's encoded state is simulated once (N simulations) and entry
-    (i, j) is |<phi(x_j)|phi(x_i)>|^2; the diagonal is pinned to 1. With
-    `shots=None` entries are exact, otherwise each unordered pair is a shot
-    estimate with its own random stream derived from (seed, i, j).
+    The N encoded states are built together in closed form, with no circuits
+    and no `simulate` calls, and entry (i, j) is |<phi(x_j)|phi(x_i)>|^2; the
+    diagonal is pinned to 1. The gate-by-gate `exact_kernel` is the oracle
+    for each entry. With `shots=None` entries are exact, otherwise each
+    unordered pair is a shot estimate with its own random stream derived from
+    (seed, i, j).
     """
     if shots is not None and shots < 1:
         raise InvalidParameterError(f"shots must be >= 1, got {shots}")
     n = len(dataset)
     if n == 0:
         return np.zeros((0, 0))
-    states = np.array([simulate(encoding_circuit(fam, v), max_qubits).amplitudes for v in dataset])
+    # The first vector is checked before the width cap, as building and
+    # simulating its encoding circuit would be, so every input gets the
+    # oracle's error.
+    angles = [_phase_angles(fam, dataset[0])]
+    _check_cap(fam.n, max_qubits)
+    angles += [_phase_angles(fam, x) for x in dataset[1:]]
+    states = _encoded_states(fam, np.array(angles))
     p0 = np.abs(states.conj() @ states.T) ** 2
     out = np.eye(n)
     for i in range(n):

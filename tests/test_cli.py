@@ -324,6 +324,9 @@ HUGE = "1" + "0" * 400
 GEN = ["gen-circuits", "--out", "OUT"]
 BAD_MAP = ("COUPLING_MAP", 6)
 BAD_CSV, BAD_VALUE = ("MALFORMED_CSV", 4), ("INVALID_PARAMETER", 2)
+BAD_GATE = ("INVALID_GATE", 5)
+DEFF = ["deff", "--family", '{"n":2,"d":1}', "--map", "line:4"]
+OVER_CEILING = "10001"  # just over, on tiny circuits: a missing check fails, not hangs
 
 
 @pytest.mark.parametrize(
@@ -351,6 +354,10 @@ BAD_CSV, BAD_VALUE = ("MALFORMED_CSV", 4), ("INVALID_PARAMETER", 2)
                      id="kernel-width-over-cap"),
         pytest.param(KERNEL + ["--shots", "0"], "0.1,0.2\n", BAD_VALUE, None,
                      id="kernel-zero-shots"),
+        pytest.param(KERNEL, "1e200,1e200\n0.2,0.3\n", BAD_GATE, "non-finite",
+                     id="kernel-overflowing-phase-exact"),
+        pytest.param(KERNEL + ["--shots", "100"], "1e200,1e200\n0.2,0.3\n", BAD_GATE,
+                     "non-finite", id="kernel-overflowing-phase-shots"),
         pytest.param(KERNEL + ["--shots", "-3"], "0.1,0.2\n", BAD_VALUE, None,
                      id="kernel-negative-shots"),
         pytest.param(PREDICT + ["nan"], None, BAD_VALUE, None, id="predict-nan-deff"),
@@ -375,6 +382,16 @@ BAD_CSV, BAD_VALUE = ("MALFORMED_CSV", 4), ("INVALID_PARAMETER", 2)
         pytest.param(GEN + ["--qv-width", "3"], None, BAD_VALUE, "--qv-layers is required",
                      id="gen-qv-width-without-layers"),
         pytest.param(GEN, None, BAD_VALUE, "provide --family", id="gen-no-family-or-qv"),
+        pytest.param(GEN + ["--family", '{"n":2,"d":1}', "--count", OVER_CEILING], None, BAD_VALUE,
+                     "--count must be <= 10000", id="gen-count-over-ceiling"),
+        pytest.param(GEN + ["--qv-width", "2", "--qv-layers", "1", "--count", OVER_CEILING], None,
+                     BAD_VALUE, "--count must be <= 10000", id="gen-qv-count-over-ceiling"),
+        pytest.param(DEFF + ["--kernel-samples", OVER_CEILING], None, BAD_VALUE,
+                     "kernel_samples must be <= 10000", id="deff-kernel-samples-over-ceiling"),
+        pytest.param(DEFF + ["--qv-samples", OVER_CEILING], None, BAD_VALUE,
+                     "qv_samples must be <= 10000", id="deff-qv-samples-over-ceiling"),
+        pytest.param(DEFF + ["--qv-job", "--qv-samples", OVER_CEILING], None, BAD_VALUE,
+                     "qv_samples must be <= 10000", id="deff-qv-job-samples-over-ceiling"),
         pytest.param(MAP_FILE, '{"n": 3, "edges": [[0, 1, 2]]}', BAD_MAP, None,
                      id="map-edge-not-a-pair"),
         pytest.param(REGISTRY, '{"backends": [', BAD_VALUE, None, id="registry-bad-json"),
@@ -382,6 +399,8 @@ BAD_CSV, BAD_VALUE = ("MALFORMED_CSV", 4), ("INVALID_PARAMETER", 2)
                      id="registry-missing-key"),
         pytest.param(PARAMS, '{"t_job": 1.0,', BAD_VALUE, None, id="params-bad-json"),
         pytest.param(PARAMS, '{"t_job": 1.0}', BAD_VALUE, None, id="params-missing-key"),
+        pytest.param(PARAMS + ["--kernel-samples", OVER_CEILING], TIMING % "1.0", BAD_VALUE,
+                     "kernel_samples must be <= 10000", id="sweep-kernel-samples-over-ceiling"),
         pytest.param(PARAMS, TIMING % "NaN", BAD_VALUE, "t_job must be finite", id="params-nan"),
         pytest.param(PARAMS, TIMING % "Infinity", BAD_VALUE, "t_job must be finite",
                      id="params-inf"),

@@ -5,6 +5,7 @@ import pytest
 
 import qjobtime.deff as deff_mod
 from qjobtime.deff import (
+    MAX_SAMPLES,
     DeffEstimate,
     effective_layers,
     equivalent_qv_width,
@@ -112,3 +113,6 @@ class TestEffectiveLayers:
     def test_sample_counts_validated(self):
         with pytest.raises(InvalidParameterError):
             effective_layers(KernelFamily(2, 1), line_map(2), kernel_samples=0)
+        for counts in ({"kernel_samples": MAX_SAMPLES + 1}, {"qv_samples": MAX_SAMPLES + 1}):
+            with pytest.raises(InvalidParameterError, match=f"<= {MAX_SAMPLES}"):
+                effective_layers(KernelFamily(2, 1), line_map(2), **counts)

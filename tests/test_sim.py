@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-import qjobtime.sim as sim
 from conftest import random_circuit
 from qjobtime.circuit import Circuit, Gate
-from qjobtime.errors import InvalidParameterError, SimulationCapError
-from qjobtime.generators import Entanglement, KernelFamily, kernel_circuit, sample_features
+from qjobtime.errors import InvalidGateError, InvalidParameterError, SimulationCapError
+from qjobtime.generators import (
+    Entanglement,
+    KernelFamily,
+    encoding_circuit,
+    kernel_circuit,
+    sample_features,
+)
 from qjobtime.sim import (
     estimate_kernel,
     exact_kernel,
@@ -131,15 +136,31 @@ class TestKernelMatrix:
                     assert k[i, j] == pytest.approx(expected, abs=1e-12)
             assert np.array_equal(k, k.T)
 
-    def test_one_simulation_per_vector(self, rng, monkeypatch):
-        fam = KernelFamily(2, 1)
-        data = [sample_features(fam, rng) for _ in range(4)]
-        calls = []
-        real = sim.simulate
-        monkeypatch.setattr(sim, "simulate", lambda *a, **k: calls.append(1) or real(*a, **k))
-        kernel_matrix(fam, data)
-        kernel_matrix(fam, data, shots=10)
-        assert len(calls) == 8
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("ent", list(Entanglement))
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_closed_form_states_match_gate_by_gate_oracle(self, n, ent, d, rng):
+        fam = KernelFamily(n, d, ent)
+        data = [sample_features(fam, rng) for _ in range(3)]
+        data.append(data[0])
+        k = kernel_matrix(fam, data)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert abs(k[i, j] - exact_kernel(fam, data[i], data[j])) <= 1e-12
+        shots = 200
+        assert kernel_matrix(fam, data, shots=shots, seed=n)[0, 3] * shots == shots
+        for matrix_shots in (None, shots):
+            assert kernel_matrix(fam, [], shots=matrix_shots).shape == (0, 0)
+            assert kernel_matrix(fam, data[:1], shots=matrix_shots).tolist() == [[1.0]]
+
+    def test_sixteen_qubits_match_simulated_overlaps(self, rng):
+        fam = KernelFamily(16, 2, Entanglement.FULL)
+        centre = sample_features(fam, rng)
+        data = [centre + rng.normal(0.0, 0.02, fam.n) for _ in range(3)]  # entries far from 0
+        k = kernel_matrix(fam, data, max_qubits=16)
+        states = [simulate(encoding_circuit(fam, x), max_qubits=16).amplitudes for x in data]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            assert abs(k[i, j] - abs(np.vdot(states[j], states[i])) ** 2) <= 1e-12
 
     @pytest.mark.parametrize("seed", [0, 5, 99])
     def test_shot_counts_match_inverse_cdf_sampler(self, seed):
@@ -185,3 +206,34 @@ class TestKernelMatrix:
     def test_non_finite_feature_is_a_coded_error(self, bad):
         with pytest.raises(InvalidParameterError, match="non-finite"):
             kernel_matrix(KernelFamily(2, 1), [[bad, 0.1], [0.2, 0.3]])
+
+    @pytest.mark.parametrize(
+        "fam, row, refused",
+        [
+            (KernelFamily(2, 1), [1e200, 1e200], True),  # RZZ angle overflows
+            (KernelFamily(3, 1), [1e308, 0.1, 0.2], True),  # RZ angle overflows
+            (KernelFamily(3, 1), [1e200, 0.2, 1e200], False),  # only pair (0, 2) overflows
+            (KernelFamily(3, 1, Entanglement.FULL), [1e200, 0.2, 1e200], True),
+            (KernelFamily(3, 2, Entanglement.FULL), [9e153] * 3, False),  # finite, sum is not
+        ],
+    )
+    @pytest.mark.parametrize("shots", [None, 10])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # from the oracle
+    def test_overflowing_phase_angle_is_the_oracles_coded_error(self, fam, row, refused, shots):
+        data = [row, [0.2, 0.3, 0.4][: fam.n]]
+        if refused:
+            with pytest.raises(InvalidGateError, match="non-finite"):
+                encoding_circuit(fam, row)
+            with pytest.raises(InvalidGateError, match="non-finite"):
+                kernel_matrix(fam, data, shots=shots)
+        else:
+            encoding_circuit(fam, row)
+            k = kernel_matrix(fam, data, shots=shots)
+            assert np.isfinite(k).all() and 0.0 <= k.min() and k.max() <= 1.0 + 1e-12
+
+    def test_first_vector_is_checked_before_the_width_cap(self):
+        fam = KernelFamily(13, 1)
+        with pytest.raises(InvalidParameterError, match="13"):
+            kernel_matrix(fam, [[0.1] * 2])
+        with pytest.raises(SimulationCapError, match="cap of 12 qubits"):
+            kernel_matrix(fam, [[0.1] * 13, [0.1] * 2])
