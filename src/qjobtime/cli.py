@@ -17,7 +17,7 @@ from . import deff as deff_mod
 from .circuit import write_circuits
 from .errors import CouplingError, InvalidParameterError, QJobTimeError
 from .execsim import StackTimingParams, fit_params, simulate_job_runtime
-from .generators import KernelFamily, kernel_circuit, qv_circuit
+from .generators import KernelFamily, kernel_circuit, qv_circuit, seed_stream
 from .model import (
     BackendSpec,
     JobSpec,
@@ -208,9 +208,7 @@ def gen_circuits(family, qv_width, qv_layers, count, seed, out):
     elif qv_width is not None:
         if qv_layers is None:
             raise InvalidParameterError("--qv-layers is required with --qv-width")
-        circuits = [
-            qv_circuit(qv_width, qv_layers, deff_mod.qv_seed(seed, k)) for k in range(count)
-        ]
+        circuits = [qv_circuit(qv_width, qv_layers, seed_stream(seed, 1, k)) for k in range(count)]
     else:
         raise InvalidParameterError("provide --family or --qv-width/--qv-layers")
     write_circuits(out, circuits)
@@ -310,9 +308,7 @@ def sweep_cmd(backend, registry, params_path, m, s, families,
             for shots in _list(s):
                 job = JobSpec(circuits, shots, 1, est.d_eff)
                 predicted = predict_runtime(job, spec)
-                simulated = simulate_job_runtime(
-                    job, params, np.random.SeedSequence((seed, 2, job_index))
-                )
+                simulated = simulate_job_runtime(job, params, seed_stream(seed, 2, job_index))
                 ratio = predicted / simulated
                 rows.append(
                     [spec.name, circuits, shots, aspect, est.d_eff, predicted, simulated,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .errors import CouplingError, InvalidParameterError
-from .generators import KernelFamily, kernel_circuit, qv_circuit, sample_features
+from .generators import KernelFamily, kernel_circuit, qv_circuit, sample_features, seed_stream
 from .transpile.coupling import CouplingMap
 from .transpile.route import transpiled_depth
 
@@ -62,13 +62,8 @@ class DeffEstimate:
 
 def kernel_features(fam: KernelFamily, seed: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The (x, y) of kernel sample k, drawn from stream (seed, 0, k)."""
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0, k)))
+    rng = np.random.default_rng(seed_stream(seed, 0, k))
     return sample_features(fam, rng), sample_features(fam, rng)
-
-
-def qv_seed(seed: int, k: int) -> np.random.SeedSequence:
-    """The seed of QV sample k: stream (seed, 1, k)."""
-    return np.random.SeedSequence((int(seed), 1, k))
 
 
 def sample_kernel_circuits(fam: KernelFamily, count: int, seed: int) -> list[Circuit]:
@@ -77,8 +72,8 @@ def sample_kernel_circuits(fam: KernelFamily, count: int, seed: int) -> list[Cir
 
 
 def sample_qv_circuits(width: int, layers: int, count: int, seed: int) -> list[Circuit]:
-    """QV circuits from per-sample seeds."""
-    return [qv_circuit(width, layers, qv_seed(seed, k)) for k in range(count)]
+    """QV circuits, sample k from stream (seed, 1, k)."""
+    return [qv_circuit(width, layers, seed_stream(seed, 1, k)) for k in range(count)]
 
 
 def mean_transpiled_depth(circuits: Sequence[Circuit], cmap: CouplingMap) -> float:

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .errors import InvalidParameterError
+from .errors import InvalidGateError, InvalidParameterError
 
 
 class Entanglement(Enum):
@@ -113,27 +113,48 @@ def _as_features(fam: KernelFamily, x: Sequence[float]) -> np.ndarray:
     return arr
 
 
+def phase_angles(fam: KernelFamily, x: Sequence[float]) -> np.ndarray:
+    """x_j per qubit, then (pi - x_j)(pi - x_k) per entangled pair: the phase
+    layer rotates by twice these, so a vector whose doubled angle overflows
+    is refused."""
+    v = _as_features(fam, x)
+    j, k = np.array(fam.entanglement.pairs(fam.n), dtype=int).reshape(-1, 2).T
+    with np.errstate(over="ignore"):
+        angles = np.concatenate([v, (np.pi - v[j]) * (np.pi - v[k])])
+        if not np.isfinite(2.0 * angles).all():
+            raise InvalidGateError(f"feature vector {v} gives a non-finite phase angle")
+    return angles
+
+
 def encoding_circuit(fam: KernelFamily, x: Sequence[float]) -> Circuit:
     """Data-encoding circuit: d repetitions of [H on every qubit, then the
     parameterized phase layer].
 
     The phase layer applies RZ(2*x_j) on qubit j and an entangling ZZ phase
-    RZZ(2*(pi - x_j)*(pi - x_k)) on each pair of the entanglement strategy.
-    Global phase is dropped throughout; kernel values are insensitive to it.
+    RZZ(2*(pi - x_j)*(pi - x_k)) on each pair of the entanglement strategy
+    (angles from `phase_angles`). Global phase is dropped throughout; kernel
+    values are insensitive to it.
     """
-    v = _as_features(fam, x)
-    gates = []
-    for _ in range(fam.d):
-        gates.extend(Gate.h(j) for j in range(fam.n))
-        gates.extend(Gate.rz(j, 2.0 * v[j]) for j in range(fam.n))
-        for j, k in fam.entanglement.pairs(fam.n):
-            gates.append(Gate.rzz(j, k, 2.0 * (np.pi - v[j]) * (np.pi - v[k])))
-    return Circuit(fam.n, tuple(gates), base_layers=fam.d)
+    n, a = fam.n, phase_angles(fam, x)
+    pairs = fam.entanglement.pairs(n)
+    layer = [Gate.h(j) for j in range(n)] + [Gate.rz(j, 2.0 * a[j]) for j in range(n)]
+    layer += [Gate.rzz(j, k, 2.0 * a[n + p]) for p, (j, k) in enumerate(pairs)]
+    return Circuit(n, tuple(layer) * fam.d, base_layers=fam.d)
 
 
 def kernel_circuit(fam: KernelFamily, x: Sequence[float], y: Sequence[float]) -> Circuit:
     """Overlap circuit U(x) followed by U(y)^dagger; 2d base layers on n qubits."""
     return encoding_circuit(fam, x).compose(encoding_circuit(fam, y).inverse())
+
+
+def seed_stream(seed: int, *path: int) -> np.random.SeedSequence:
+    """Stream `path` under a user seed, the one rule for every derived stream:
+    (seed, 0, k) kernel sample k's features, (seed, 1, k) QV sample k,
+    (seed, 2, j) sweep job j's jitter, (seed, 3) kernel-matrix shot counts."""
+    seed = int(seed)
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    return np.random.SeedSequence((seed, *path))
 
 
 def sample_features(fam: KernelFamily, rng: np.random.Generator) -> np.ndarray:

@@ -18,10 +18,11 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind
-from .errors import InvalidGateError, InvalidParameterError, SimulationCapError
-from .generators import KernelFamily, _as_features, kernel_circuit
+from .errors import InvalidParameterError, SimulationCapError
+from .generators import KernelFamily, kernel_circuit, phase_angles, seed_stream
 
 DEFAULT_QUBIT_CAP = 12
+MAX_SHOTS = 2**63 - 1  # numpy's int64 limit for a binomial draw
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 _H = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
@@ -143,15 +144,16 @@ def exact_kernel(
     return simulate(kernel_circuit(fam, x, y), max_qubits).zero_probability()
 
 
-def _zero_count(p0: float, shots: int, seed_seq: np.random.SeedSequence) -> int:
-    """Count of `shots` Born draws that land on the all-zeros outcome.
+def _check_shots(shots: int) -> None:
+    if not 1 <= shots <= MAX_SHOTS:
+        raise InvalidParameterError(f"shots must be in 1..{MAX_SHOTS}, got {shots}")
 
-    An inverse-CDF draw u lands on outcome 0 exactly when u < p0, so the count
-    needs only p0. Philox is counter-based, so per-pair streams derived from
-    spawn keys stay reproducible no matter how a batch is parallelized.
-    """
-    rng = np.random.Generator(np.random.Philox(seed_seq))
-    return int(np.count_nonzero(rng.random(shots) < p0))
+
+def _zero_counts(p0, shots: int, seed) -> np.ndarray:
+    """All-zeros counts of `shots` Born samples at each p0: one Binomial(shots,
+    p0) draw from the stream `seed`, with p0 clipped to [0, 1] because a
+    repeated vector's overlap can round to just above 1."""
+    return np.random.default_rng(seed).binomial(shots, np.clip(p0, 0.0, 1.0))
 
 
 def estimate_kernel(
@@ -163,34 +165,16 @@ def estimate_kernel(
     max_qubits: int = DEFAULT_QUBIT_CAP,
 ) -> KernelEstimate:
     """Sample `shots` bitstrings from the overlap circuit's output distribution
-    and return the zero-string frequency; deterministic for a fixed seed."""
-    if shots < 1:
-        raise InvalidParameterError("shots must be >= 1")
-    count = _zero_count(exact_kernel(fam, x, y, max_qubits), shots, np.random.SeedSequence(seed))
+    and return the zero-string frequency: one binomial draw on the stream
+    `seed` (an int or a sequence of ints), deterministic for a fixed seed."""
+    _check_shots(shots)
+    count = int(_zero_counts(exact_kernel(fam, x, y, max_qubits), shots, seed))
     return KernelEstimate(count / shots, shots, count)
 
 
-def _phase_angles(fam: KernelFamily, x: Sequence[float]) -> np.ndarray:
-    """One vector's phase-layer angles: x_j per qubit, then
-    (pi - x_j)(pi - x_k) per entangled pair, each reduced mod 2*pi so that any
-    sum of them stays finite.
-
-    The encoding circuit's RZ(2 x_j) and RZZ(2 (pi - x_j)(pi - x_k)) refuse a
-    parameter that overflows to infinity; this refuses the same vectors with
-    the same error.
-    """
-    v = _as_features(fam, x)
-    j, k = np.array(fam.entanglement.pairs(fam.n), dtype=int).reshape(-1, 2).T
-    with np.errstate(over="ignore"):
-        angles = np.concatenate([v, (np.pi - v[j]) * (np.pi - v[k])])
-        if not np.isfinite(2.0 * angles).all():
-            raise InvalidGateError(f"feature vector {v} gives a non-finite phase angle")
-    return np.remainder(angles, 2.0 * np.pi)
-
-
 def _encoded_states(fam: KernelFamily, angles: np.ndarray) -> np.ndarray:
-    """|phi(x)> for every row of `angles` (see `_phase_angles`), as one
-    (N, 2^n) batch.
+    """|phi(x)> for every row of `angles` (see `generators.phase_angles`), as
+    one (N, 2^n) batch.
 
     The encoding circuit is d rounds of [H on every qubit, then RZ and RZZ].
     The RZ/RZZ layer is diagonal: it multiplies amplitude b by exp(-i phi_b)
@@ -227,28 +211,27 @@ def kernel_matrix(
     The N encoded states are built together in closed form, with no circuits
     and no `simulate` calls, and entry (i, j) is |<phi(x_j)|phi(x_i)>|^2; the
     diagonal is pinned to 1. The gate-by-gate `exact_kernel` is the oracle
-    for each entry. With `shots=None` entries are exact, otherwise each
-    unordered pair is a shot estimate with its own random stream derived from
-    (seed, i, j).
+    for each entry. With `shots=None` entries are exact; otherwise every
+    unordered pair's count is drawn in one binomial call on stream (seed, 3),
+    over the upper triangle in row-major order.
     """
-    if shots is not None and shots < 1:
-        raise InvalidParameterError(f"shots must be >= 1, got {shots}")
+    if shots is not None:
+        _check_shots(shots)
+        stream = seed_stream(seed, 3)
     n = len(dataset)
     if n == 0:
         return np.zeros((0, 0))
     # The first vector is checked before the width cap, as building and
     # simulating its encoding circuit would be, so every input gets the
-    # oracle's error.
-    angles = [_phase_angles(fam, dataset[0])]
+    # oracle's error. Angles mod 2*pi keep every sum of them finite.
+    angles = [phase_angles(fam, dataset[0])]
     _check_cap(fam.n, max_qubits)
-    angles += [_phase_angles(fam, x) for x in dataset[1:]]
-    states = _encoded_states(fam, np.array(angles))
-    p0 = np.abs(states.conj() @ states.T) ** 2
+    angles += [phase_angles(fam, x) for x in dataset[1:]]
+    states = _encoded_states(fam, np.remainder(angles, 2.0 * np.pi))
+    upper = np.triu_indices(n, 1)
+    values = (np.abs(states.conj() @ states.T) ** 2)[upper]
+    if shots is not None:
+        values = _zero_counts(values, shots, stream) / shots
     out = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = p0[i, j]
-            if shots is not None:
-                val = _zero_count(val, shots, np.random.SeedSequence((seed, i, j))) / shots
-            out[i, j] = out[j, i] = val
+    out[upper] = out[upper[::-1]] = values
     return out

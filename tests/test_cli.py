@@ -360,6 +360,10 @@ OVER_CEILING = "10001"  # just over, on tiny circuits: a missing check fails, no
                      "non-finite", id="kernel-overflowing-phase-shots"),
         pytest.param(KERNEL + ["--shots", "-3"], "0.1,0.2\n", BAD_VALUE, None,
                      id="kernel-negative-shots"),
+        pytest.param(KERNEL + ["--shots", str(2**63)], "0.1,0.2\n", BAD_VALUE,
+                     "shots must be in 1..9223372036854775807", id="kernel-shots-beyond-int64"),
+        pytest.param(KERNEL + ["--shots", "10", "--seed", "-1"], "0.1,0.2\n0.3,0.4\n", BAD_VALUE,
+                     "seed must be >= 0", id="kernel-negative-seed"),
         pytest.param(PREDICT + ["nan"], None, BAD_VALUE, None, id="predict-nan-deff"),
         pytest.param(PREDICT + ["inf"], None, BAD_VALUE, None, id="predict-inf-deff"),
         pytest.param(EXTRAPOLATE + ["nan"], None, BAD_VALUE, None, id="extrapolate-nan-clops"),
@@ -392,6 +396,14 @@ OVER_CEILING = "10001"  # just over, on tiny circuits: a missing check fails, no
                      "qv_samples must be <= 10000", id="deff-qv-samples-over-ceiling"),
         pytest.param(DEFF + ["--qv-job", "--qv-samples", OVER_CEILING], None, BAD_VALUE,
                      "qv_samples must be <= 10000", id="deff-qv-job-samples-over-ceiling"),
+        pytest.param(DEFF + ["--seed", "-1"], None, BAD_VALUE, "seed must be >= 0",
+                     id="deff-negative-seed"),
+        pytest.param(DEFF + ["--qv-job", "--seed", "-1"], None, BAD_VALUE, "seed must be >= 0",
+                     id="deff-qv-job-negative-seed"),
+        pytest.param(GEN + ["--family", '{"n":2,"d":1}', "--seed", "-1"], None, BAD_VALUE,
+                     "seed must be >= 0", id="gen-negative-seed"),
+        pytest.param(GEN + ["--qv-width", "2", "--qv-layers", "1", "--seed", "-1"], None,
+                     BAD_VALUE, "seed must be >= 0", id="gen-qv-negative-seed"),
         pytest.param(MAP_FILE, '{"n": 3, "edges": [[0, 1, 2]]}', BAD_MAP, None,
                      id="map-edge-not-a-pair"),
         pytest.param(REGISTRY, '{"backends": [', BAD_VALUE, None, id="registry-bad-json"),
@@ -401,6 +413,8 @@ OVER_CEILING = "10001"  # just over, on tiny circuits: a missing check fails, no
         pytest.param(PARAMS, '{"t_job": 1.0}', BAD_VALUE, None, id="params-missing-key"),
         pytest.param(PARAMS + ["--kernel-samples", OVER_CEILING], TIMING % "1.0", BAD_VALUE,
                      "kernel_samples must be <= 10000", id="sweep-kernel-samples-over-ceiling"),
+        pytest.param(PARAMS + ["--seed", "-1"], TIMING % "1.0", BAD_VALUE, "seed must be >= 0",
+                     id="sweep-negative-seed"),
         pytest.param(PARAMS, TIMING % "NaN", BAD_VALUE, "t_job must be finite", id="params-nan"),
         pytest.param(PARAMS, TIMING % "Infinity", BAD_VALUE, "t_job must be finite",
                      id="params-inf"),

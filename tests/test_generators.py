@@ -12,8 +12,10 @@ from qjobtime.generators import (
     encoding_circuit,
     haar_su4,
     kernel_circuit,
+    phase_angles,
     qv_circuit,
     sample_features,
+    seed_stream,
 )
 from qjobtime.model import BackendSpec
 from qjobtime.sim import exact_kernel, simulate
@@ -83,6 +85,19 @@ class TestEncodingCircuits:
         with pytest.raises(InvalidParameterError):
             encoding_circuit(KernelFamily(3, 1), [0.1, 0.2])
 
+    @pytest.mark.parametrize("ent", list(Entanglement))
+    def test_rotations_are_twice_the_phase_angles(self, ent, rng):
+        fam = KernelFamily(4, 2, ent)
+        v = sample_features(fam, rng)
+        pairs = fam.entanglement.pairs(fam.n)
+        angles = phase_angles(fam, v)
+        params = [g.params[0] for g in encoding_circuit(fam, v) if g.params]
+        assert params == [2.0 * a for a in angles] * fam.d
+        # bit-equal to the RZ(2 x_j), RZZ(2 (pi - x_j)(pi - x_k)) products
+        assert params[: fam.n + len(pairs)] == [2.0 * v[j] for j in range(fam.n)] + [
+            2.0 * (np.pi - v[j]) * (np.pi - v[k]) for j, k in pairs
+        ]
+
     @pytest.mark.parametrize("n,d", [(2, 1), (3, 2), (5, 1), (4, 3)])
     def test_gate_counts(self, n, d):
         x = np.linspace(0.1, 1.0, n)
@@ -151,3 +166,13 @@ class TestFamilyDescriptor:
             KernelFamily(0, 1)
         with pytest.raises(InvalidParameterError):
             KernelFamily(2, 0)
+
+
+class TestSeedStream:
+    def test_stream_is_the_seed_sequence_of_its_key(self):
+        expected = np.random.SeedSequence((7, 2, 5)).generate_state(4)
+        assert np.array_equal(seed_stream(7, 2, 5).generate_state(4), expected)
+
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
+            seed_stream(-1, 3)

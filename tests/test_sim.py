@@ -8,10 +8,10 @@ from qjobtime.generators import (
     Entanglement,
     KernelFamily,
     encoding_circuit,
-    kernel_circuit,
     sample_features,
 )
 from qjobtime.sim import (
+    MAX_SHOTS,
     estimate_kernel,
     exact_kernel,
     kernel_matrix,
@@ -19,15 +19,6 @@ from qjobtime.sim import (
 )
 
 FAMILIES = [KernelFamily(n, 2, ent) for n in (1, 2, 3, 4) for ent in Entanglement]
-
-
-def inverse_cdf_zero_count(fam, x, y, shots, seed_seq):
-    """Reference sampler: inverse-CDF draws over the overlap circuit's full
-    output distribution, counting those that land on the all-zeros string."""
-    cdf = np.cumsum(np.abs(simulate(kernel_circuit(fam, x, y)).amplitudes) ** 2)
-    cdf[-1] = max(cdf[-1], 1.0)
-    draws = np.random.Generator(np.random.Philox(seed_seq)).random(shots)
-    return int(np.count_nonzero(np.searchsorted(cdf, draws, side="right") == 0))
 
 
 class TestSimulate:
@@ -163,24 +154,65 @@ class TestKernelMatrix:
             assert abs(k[i, j] - abs(np.vdot(states[j], states[i])) ** 2) <= 1e-12
 
     @pytest.mark.parametrize("seed", [0, 5, 99])
-    def test_shot_counts_match_inverse_cdf_sampler(self, seed):
+    def test_shot_counts_are_one_binomial_draw_on_stream_3(self, seed):
         rng = np.random.default_rng(seed)
         shots = 300
+        upper = np.triu_indices(4, 1)
         for fam in FAMILIES:
             data = [sample_features(fam, rng) for _ in range(3)]
             data.append(data[1])  # a repeated vector: p0 = 1 up to rounding
+            p0 = np.clip(kernel_matrix(fam, data)[upper], 0.0, 1.0)
+            counts = np.random.default_rng(np.random.SeedSequence((seed, 3))).binomial(shots, p0)
             k = kernel_matrix(fam, data, shots=shots, seed=seed)
+            assert np.array_equal(k[upper], counts / shots)
+            assert np.array_equal(k, k.T) and np.array_equal(np.diag(k), np.ones(4))
             assert k[1, 3] == 1.0
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    count = inverse_cdf_zero_count(
-                        fam, data[i], data[j], shots, np.random.SeedSequence((seed, i, j))
-                    )
-                    assert k[i, j] == count / shots
-                    est = estimate_kernel(fam, data[i], data[j], shots, seed=seed)
-                    assert est.zero_count == inverse_cdf_zero_count(
-                        fam, data[i], data[j], shots, np.random.SeedSequence(seed)
-                    )
+            p = np.clip(exact_kernel(fam, data[0], data[2]), 0.0, 1.0)
+            est = estimate_kernel(fam, data[0], data[2], shots, seed=seed)
+            assert est.zero_count == np.random.default_rng(seed).binomial(shots, p)
+
+    def test_shot_counts_within_five_sigma_and_z_scores_standard_normal(self):
+        # 70 vectors near one centre: 2415 pairs with p0 between 0.13 and 1
+        fam = KernelFamily(3, 1, Entanglement.FULL)
+        rng = np.random.default_rng(2024)
+        centre = sample_features(fam, rng)
+        data = centre + rng.normal(0.0, 0.1, (70, fam.n))
+        shots = 4000
+        upper = np.triu_indices(len(data), 1)
+        p = kernel_matrix(fam, data)[upper]
+        assert p.size >= 2000 and 0.1 < p.min() and p.max() < 1.0
+        counts = np.rint(kernel_matrix(fam, data, shots=shots, seed=11)[upper] * shots)
+        sigma = np.sqrt(shots * p * (1.0 - p))
+        # Every count within 5 sigma of shots * p0, sigma floored at one count
+        # for the few near-duplicate pairs; beyond 5 sigma has probability
+        # about 6e-7 per pair under N(0, 1).
+        assert np.all(np.abs(counts - shots * p) <= 5.0 * np.maximum(sigma, 1.0))
+        # Binomial z-scores have mean 0 and variance 1 exactly. Over M
+        # independent pairs the sample mean has standard error 1/sqrt(M) and
+        # the sample variance about sqrt(2/M); both must lie within 4 of those.
+        z = (counts - shots * p) / sigma
+        assert abs(z.mean()) <= 4.0 / np.sqrt(z.size)
+        assert abs(z.var() - 1.0) <= 4.0 * np.sqrt(2.0 / z.size)
+
+    @pytest.mark.parametrize("shots", [1000, MAX_SHOTS])
+    def test_overlap_that_rounds_above_one_counts_every_shot(self, shots):
+        # repeated vectors whose computed overlap is 1 + 4.4e-16; a binomial
+        # draw refuses p > 1, so both functions clip it to 1
+        fam, x = KernelFamily(2, 1), [3.47, 1.16]
+        assert kernel_matrix(fam, [x, x])[0, 1] > 1.0
+        assert kernel_matrix(fam, [x, x], shots=shots)[0, 1] == 1.0
+        fam, x = KernelFamily(3, 1, Entanglement.FULL), [4.2, 0.7, 0.1]
+        assert exact_kernel(fam, x, x) > 1.0
+        est = estimate_kernel(fam, x, x, shots)
+        assert (est.zero_count, est.estimate) == (shots, 1.0)
+
+    @pytest.mark.parametrize("shots", [0, -3, MAX_SHOTS + 1])
+    def test_shots_outside_the_int64_range_are_refused(self, shots):
+        fam = KernelFamily(2, 1)
+        with pytest.raises(InvalidParameterError, match=f"1..{MAX_SHOTS}"):
+            kernel_matrix(fam, [[0.1, 0.2]], shots=shots)
+        with pytest.raises(InvalidParameterError, match=f"1..{MAX_SHOTS}"):
+            estimate_kernel(fam, [0.1, 0.2], [0.1, 0.2], shots)
 
     def test_exact_matrix_positive_semidefinite(self, rng):
         fam = KernelFamily(3, 1, Entanglement.FULL)
@@ -218,7 +250,6 @@ class TestKernelMatrix:
         ],
     )
     @pytest.mark.parametrize("shots", [None, 10])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # from the oracle
     def test_overflowing_phase_angle_is_the_oracles_coded_error(self, fam, row, refused, shots):
         data = [row, [0.2, 0.3, 0.4][: fam.n]]
         if refused:
