@@ -60,6 +60,14 @@ UNITARY_TOL = 1e-7
 _SX_AS_U3 = (np.pi / 2, -np.pi / 2, np.pi / 2, np.pi / 4)
 
 
+def check_su4_payloads(m: np.ndarray) -> None:
+    """Refuse a stack (k, 4, 4) of SU4 payloads unless each row's largest
+    entry of |M M^dagger - I| is within `UNITARY_TOL`; a NaN row fails too."""
+    err = np.abs(m @ m.conj().swapaxes(1, 2) - np.eye(4)).max(axis=(1, 2))
+    if not (err <= UNITARY_TOL).all():
+        raise InvalidGateError("SU4 matrix payload is not unitary")
+
+
 @dataclass(frozen=True, eq=False)
 class Gate:
     """One gate application: a kind, the qubits it acts on, real parameters.
@@ -96,8 +104,7 @@ class Gate:
             m = self.matrix
             if m is None or m.shape != (4, 4):
                 raise InvalidGateError("SU4 requires a 4x4 unitary matrix payload")
-            if not np.abs(m @ m.conj().T - np.eye(4)).max() <= UNITARY_TOL:  # NaN fails too
-                raise InvalidGateError("SU4 matrix payload is not unitary")
+            check_su4_payloads(m[None])
             m = np.array(m, dtype=complex)
             m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
@@ -109,12 +116,15 @@ class Gate:
     @classmethod
     def _trusted(cls, kind: GateKind, qubits: tuple[int, ...], params: tuple[float, ...] = (),
                  matrix: np.ndarray | None = None) -> "Gate":
-        """Build without `__post_init__`, for the transpiler's own output only.
+        """Build without `__post_init__`, for gates whose inputs were already checked.
 
         The caller guarantees what the checks would: `qubits` a tuple of
         distinct nonnegative ints of the kind's arity, `params` a tuple of
-        floats of the kind's count, and `matrix` a read-only checked payload
-        (SU4) or None. Each use derives the gate from an already-checked one.
+        finite floats of the kind's count, and `matrix` a read-only checked
+        payload (SU4) or None. The transpiler derives each gate from an
+        already-checked one; the generators build theirs from inputs checked
+        as a batch (`phase_angles` for rotation angles, `check_su4_payloads`
+        on a circuit's whole payload stack).
         """
         g = object.__new__(cls)
         fields = g.__dict__
@@ -220,8 +230,9 @@ class Circuit:
 
     @classmethod
     def _trusted(cls, width: int, gates: tuple[Gate, ...], base_layers: int | None) -> "Circuit":
-        """Build without `__post_init__`, for the transpiler's own output only:
-        the caller guarantees that every gate fits `width`."""
+        """Build without `__post_init__`, for the transpiler's and the
+        generators' own output only: the caller guarantees that every gate
+        fits `width`."""
         c = object.__new__(cls)
         fields = c.__dict__
         fields["width"] = width

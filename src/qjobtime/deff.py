@@ -30,7 +30,10 @@ DEFAULT_QV_SAMPLES = 20
 MAX_SAMPLES = 10_000  # ceiling on every sample count, refused before any circuit is built
 
 
-def check_sample_ceiling(name: str, count: int) -> None:
+def check_sample_count(name: str, count: int) -> None:
+    """Refuse a sample count outside 1..MAX_SAMPLES."""
+    if count < 1:
+        raise InvalidParameterError(f"{name} must be >= 1, got {count}")
     if count > MAX_SAMPLES:
         raise InvalidParameterError(f"{name} must be <= {MAX_SAMPLES}, got {count}")
 
@@ -96,12 +99,10 @@ def effective_layers(
     (width fam.n, fam.d layers); their effective layer count is the layer
     count, so the depth ratio is pinned to one and d_eff = fam.d exactly.
     """
-    if kernel_samples < 1 or qv_samples < 1:
-        raise InvalidParameterError("sample counts must be >= 1")
     if as_qv_job:
         if fam.n > cmap.num_qubits:
             raise CouplingError(f"map has {cmap.num_qubits} qubits, job needs {fam.n}")
-        check_sample_ceiling("qv_samples", qv_samples)
+        check_sample_count("qv_samples", qv_samples)
         circuits = sample_qv_circuits(fam.n, fam.d, qv_samples, seed)
         mean_depth = mean_transpiled_depth(circuits, cmap)
         return DeffEstimate(
@@ -112,8 +113,8 @@ def effective_layers(
         raise CouplingError(
             f"map has {cmap.num_qubits} qubits but the comparison needs {max(fam.n, v)}"
         )
-    check_sample_ceiling("kernel_samples", kernel_samples)
-    check_sample_ceiling("qv_samples", qv_samples)
+    check_sample_count("kernel_samples", kernel_samples)
+    check_sample_count("qv_samples", qv_samples)
     kernel_mean = mean_transpiled_depth(sample_kernel_circuits(fam, kernel_samples, seed), cmap)
     qv_mean = mean_transpiled_depth(sample_qv_circuits(v, v, qv_samples, seed), cmap)
     return DeffEstimate(

@@ -86,14 +86,15 @@ def _design_matrix(jobs: Sequence[JobSpec], fit_t_job: bool) -> np.ndarray:
 def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """argmin ||a x - b|| over x >= 0. The optimum is the least-squares fit on
     its own support (Lawson & Hanson 1974, ch. 23), so the best nonnegative fit
-    over all column subsets (at most 7 here) is exact; x = 0 if none is."""
+    over all column subsets (at most 7 here) is exact; x = 0 if none is. A
+    subset whose fit overflows (a subnormal column) is not feasible."""
     n = a.shape[1]
     feasible = [np.zeros(n)]
     for mask in range(1, 1 << n):
         cols = [j for j in range(n) if mask >> j & 1]
         x = np.zeros(n)
         x[cols] = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
-        if x.min() >= 0:
+        if x.min() >= 0 and np.isfinite(x).all():
             feasible.append(x)
     return min(feasible, key=lambda x: float(np.sum((a @ x - b) ** 2)))
 

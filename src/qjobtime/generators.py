@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Gate
+from .circuit import Circuit, Gate, GateKind, check_su4_payloads
 from .errors import InvalidGateError, InvalidParameterError
 
 
@@ -74,12 +74,20 @@ def aspect_label(ratio) -> str:
     return "narrow-deep"
 
 
+def haar_su4_stack(rng: np.random.Generator, k: int) -> np.ndarray:
+    """k Haar-random SU(4) matrices (k, 4, 4), each by QR of a complex Ginibre
+    matrix with phase fix. One draw of 32k normals: per matrix, 16 real parts
+    then 16 imaginary parts, the stream order of k one-matrix draws."""
+    g = rng.standard_normal((k, 2, 4, 4))
+    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    q = q * (diag / np.abs(diag))[:, None, :]
+    return q * np.linalg.det(q)[:, None, None] ** -0.25
+
+
 def haar_su4(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random SU(4) via QR of a complex Ginibre matrix with phase fix."""
-    g = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / np.sqrt(2)
-    q, r = np.linalg.qr(g)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return q * np.linalg.det(q) ** -0.25
+    """One Haar-random SU(4) matrix: the one-row case of `haar_su4_stack`."""
+    return haar_su4_stack(rng, 1)[0]
 
 
 def qv_circuit(q: int, layers: int, seed: "int | np.random.SeedSequence") -> Circuit:
@@ -88,18 +96,25 @@ def qv_circuit(q: int, layers: int, seed: "int | np.random.SeedSequence") -> Cir
 
     Permutations are logical relabelings (they select the pairing), not SWAP
     gates, so the circuit contains exactly layers*floor(q/2) two-qubit gates.
+    Each layer draws its permutation, then its floor(q/2) matrices as one
+    `haar_su4_stack`; the whole circuit's payload stack is checked once and
+    made read-only, and each gate holds one row of it.
     """
     if q < 2:
         raise InvalidParameterError("qv_circuit needs q >= 2")
     if layers < 1:
         raise InvalidParameterError("qv_circuit needs layers >= 1")
     rng = np.random.default_rng(seed)
-    gates = []
+    pairs, stacks = [], []
     for _ in range(layers):
-        perm = rng.permutation(q)
-        for k in range(q // 2):
-            gates.append(Gate.su4(int(perm[2 * k]), int(perm[2 * k + 1]), haar_su4(rng)))
-    return Circuit(q, tuple(gates), base_layers=layers)
+        perm = rng.permutation(q).tolist()
+        pairs += zip(perm[::2], perm[1::2])  # an odd width leaves its last qubit out
+        stacks.append(haar_su4_stack(rng, q // 2))
+    payloads = np.concatenate(stacks)
+    check_su4_payloads(payloads)
+    payloads.setflags(write=False)
+    gates = tuple(Gate._trusted(GateKind.SU4, pair, (), m) for pair, m in zip(pairs, payloads))
+    return Circuit._trusted(q, gates, layers)
 
 
 def _as_features(fam: KernelFamily, x: Sequence[float]) -> np.ndarray:
@@ -126,6 +141,20 @@ def phase_angles(fam: KernelFamily, x: Sequence[float]) -> np.ndarray:
     return angles
 
 
+def _encoding_layer(fam: KernelFamily, x: Sequence[float], sign: float) -> list[Gate]:
+    """One round of the encoding template with every angle times `sign`: H on
+    every qubit, RZ(2*x_j) on qubit j, RZZ on each pair. Gates are built
+    unchecked: the angles were checked by `phase_angles`, the qubits come
+    from range(n) and the entanglement's pairs."""
+    n, trusted = fam.n, Gate._trusted
+    theta = (sign * (2.0 * phase_angles(fam, x))).tolist()
+    layer = [trusted(GateKind.H, (j,)) for j in range(n)]
+    layer += [trusted(GateKind.RZ, (j,), (t,)) for j, t in enumerate(theta[:n])]
+    pairs = fam.entanglement.pairs(n)
+    layer += [trusted(GateKind.RZZ, pair, (t,)) for pair, t in zip(pairs, theta[n:])]
+    return layer
+
+
 def encoding_circuit(fam: KernelFamily, x: Sequence[float]) -> Circuit:
     """Data-encoding circuit: d repetitions of [H on every qubit, then the
     parameterized phase layer].
@@ -135,16 +164,19 @@ def encoding_circuit(fam: KernelFamily, x: Sequence[float]) -> Circuit:
     (angles from `phase_angles`). Global phase is dropped throughout; kernel
     values are insensitive to it.
     """
-    n, a = fam.n, phase_angles(fam, x)
-    pairs = fam.entanglement.pairs(n)
-    layer = [Gate.h(j) for j in range(n)] + [Gate.rz(j, 2.0 * a[j]) for j in range(n)]
-    layer += [Gate.rzz(j, k, 2.0 * a[n + p]) for p, (j, k) in enumerate(pairs)]
-    return Circuit(n, tuple(layer) * fam.d, base_layers=fam.d)
+    return Circuit._trusted(fam.n, tuple(_encoding_layer(fam, x, 1.0)) * fam.d, fam.d)
 
 
 def kernel_circuit(fam: KernelFamily, x: Sequence[float], y: Sequence[float]) -> Circuit:
-    """Overlap circuit U(x) followed by U(y)^dagger; 2d base layers on n qubits."""
-    return encoding_circuit(fam, x).compose(encoding_circuit(fam, y).inverse())
+    """Overlap circuit U(x) followed by U(y)^dagger; 2d base layers on n qubits.
+
+    U(y)^dagger is built directly as d repetitions of the reversed layer with
+    negated angles: H is its own inverse and RZ, RZZ invert by negation, as
+    `Circuit.inverse` would give.
+    """
+    forward = tuple(_encoding_layer(fam, x, 1.0))
+    back = tuple(reversed(_encoding_layer(fam, y, -1.0)))
+    return Circuit._trusted(fam.n, forward * fam.d + back * fam.d, 2 * fam.d)
 
 
 def seed_stream(seed: int, *path: int) -> np.random.SeedSequence:

@@ -168,6 +168,8 @@ def estimate_kernel(
     and return the zero-string frequency: one binomial draw on the stream
     `seed` (an int or a sequence of ints), deterministic for a fixed seed."""
     _check_shots(shots)
+    if any(part < 0 for part in np.atleast_1d(seed).tolist()):
+        raise InvalidParameterError(f"seed must be >= 0, got {seed!r}")
     count = int(_zero_counts(exact_kernel(fam, x, y, max_qubits), shots, seed))
     return KernelEstimate(count / shots, shots, count)
 

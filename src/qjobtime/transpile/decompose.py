@@ -24,20 +24,17 @@ BASIS_1Q = (GateKind.RZ, GateKind.SX, GateKind.X)
 BASIS_2Q = (GateKind.CX,)
 
 
-def _emit_1q(out: list[Gate], sx: Gate, n: int, angles: list[float]) -> None:
-    """Append one row of `zsx_angles`, its n gates, on the qubit of `sx`."""
-    if n == 0:
-        return
-    qubits = sx.qubits
-    if n == 1:
-        out.append(Gate._trusted(GateKind.RZ, qubits, (angles[0],)))
-        return
-    a1, a2, a3 = angles
-    out.extend([
-        Gate._trusted(GateKind.RZ, qubits, (a1,)), sx,
-        Gate._trusted(GateKind.RZ, qubits, (a2,)), sx,
-        Gate._trusted(GateKind.RZ, qubits, (a3,)),
-    ])
+def _emit_1q(out: list[Gate], rows) -> None:
+    """Append rows of `zsx_angles`, each (sx, n, [a1, a2, a3]) giving its n
+    gates on the qubit of the shared gate `sx`: none, RZ(a1), or
+    RZ(a1) SX RZ(a2) SX RZ(a3)."""
+    trusted, rz = Gate._trusted, GateKind.RZ
+    for sx, n, (a1, a2, a3) in rows:
+        if n == 3:
+            q = sx.qubits
+            out += (trusted(rz, q, (a1,)), sx, trusted(rz, q, (a2,)), sx, trusted(rz, q, (a3,)))
+        elif n:
+            out.append(trusted(rz, sx.qubits, (a1,)))
 
 
 def swap_as_cx(a: int, b: int) -> tuple[Gate, Gate, Gate]:
@@ -78,14 +75,14 @@ def decompose(c: Circuit) -> Circuit:
             out.extend(swap_as_cx(*g.qubits))
         elif k is GateKind.U3:
             counts, angles = zsx_angles(gate_matrix(g)[None])
-            _emit_1q(out, sx[g.qubits[0]], int(counts[0]), angles[0].tolist())
-        else:  # SU4: a 1q layer, then three times CX and a 1q layer
+            _emit_1q(out, zip((sx[g.qubits[0]],), counts.tolist(), angles.tolist()))
+        else:  # SU4: a 1q layer (rows 0, 1), then three times CX and a 1q layer
             counts, angles = next(dressings)
             qa, qb = g.qubits
             cx = Gate._trusted(GateKind.CX, g.qubits)
-            for i in (0, 2, 4, 6):
-                if i:
-                    out.append(cx)
-                _emit_1q(out, sx[qa], counts[i], angles[i])
-                _emit_1q(out, sx[qb], counts[i + 1], angles[i + 1])
+            sides = (sx[qa], sx[qb])
+            _emit_1q(out, zip(sides, counts[:2], angles[:2]))
+            for i in (2, 4, 6):
+                out.append(cx)
+                _emit_1q(out, zip(sides, counts[i : i + 2], angles[i : i + 2]))
     return Circuit._trusted(c.width, tuple(out), c.base_layers)

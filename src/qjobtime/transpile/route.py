@@ -52,20 +52,25 @@ def route(c: Circuit, cmap: CouplingMap) -> RoutedCircuit:
         if lb is not None:
             l2p[lb] = pa
 
+    # the map's distance and first-hop tables, read directly per gate
+    dist, hop = cmap._dist, cmap._hop
+    trusted, append = Gate._trusted, out.append
     for g in c.gates:
-        if len(g.qubits) == 1:
-            physical = (l2p[g.qubits[0]],)
+        qubits = g.qubits
+        if len(qubits) == 1:
+            physical = (l2p[qubits[0]],)
         else:
-            la, lb = g.qubits
-            while cmap.distance(l2p[la], l2p[lb]) > 1:
-                pa, pb = l2p[la], l2p[lb]
+            la, lb = qubits
+            pa, pb = l2p[la], l2p[lb]
+            while dist[pa][pb] > 1:
                 mover, target = (pa, pb) if pa < pb else (pb, pa)
-                do_swap(mover, cmap.next_hop(mover, target))
+                do_swap(mover, hop[mover][target])
                 swaps += 1
-            physical = (l2p[la], l2p[lb])
-        if physical != g.qubits:  # a gate that stays on its qubits is reused as is
-            g = Gate._trusted(g.kind, physical, g.params, g.matrix)
-        out.append(g)
+                pa, pb = l2p[la], l2p[lb]
+            physical = (pa, pb)
+        if physical != qubits:  # a gate that stays on its qubits is reused as is
+            g = trusted(g.kind, physical, g.params, g.matrix)
+        append(g)
 
     return RoutedCircuit(
         Circuit._trusted(cmap.num_qubits, tuple(out), c.base_layers), tuple(l2p), swaps

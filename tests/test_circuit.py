@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import random_circuit, up_to_phase
-from qjobtime.circuit import Circuit, Gate, GateKind, read_circuits, write_circuits
+from qjobtime.circuit import (
+    Circuit,
+    Gate,
+    GateKind,
+    check_su4_payloads,
+    read_circuits,
+    write_circuits,
+)
 from qjobtime.errors import InvalidCircuitError, InvalidGateError, WidthMismatchError
-from qjobtime.generators import haar_su4
+from qjobtime.generators import haar_su4, haar_su4_stack
 from qjobtime.sim import circuit_unitary
 
 
@@ -125,6 +132,25 @@ class TestValidation:
             Gate.su4(0, 1, np.full((4, 4), np.nan))
         with pytest.raises(InvalidGateError):  # off by more than UNITARY_TOL = 1e-7
             Gate.su4(0, 1, np.diag([1, 1, 1, 1 + 5e-7]))
+
+
+class TestSu4PayloadCheck:
+    def test_haar_stack_passes(self, rng):
+        check_su4_payloads(haar_su4_stack(rng, 16))
+
+    @pytest.mark.parametrize("row", [0, 7, 15])
+    def test_one_row_off_by_2e_7_is_refused(self, rng, row):
+        stack = haar_su4_stack(rng, 16)
+        stack[row] *= 1 + 2e-7  # M M^dagger = (1 + 2e-7)^2 I: off by 4e-7
+        with pytest.raises(InvalidGateError, match="not unitary"):
+            check_su4_payloads(stack)
+
+    @pytest.mark.parametrize("row", [0, 15])
+    def test_one_nan_row_is_refused(self, rng, row):
+        stack = haar_su4_stack(rng, 16)
+        stack[row] = np.nan
+        with pytest.raises(InvalidGateError, match="not unitary"):
+            check_su4_payloads(stack)
 
 
 class TestTextFormat:

@@ -390,6 +390,10 @@ OVER_CEILING = "10001"  # just over, on tiny circuits: a missing check fails, no
                      "--count must be <= 10000", id="gen-count-over-ceiling"),
         pytest.param(GEN + ["--qv-width", "2", "--qv-layers", "1", "--count", OVER_CEILING], None,
                      BAD_VALUE, "--count must be <= 10000", id="gen-qv-count-over-ceiling"),
+        pytest.param(GEN + ["--family", '{"n":2,"d":1}', "--count", "0"], None, BAD_VALUE,
+                     "--count must be >= 1, got 0", id="gen-count-zero"),
+        pytest.param(GEN + ["--qv-width", "2", "--qv-layers", "1", "--count", "-5"], None,
+                     BAD_VALUE, "--count must be >= 1, got -5", id="gen-count-negative"),
         pytest.param(DEFF + ["--kernel-samples", OVER_CEILING], None, BAD_VALUE,
                      "kernel_samples must be <= 10000", id="deff-kernel-samples-over-ceiling"),
         pytest.param(DEFF + ["--qv-samples", OVER_CEILING], None, BAD_VALUE,

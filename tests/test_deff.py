@@ -111,8 +111,9 @@ class TestEffectiveLayers:
         assert est.d_eff > 0
 
     def test_sample_counts_validated(self):
-        with pytest.raises(InvalidParameterError):
-            effective_layers(KernelFamily(2, 1), line_map(2), kernel_samples=0)
+        for counts in ({"kernel_samples": 0}, {"qv_samples": -1}):
+            with pytest.raises(InvalidParameterError, match=">= 1"):
+                effective_layers(KernelFamily(2, 1), line_map(2), **counts)
         for counts in ({"kernel_samples": MAX_SAMPLES + 1}, {"qv_samples": MAX_SAMPLES + 1}):
             with pytest.raises(InvalidParameterError, match=f"<= {MAX_SAMPLES}"):
                 effective_layers(KernelFamily(2, 1), line_map(2), **counts)

@@ -211,6 +211,12 @@ class TestNNLS:
         assert np.all(grad[x == 0] >= -tol)
         assert np.all(np.abs(grad[x > 0]) <= tol)
 
+    def test_overflowing_subset_fit_is_not_feasible(self):
+        # the second column alone fits b only at x1 = 1 / 2.2e-309, beyond float range
+        a = np.array([[0.0, 0.0], [0.0, 2.225073858507203e-309]])
+        x = _nnls(a, np.array([0.0, 1.0]))
+        assert np.array_equal(x, [0.0, 0.0])
+
     def test_active_constraint_is_hit(self):
         # The unconstrained fit is (2, -1); the constrained optimum pins x1 = 0.
         a = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])

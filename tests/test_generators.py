@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qjobtime.circuit import GateKind
+from qjobtime.circuit import Circuit, Gate, GateKind
 from qjobtime.errors import InvalidParameterError
 from qjobtime.generators import (
     Entanglement,
@@ -19,6 +19,42 @@ from qjobtime.generators import (
 )
 from qjobtime.model import BackendSpec
 from qjobtime.sim import exact_kernel, simulate
+
+
+def assert_built_as_checked(c: Circuit, reference: Circuit) -> None:
+    """c equals the checked reference gate for gate, prints the same text and
+    carries the plain int qubits and float parameters the checked
+    constructor stores; its text parses back through that constructor."""
+    assert (c.width, c.base_layers) == (reference.width, reference.base_layers)
+    assert c == reference
+    assert c.to_text() == reference.to_text()
+    for g in c.gates:
+        assert all(type(q) is int for q in g.qubits)
+        assert all(type(p) is float for p in g.params)
+    assert Circuit.from_text(c.to_text()) == c
+
+
+def reference_qv_circuit(q: int, layers: int, seed: int) -> Circuit:
+    """Per-matrix QV construction: a permutation, then one QR per pair."""
+    rng = np.random.default_rng(seed)
+    gates = []
+    for _ in range(layers):
+        perm = rng.permutation(q)
+        for k in range(q // 2):
+            g = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / np.sqrt(2)
+            u, r = np.linalg.qr(g)
+            u = u * (np.diag(r) / np.abs(np.diag(r)))
+            u = u * np.linalg.det(u) ** -0.25
+            gates.append(Gate.su4(int(perm[2 * k]), int(perm[2 * k + 1]), u))
+    return Circuit(q, tuple(gates), base_layers=layers)
+
+
+def reference_encoding_circuit(fam: KernelFamily, x) -> Circuit:
+    """Encoding circuit built gate by gate through the checked constructors."""
+    n, a = fam.n, phase_angles(fam, x)
+    layer = [Gate.h(j) for j in range(n)] + [Gate.rz(j, 2.0 * a[j]) for j in range(n)]
+    layer += [Gate.rzz(j, k, 2.0 * a[n + p]) for p, (j, k) in enumerate(fam.entanglement.pairs(n))]
+    return Circuit(n, tuple(layer) * fam.d, base_layers=fam.d)
 
 
 class TestQuantumVolumeCircuits:
@@ -56,6 +92,15 @@ class TestQuantumVolumeCircuits:
             u = haar_su4(rng)
             assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-10
             assert abs(np.linalg.det(u) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("q", range(2, 10))
+    def test_stacked_draws_match_per_matrix_reference(self, q):
+        for seed in range(200):
+            assert_built_as_checked(qv_circuit(q, 2, seed), reference_qv_circuit(q, 2, seed))
+
+    def test_payloads_are_read_only(self):
+        c = qv_circuit(5, 3, seed=4)
+        assert not any(g.matrix.flags.writeable for g in c.gates)
 
 
 class TestEncodingCircuits:
@@ -108,6 +153,18 @@ class TestEncodingCircuits:
 
 
 class TestKernelCircuits:
+    @pytest.mark.parametrize("ent", list(Entanglement))
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_trusted_build_matches_checked_constructors(self, ent, n, d, rng):
+        fam = KernelFamily(n, d, ent)
+        x, y = sample_features(fam, rng), sample_features(fam, rng)
+        assert_built_as_checked(encoding_circuit(fam, x), reference_encoding_circuit(fam, x))
+        reference = reference_encoding_circuit(fam, x).compose(
+            reference_encoding_circuit(fam, y).inverse()
+        )
+        assert_built_as_checked(kernel_circuit(fam, x, y), reference)
+
     def test_self_overlap_is_one(self, rng):
         fam = KernelFamily(3, 2, Entanglement.FULL)
         x = sample_features(fam, rng)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,16 @@ class TestEstimateKernel:
     def test_invalid_shots(self):
         with pytest.raises(InvalidParameterError):
             estimate_kernel(KernelFamily(2, 1), [0, 0], [0, 0], shots=0)
+
+    @pytest.mark.parametrize("seed", [-1, (1, -2)])
+    def test_negative_seed_is_refused(self, seed):
+        with pytest.raises(InvalidParameterError, match=re.escape(f"seed must be >= 0, got {seed!r}")):
+            estimate_kernel(KernelFamily(2, 1), [0, 0], [0, 0], shots=10, seed=seed)
+
+    def test_tuple_seed_of_nonnegative_ints_is_valid(self):
+        fam = KernelFamily(2, 1)
+        a = estimate_kernel(fam, [0.3, 0.9], [2.0, 1.5], 100, seed=(1, 2))
+        assert a == estimate_kernel(fam, [0.3, 0.9], [2.0, 1.5], 100, seed=(1, 2))
 
 
 class TestKernelMatrix:
