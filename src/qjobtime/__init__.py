@@ -6,68 +6,80 @@ M*K*S*d_eff / C seconds on a system with speed C (circuit layer operations
 per second). The package builds the circuit families, measures transpiled
 depth to derive d_eff, scores predictions against recorded runtimes, and
 extrapolates to large-dataset workloads.
+
+The names below are re-exported lazily (PEP 562): each defining module is
+imported on the first access to one of its names, so `import qjobtime` loads
+neither numpy nor the circuit stack.
 """
 
-from types import ModuleType as _ModuleType
+from importlib import import_module as _import_module
 
-from .circuit import Circuit, Gate, GateKind, read_circuits, write_circuits
-from .deff import DeffEstimate, effective_layers, equivalent_qv_width
-from .errors import QJobTimeError
-from .execsim import StackTimingParams, fit_params, simulate_job_runtime
-from .generators import (
-    Entanglement,
-    KernelFamily,
-    aspect_label,
-    encoding_circuit,
-    haar_su4,
-    kernel_circuit,
-    qv_circuit,
-    sample_features,
-)
-from .model import (
-    BackendSpec,
-    JobSpec,
-    RuntimeReport,
-    builtin_backends,
-    clops_from_measurement,
-    extrapolate,
-    format_duration,
-    get_backend,
-    kernel_job_size,
-    loss_from_ratio,
-    predict_runtime,
-    required_shots,
-    score,
-    shot_limited_runtime,
-    total_runtime_scaling,
-)
-from .records import RuntimeRecord, load_runtime_records, save_runtime_records
-from .sim import (
-    KernelEstimate,
-    StateVector,
-    circuit_unitary,
-    estimate_kernel,
-    exact_kernel,
-    kernel_matrix,
-    simulate,
-)
-from .transpile import (
-    CouplingMap,
-    all_to_all_map,
-    decompose,
-    heavy_hex_like_map,
-    line_map,
-    named_map,
-    ring_map,
-    route,
-    transpiled_depth,
-    uses_only_map_edges,
-)
+# defining submodule -> the public names re-exported from it
+_EXPORTS = {
+    "circuit": ("Circuit", "Gate", "GateKind", "read_circuits", "write_circuits"),
+    "deff": ("DeffEstimate", "effective_layers", "equivalent_qv_width"),
+    "errors": ("QJobTimeError",),
+    "execsim": ("StackTimingParams", "fit_params", "simulate_job_runtime"),
+    "generators": (
+        "Entanglement",
+        "KernelFamily",
+        "aspect_label",
+        "encoding_circuit",
+        "haar_su4",
+        "kernel_circuit",
+        "qv_circuit",
+        "sample_features",
+    ),
+    "model": (
+        "BackendSpec",
+        "JobSpec",
+        "RuntimeReport",
+        "builtin_backends",
+        "clops_from_measurement",
+        "extrapolate",
+        "format_duration",
+        "get_backend",
+        "kernel_job_size",
+        "loss_from_ratio",
+        "predict_runtime",
+        "required_shots",
+        "score",
+        "shot_limited_runtime",
+        "total_runtime_scaling",
+    ),
+    "records": ("RuntimeRecord", "load_runtime_records", "save_runtime_records"),
+    "sim": (
+        "KernelEstimate",
+        "StateVector",
+        "circuit_unitary",
+        "estimate_kernel",
+        "exact_kernel",
+        "kernel_matrix",
+        "simulate",
+    ),
+    "transpile": (
+        "CouplingMap",
+        "all_to_all_map",
+        "decompose",
+        "heavy_hex_like_map",
+        "line_map",
+        "named_map",
+        "ring_map",
+        "route",
+        "transpiled_depth",
+        "uses_only_map_edges",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-# every public name bound above, the submodules aside
-__all__ = [
-    name for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _ModuleType)
-] + ["__version__"]
+__all__ = [*_SOURCE, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

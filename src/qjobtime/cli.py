@@ -8,17 +8,15 @@ with the error's code-specific status.
 
 import json
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import click
-import numpy as np
 
-from . import deff as deff_mod
-from .circuit import write_circuits
 from .errors import CouplingError, InvalidParameterError, QJobTimeError
-from .execsim import StackTimingParams, fit_params, simulate_job_runtime
-from .generators import KernelFamily, kernel_circuit, qv_circuit, seed_stream
 from .model import (
+    DEFAULT_KERNEL_SAMPLES,
+    DEFAULT_QV_SAMPLES,
     BackendSpec,
     JobSpec,
     builtin_backends,
@@ -38,8 +36,38 @@ from .records import (
     load_runtime_records,
     write_csv,
 )
-from .sim import kernel_matrix
-from .transpile.coupling import CouplingMap, named_map
+
+# Names the array commands take from the numpy-backed modules, imported on
+# first use (PEP 562) so that the other commands load only click and the
+# stdlib. Commands call them through `_this`, so a name set on this module
+# (as a tracing wrapper is) is the one called. `deff_mod` is the module itself:
+# its functions are looked up there on every call.
+_LAZY = {
+    "write_circuits": "circuit",
+    "deff_mod": "deff",
+    "StackTimingParams": "execsim",
+    "fit_params": "execsim",
+    "simulate_job_runtime": "execsim",
+    "KernelFamily": "generators",
+    "kernel_circuit": "generators",
+    "qv_circuit": "generators",
+    "seed_stream": "generators",
+    "kernel_matrix": "sim",
+    "CouplingMap": "transpile.coupling",
+    "named_map": "transpile.coupling",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_LAZY[name]}", __package__)
+    value = module if name == "deff_mod" else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+_this = sys.modules[__name__]  # this module, also when it runs as __main__
 
 
 def _echo_json(data, path=None, err: bool = False) -> None:
@@ -63,28 +91,28 @@ def _load_registry(path) -> dict[str, BackendSpec]:
     return registry_from_json(Path(path).read_text())
 
 
-def _parse_family(text: str) -> KernelFamily:
+def _parse_family(text: str):
     try:
         spec = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidParameterError(f"family must be JSON like '{{\"n\":4,\"d\":2}}': {exc}")
-    return KernelFamily.from_dict(spec)
+    return _this.KernelFamily.from_dict(spec)
 
 
-def _parse_map(text: str, registry) -> CouplingMap:
+def _parse_map(text: str, registry):
     """Accept 'kind:n' (e.g. line:8), 'backend:<name>', or a JSON file path."""
     if ":" in text:
         kind, _, arg = text.partition(":")
         if kind == "backend":
             return get_backend(arg, registry).coupling
         try:
-            return named_map(kind, int(arg))
+            return _this.named_map(kind, int(arg))
         except ValueError:
             raise CouplingError(f"bad map spec {text!r}; use kind:n, backend:name, or a JSON file")
     p = Path(text)
     if not p.exists():
         raise CouplingError(f"coupling map file {text!r} not found")
-    return CouplingMap.from_json(p.read_text())
+    return _this.CouplingMap.from_json(p.read_text())
 
 
 def _list(text: str, kind=int) -> list:
@@ -103,9 +131,15 @@ class _App(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except OSError as exc:
+            if exc.filename is None:
+                raise
+            # every path a command reads or writes is one the user gave
+            error = InvalidParameterError(f"cannot open {exc.filename}: {exc.strerror}")
         except QJobTimeError as exc:
-            _echo_json({"error": {"code": exc.code, "message": str(exc)}}, err=True)
-            ctx.exit(exc.exit_code)
+            error = exc
+        _echo_json({"error": {"code": error.code, "message": str(error)}}, err=True)
+        ctx.exit(error.exit_code)
 
 
 @click.group(cls=_App)
@@ -174,8 +208,8 @@ def score_cmd(records_path, registry, out):
 @click.option("--map", "map_spec", required=True,
               help="Coupling map: kind:n (line, ring, all-to-all, heavy-hex-like), backend:name, or JSON file.")
 @click.option("--registry", type=click.Path(exists=True), default=None)
-@click.option("--kernel-samples", type=int, default=deff_mod.DEFAULT_KERNEL_SAMPLES, show_default=True)
-@click.option("--qv-samples", type=int, default=deff_mod.DEFAULT_QV_SAMPLES, show_default=True)
+@click.option("--kernel-samples", type=int, default=DEFAULT_KERNEL_SAMPLES, show_default=True)
+@click.option("--qv-samples", type=int, default=DEFAULT_QV_SAMPLES, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--qv-job", is_flag=True, help="Treat the family as QV circuits (d_eff = d).")
 @click.option("--out", type=click.Path(), default=None, help="Also write the JSON here.")
@@ -183,7 +217,7 @@ def deff_cmd(family, map_spec, registry, kernel_samples, qv_samples, seed, qv_jo
     """Estimate a family's effective QV layer count on a coupling map."""
     fam = _parse_family(family)
     cmap = _parse_map(map_spec, _load_registry(registry))
-    est = deff_mod.effective_layers(
+    est = _this.deff_mod.effective_layers(
         fam, cmap, kernel_samples=kernel_samples, qv_samples=qv_samples,
         seed=seed, as_qv_job=qv_job,
     )
@@ -199,19 +233,23 @@ def deff_cmd(family, map_spec, registry, kernel_samples, qv_samples, seed, qv_jo
 @click.option("--out", type=click.Path(), required=True)
 def gen_circuits(family, qv_width, qv_layers, count, seed, out):
     """Emit circuits in the line-oriented text format."""
-    deff_mod.check_sample_count("--count", count)
+    deff = _this.deff_mod
+    deff.check_sample_count("--count", count)
     if family is not None:
         fam = _parse_family(family)
         circuits = [
-            kernel_circuit(fam, *deff_mod.kernel_features(fam, seed, k)) for k in range(count)
+            _this.kernel_circuit(fam, *deff.kernel_features(fam, seed, k)) for k in range(count)
         ]
     elif qv_width is not None:
         if qv_layers is None:
             raise InvalidParameterError("--qv-layers is required with --qv-width")
-        circuits = [qv_circuit(qv_width, qv_layers, seed_stream(seed, 1, k)) for k in range(count)]
+        circuits = [
+            _this.qv_circuit(qv_width, qv_layers, _this.seed_stream(seed, 1, k))
+            for k in range(count)
+        ]
     else:
         raise InvalidParameterError("provide --family or --qv-width/--qv-layers")
-    write_circuits(out, circuits)
+    _this.write_circuits(out, circuits)
     click.echo(f"wrote {len(circuits)} circuit(s) -> {out}")
 
 
@@ -227,6 +265,8 @@ def gen_circuits(family, qv_width, qv_layers, count, seed, out):
               help="Write the JSON summary here as well.")
 def simulate_kernel(family, data_path, shots, seed, out, summary_path):
     """Compute a pairwise kernel matrix for a dataset (exact or shot-based)."""
+    import numpy as np
+
     fam = _parse_family(family)
     dataset = load_dataset(data_path)
     if shots == "exact":
@@ -236,7 +276,7 @@ def simulate_kernel(family, data_path, shots, seed, out, summary_path):
             n_shots = int(shots)
         except ValueError:
             raise InvalidParameterError(f"--shots must be an integer or 'exact', got {shots!r}")
-    matrix = kernel_matrix(fam, dataset, shots=n_shots, seed=seed)
+    matrix = _this.kernel_matrix(fam, dataset, shots=n_shots, seed=seed)
     write_csv(out, [f"k{j}" for j in range(len(dataset))], matrix.tolist())
     eigmin = float(np.linalg.eigvalsh(matrix).min())
     summary = {
@@ -281,8 +321,8 @@ def extrapolate_cmd(n, s, deff, clops, out):
 @click.option("--S", "s", required=True, help="Shot counts, comma separated.")
 @click.option("--families", required=True,
               help='JSON array of family descriptors, e.g. [{"n":4,"d":2,"entanglement":"full"}].')
-@click.option("--kernel-samples", type=int, default=deff_mod.DEFAULT_KERNEL_SAMPLES, show_default=True)
-@click.option("--qv-samples", type=int, default=deff_mod.DEFAULT_QV_SAMPLES, show_default=True)
+@click.option("--kernel-samples", type=int, default=DEFAULT_KERNEL_SAMPLES, show_default=True)
+@click.option("--qv-samples", type=int, default=DEFAULT_QV_SAMPLES, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def sweep_cmd(backend, registry, params_path, m, s, families,
@@ -290,16 +330,16 @@ def sweep_cmd(backend, registry, params_path, m, s, families,
     """Grid of predicted vs simulated runtimes over (family, M, S)."""
     reg = _load_registry(registry)
     spec = get_backend(backend, reg)
-    params = StackTimingParams.from_dict(_read_json(params_path, "--params"))
+    params = _this.StackTimingParams.from_dict(_read_json(params_path, "--params"))
     try:
         descriptors = json.loads(families)
     except json.JSONDecodeError as exc:
         raise InvalidParameterError(f"--families must be a JSON array: {exc}")
-    fams = [KernelFamily.from_dict(d) for d in descriptors]
+    fams = [_this.KernelFamily.from_dict(d) for d in descriptors]
     rows = []
     job_index = 0
     for fam in fams:
-        est = deff_mod.effective_layers(
+        est = _this.deff_mod.effective_layers(
             fam, spec.coupling, kernel_samples=kernel_samples,
             qv_samples=qv_samples, seed=seed,
         )
@@ -308,7 +348,9 @@ def sweep_cmd(backend, registry, params_path, m, s, families,
             for shots in _list(s):
                 job = JobSpec(circuits, shots, 1, est.d_eff)
                 predicted = predict_runtime(job, spec)
-                simulated = simulate_job_runtime(job, params, seed_stream(seed, 2, job_index))
+                simulated = _this.simulate_job_runtime(
+                    job, params, _this.seed_stream(seed, 2, job_index)
+                )
                 ratio = predicted / simulated
                 rows.append(
                     [spec.name, circuits, shots, aspect, est.d_eff, predicted, simulated,
@@ -327,7 +369,7 @@ def sweep_cmd(backend, registry, params_path, m, s, families,
 def fit_cmd(records_path, fix_t_job, out):
     """Calibrate stack timing parameters from recorded runtimes."""
     records = load_runtime_records(records_path)
-    params = fit_params([(r.job, r.seconds) for r in records], fix_t_job=fix_t_job)
+    params = _this.fit_params([(r.job, r.seconds) for r in records], fix_t_job=fix_t_job)
     _echo_json(params.to_dict(), out)
 
 

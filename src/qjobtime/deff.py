@@ -22,11 +22,10 @@ import numpy as np
 from .circuit import Circuit
 from .errors import CouplingError, InvalidParameterError
 from .generators import KernelFamily, kernel_circuit, qv_circuit, sample_features, seed_stream
+from .model import DEFAULT_KERNEL_SAMPLES, DEFAULT_QV_SAMPLES
 from .transpile.coupling import CouplingMap
 from .transpile.route import transpiled_depth
 
-DEFAULT_KERNEL_SAMPLES = 25
-DEFAULT_QV_SAMPLES = 20
 MAX_SAMPLES = 10_000  # ceiling on every sample count, refused before any circuit is built
 
 

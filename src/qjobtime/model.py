@@ -8,10 +8,19 @@ here is pure arithmetic and thread-safe.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import BackendNotFoundError, InvalidParameterError
-from .transpile.coupling import CouplingMap, heavy_hex_like_map
+
+if TYPE_CHECKING:
+    from .transpile.coupling import CouplingMap
+
+# circuits sampled per d_eff estimate: kernel circuits, and QV circuits of the
+# equivalent width (`deff.effective_layers` and the CLI default to these)
+DEFAULT_KERNEL_SAMPLES = 25
+DEFAULT_QV_SAMPLES = 20
 
 
 def check_range(name: str, value: float, low: float = -math.inf, *, closed: bool = False) -> None:
@@ -41,13 +50,13 @@ def _finite(what: str, compute) -> float:
 @dataclass(frozen=True)
 class BackendSpec:
     """A system's capability and speed: qubit count, quantum volume V
-    (power of two), CLOPS C in layers/second, and its coupling map."""
+    (power of two) and CLOPS C in layers/second. Its coupling map derives
+    from the qubit count."""
 
     name: str
     num_qubits: int
     quantum_volume: int
     clops: float
-    coupling: CouplingMap | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         v = self.quantum_volume
@@ -63,6 +72,14 @@ class BackendSpec:
     def qv_layers(self) -> int:
         """Layer count of this system's quantum volume circuits: log2(V)."""
         return self.quantum_volume.bit_length() - 1
+
+    @cached_property
+    def coupling(self) -> "CouplingMap":
+        """`heavy_hex_like_map(num_qubits)`, built on first read: only d_eff
+        estimates route, and a large map's all-pairs tables are costly."""
+        from .transpile.coupling import heavy_hex_like_map
+
+        return heavy_hex_like_map(self.num_qubits)
 
     def to_dict(self) -> dict:
         return {
@@ -210,8 +227,7 @@ _BUILTIN = (
 
 def builtin_backends() -> dict[str, BackendSpec]:
     return {
-        name: BackendSpec(name, n, v, c, coupling=heavy_hex_like_map(n))
-        for name, n, v, c in _BUILTIN
+        name: BackendSpec(name, n, v, c) for name, n, v, c in _BUILTIN
     }
 
 
@@ -241,10 +257,7 @@ def registry_from_json(text: str) -> dict[str, BackendSpec]:
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"bad backend registry JSON: {exc!r}") from exc
-    out = {}
-    for name, qubits, volume, clops in entries:
-        out[name] = BackendSpec(name, qubits, volume, clops, coupling=heavy_hex_like_map(qubits))
-    return out
+    return {name: BackendSpec(name, *fields) for name, *fields in entries}
 
 
 def format_duration(seconds: float) -> str:

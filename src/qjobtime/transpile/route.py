@@ -37,8 +37,12 @@ def route(c: Circuit, cmap: CouplingMap) -> RoutedCircuit:
     swaps = 0
     # Every gate emitted is one of c's checked gates moved to other physical
     # qubits, or a swap CX, so it is built with `Gate._trusted`. Gates are
-    # immutable, so each swap pair's CX triple is built once and shared.
+    # immutable, so each swap pair's CX triple is built once and shared, and
+    # so is each source gate's copy on a given set of physical qubits (the
+    # lowering shares one SX per qubit and one CX per pair). Copies are keyed
+    # by the source gate's id, which `c` keeps alive for the whole call.
     swap_cx: dict[tuple[int, int], tuple[Gate, Gate, Gate]] = {}
+    moved: dict[tuple[int, tuple[int, ...]], Gate] = {}
 
     def do_swap(pa: int, pb: int) -> None:
         triple = swap_cx.get((pa, pb))
@@ -69,7 +73,11 @@ def route(c: Circuit, cmap: CouplingMap) -> RoutedCircuit:
                 pa, pb = l2p[la], l2p[lb]
             physical = (pa, pb)
         if physical != qubits:  # a gate that stays on its qubits is reused as is
-            g = trusted(g.kind, physical, g.params, g.matrix)
+            key = (id(g), physical)
+            copy = moved.get(key)
+            if copy is None:
+                copy = moved[key] = trusted(g.kind, physical, g.params, g.matrix)
+            g = copy
         append(g)
 
     return RoutedCircuit(

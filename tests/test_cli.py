@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import os
 import re
@@ -14,6 +15,7 @@ from refdata import CLOPS_JOB_RUNS
 from qjobtime.circuit import read_circuits
 from qjobtime.cli import main
 from qjobtime.errors import MalformedRecordsError
+from qjobtime.model import builtin_backends, registry_to_json
 from qjobtime.records import RECORD_HEADER, load_runtime_records
 
 
@@ -327,6 +329,8 @@ BAD_CSV, BAD_VALUE = ("MALFORMED_CSV", 4), ("INVALID_PARAMETER", 2)
 BAD_GATE = ("INVALID_GATE", 5)
 DEFF = ["deff", "--family", '{"n":2,"d":1}', "--map", "line:4"]
 OVER_CEILING = "10001"  # just over, on tiny circuits: a missing check fails, not hangs
+GEN_QV = ["gen-circuits", "--qv-width", "2", "--qv-layers", "1", "--out", "OUT"]
+EXPORT = ["backends", "export", "--out"]
 
 
 @pytest.mark.parametrize(
@@ -426,17 +430,39 @@ OVER_CEILING = "10001"  # just over, on tiny circuits: a missing check fails, no
                      id="fit-nan-fixed-t-job"),
         pytest.param(FIX_T_JOB + ["inf"], FIT_RECORDS, BAD_VALUE, "t_job must be finite",
                      id="fit-inf-fixed-t-job"),
+        pytest.param(["score", "--records", "DIR", "--out", "OUT"], None, BAD_VALUE, "DIR",
+                     id="score-records-directory"),
+        pytest.param(["fit", "--records", "DIR"], None, BAD_VALUE, "DIR",
+                     id="fit-records-directory"),
+        pytest.param(PREDICT + ["2", "--registry", "DIR"], None, BAD_VALUE, "DIR",
+                     id="predict-registry-directory"),
+        pytest.param(SCORE[:-1] + ["DIR"], PAIRS, BAD_VALUE, "DIR", id="score-out-directory"),
+        pytest.param(SCORE[:-1] + ["NO_PARENT"], PAIRS, BAD_VALUE, "NO_PARENT",
+                     id="score-out-missing-parent"),
+        pytest.param(EXTRAPOLATE + ["10", "--out", "DIR"], None, BAD_VALUE, "DIR",
+                     id="extrapolate-out-directory"),
+        pytest.param(EXTRAPOLATE + ["10", "--out", "NO_PARENT"], None, BAD_VALUE, "NO_PARENT",
+                     id="extrapolate-out-missing-parent"),
+        pytest.param(GEN_QV[:-1] + ["DIR"], None, BAD_VALUE, "DIR", id="gen-out-directory"),
+        pytest.param(GEN_QV[:-1] + ["NO_PARENT"], None, BAD_VALUE, "NO_PARENT",
+                     id="gen-out-missing-parent"),
+        pytest.param(EXPORT + ["DIR"], None, BAD_VALUE, "DIR", id="export-out-directory"),
+        pytest.param(EXPORT + ["NO_PARENT"], None, BAD_VALUE, "NO_PARENT",
+                     id="export-out-missing-parent"),
     ],
 )
 def test_malformed_input_is_a_coded_error(runner, tmp_path, command, text, error, detail):
     """Bad cells, short rows, non-finite numbers, out-of-range values,
-    overflowing results and malformed JSON inputs give the error JSON and its
-    exit status, never a traceback or a NaN result. `detail` is the CSV row
-    the message must name, or a phrase it must contain."""
+    overflowing results, malformed JSON inputs and paths that cannot be read
+    or written (DIR is a directory, NO_PARENT a file in a missing one) give
+    the error JSON and its exit status, never a traceback or a NaN result.
+    `detail` is the CSV row the message must name, or a phrase or path it
+    must contain."""
     path = tmp_path / "input.csv"
     if text is not None:
         path.write_text(text)
-    names = {"INPUT": str(path), "OUT": str(tmp_path / "out.csv")}
+    names = {"INPUT": str(path), "OUT": str(tmp_path / "out.csv"), "DIR": str(tmp_path),
+             "NO_PARENT": str(tmp_path / "missing" / "out.csv")}
     result = runner.invoke(main, [names.get(arg, arg) for arg in command])
     code, status = error
     assert result.exit_code == status, result.output
@@ -445,18 +471,110 @@ def test_malformed_input_is_a_coded_error(runner, tmp_path, command, text, error
     if isinstance(detail, int):
         assert f"{path}:{detail}:" in payload["message"]
     elif detail is not None:
-        assert detail in payload["message"]
+        assert names.get(detail, detail) in payload["message"]
 
 
-def test_cli_import_leaves_scipy_out():
+def run_fresh(probe: str, cwd=None, argv=None) -> str:
+    """stdout of `probe` (or of `python argv`) run in a fresh interpreter
+    that imports from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, qjobtime.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True,
+        [sys.executable, *(argv or ["-c", probe])], env={**os.environ, "PYTHONPATH": path},
+        cwd=cwd, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+# numpy and the modules that import it, left out of the light commands
+HEAVY = ("scipy", "numpy", "qjobtime.sim", "qjobtime.generators", "qjobtime.circuit",
+         "qjobtime.transpile", "qjobtime.deff", "qjobtime.execsim")
+LOADED = f"print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in {HEAVY}))"
+
+
+@pytest.mark.parametrize("module", ["qjobtime", "qjobtime.cli"])
+def test_cli_import_leaves_scipy_out(module):
+    """Importing the package or the CLI loads neither scipy nor numpy, nor
+    any module of the circuit stack."""
+    assert run_fresh(f"import sys, {module}; {LOADED}") == "[]"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        PREDICT + ["2", "--registry", "registry.json"],
+        ["score", "--records", "pairs.csv", "--out", "pairs_out.csv"],
+        ["score", "--records", "records.csv", "--out", "records_out.csv"],
+        EXTRAPOLATE + ["1000", "--out", "grid.csv"],
+        ["backends", "list", "--registry", "registry.json"],
+    ],
+    ids=["predict", "score-pairs", "score-records", "extrapolate", "backends-list"],
+)
+def test_light_commands_leave_numpy_unloaded(tmp_path, args):
+    (tmp_path / "pairs.csv").write_text(PAIRS)
+    (tmp_path / "records.csv").write_text(RECORDS)
+    (tmp_path / "registry.json").write_text(registry_to_json(builtin_backends()))
+    probe = (f"import sys\nfrom qjobtime.cli import main\n"
+             f"main({args!r}, standalone_mode=False)\n{LOADED}")
+    assert run_fresh(probe, cwd=tmp_path).splitlines()[-1] == "[]"
+
+
+def test_wrappers_set_on_the_cli_module_are_called(runner, tmp_path, monkeypatch):
+    """The array commands look their numpy-backed helpers up on the module at
+    each call, so a wrapper set there with `setattr` is what they call."""
+    import qjobtime.cli as cli
+
+    calls = []
+    for name in ("kernel_matrix", "kernel_circuit", "qv_circuit", "simulate_job_runtime",
+                 "fit_params"):
+        def wrapper(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+    data, params = tmp_path / "data.csv", tmp_path / "params.json"
+    data.write_text("0.1,0.2\n0.3,0.4\n")
+    params.write_text(TIMING % "1.0")
+    out = str(tmp_path / "out")
+    family = '{"n":2,"d":1}'
+    runs = [
+        ["simulate-kernel", "--family", family, "--data", str(data), "--out", out],
+        ["gen-circuits", "--qv-width", "2", "--qv-layers", "1", "--out", out],
+        ["gen-circuits", "--family", family, "--out", out],
+        ["sweep", "--backend", "ibm_hanoi", "--params", str(params), "--M", "1", "--S", "1",
+         "--families", f"[{family}]", "--kernel-samples", "1", "--qv-samples", "1",
+         "--out", out],
+        ["fit", "--records", str(write_shot_sweep_records(tmp_path / "runs.csv")),
+         "--fix-t-job", "0"],
+    ]
+    for args in runs:
+        assert runner.invoke(main, args).exit_code == 0
+    assert calls == ["kernel_matrix", "qv_circuit", "kernel_circuit", "simulate_job_runtime",
+                     "fit_params"]
+
+
+def test_cli_runs_as_main(tmp_path):
+    """`python -m qjobtime.cli` resolves the numpy-backed names on itself
+    while it runs as `__main__`."""
+    argv = ["-m", "qjobtime.cli", "gen-circuits", "--qv-width", "2", "--qv-layers", "1",
+            "--count", "2", "--out", "qv.txt"]
+    assert run_fresh("", cwd=tmp_path, argv=argv) == "wrote 2 circuit(s) -> qv.txt"
+
+
+def test_lazy_exports_resolve_to_their_definitions():
+    """Every public name of the package is the object its defining module
+    binds, and `from qjobtime import *` binds all of them."""
+    import qjobtime
+
+    names = [name for name in qjobtime.__all__ if name != "__version__"]
+    for name in names:
+        value = getattr(qjobtime, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+    star = {}
+    exec("from qjobtime import *", star)
+    assert all(star[name] is getattr(qjobtime, name) for name in qjobtime.__all__)
+    with pytest.raises(AttributeError):
+        qjobtime.no_such_name
 
 
 class TestBackendsCommands:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from refdata import CLOPS_JOB_RUNS
 from qjobtime.errors import BackendNotFoundError, InvalidParameterError
+from qjobtime.transpile import coupling
+from qjobtime.transpile.coupling import heavy_hex_like_map
 from qjobtime.model import (
     BackendSpec,
     CLOPS_PROTOCOL,
@@ -220,9 +223,23 @@ class TestRegistry:
             assert get_backend(name).qv_layers == int(math.log2(qv))
 
     def test_coupling_attached(self):
-        backend = get_backend("ibmq_jakarta")
-        assert backend.coupling is not None
-        assert backend.coupling.num_qubits == 7
+        for backend in builtin_backends().values():
+            expected = heavy_hex_like_map(backend.num_qubits)
+            assert backend.coupling.num_qubits == expected.num_qubits
+            assert backend.coupling.edges == expected.edges
+            assert backend.coupling is backend.coupling  # built once
+
+    def test_loading_builds_no_coupling_map(self, monkeypatch):
+        """Maps are built on first read: a registry with a 3000-qubit entry
+        loads without its all-pairs tables."""
+        built = []
+        monkeypatch.setattr(coupling, "heavy_hex_like_map", lambda n: built.append(n) or n)
+        entry = {"name": "big", "num_qubits": 3000, "quantum_volume": 64, "clops": 1.0}
+        reg = registry_from_json(json.dumps({"backends": [entry]}))
+        builtin = builtin_backends()
+        assert built == []
+        assert reg["big"].coupling == 3000 and builtin["ibm_hanoi"].coupling == 27
+        assert built == [3000, 27]
 
     def test_unknown_backend(self):
         with pytest.raises(BackendNotFoundError):

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 from collections import deque
 
 import numpy as np
@@ -295,6 +296,27 @@ class TestRoute:
     def test_width_overflow_rejected(self):
         with pytest.raises(CouplingError):
             route(Circuit(5), line_map(3))
+
+    def test_moved_gate_built_once_per_physical_qubits(self):
+        """A source gate that lands on the same physical qubits again is
+        emitted as the same copy."""
+        sx = Gate.sx(0)
+        c = Circuit(3, (Gate.cx(0, 2), sx, Gate.rz(0, 0.5), sx))
+        out = route(c, line_map(3)).circuit.gates  # one swap moves qubit 0 to 1
+        assert out[3:] == (Gate.cx(1, 2), Gate.sx(1), Gate.rz(1, 0.5), Gate.sx(1))
+        assert out[4] is out[6]
+
+
+def test_package_names_are_functions_not_submodules():
+    """`decompose` and `route` name both submodules and functions in
+    `qjobtime.transpile`; the package binds the functions, also after the
+    submodules are imported by name."""
+    import qjobtime.transpile.decompose
+    import qjobtime.transpile.route
+
+    package = importlib.import_module("qjobtime.transpile")
+    assert inspect.isfunction(package.decompose) and inspect.isfunction(package.route)
+    assert package.route is route and package.decompose is decompose
 
 
 class TestTranspiledDepth:
