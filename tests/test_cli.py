@@ -329,7 +329,7 @@ BAD_CSV, BAD_VALUE = ("MALFORMED_CSV", 4), ("INVALID_PARAMETER", 2)
 BAD_GATE = ("INVALID_GATE", 5)
 DEFF = ["deff", "--family", '{"n":2,"d":1}', "--map", "line:4"]
 OVER_CEILING = "10001"  # just over, on tiny circuits: a missing check fails, not hangs
-GEN_QV = ["gen-circuits", "--qv-width", "2", "--qv-layers", "1", "--out", "OUT"]
+GEN_QV = ["gen-circuits", "--qv-width", "2", "--qv-layers", "1", "--out"]
 EXPORT = ["backends", "export", "--out"]
 
 
@@ -443,8 +443,8 @@ EXPORT = ["backends", "export", "--out"]
                      id="extrapolate-out-directory"),
         pytest.param(EXTRAPOLATE + ["10", "--out", "NO_PARENT"], None, BAD_VALUE, "NO_PARENT",
                      id="extrapolate-out-missing-parent"),
-        pytest.param(GEN_QV[:-1] + ["DIR"], None, BAD_VALUE, "DIR", id="gen-out-directory"),
-        pytest.param(GEN_QV[:-1] + ["NO_PARENT"], None, BAD_VALUE, "NO_PARENT",
+        pytest.param(GEN_QV + ["DIR"], None, BAD_VALUE, "DIR", id="gen-out-directory"),
+        pytest.param(GEN_QV + ["NO_PARENT"], None, BAD_VALUE, "NO_PARENT",
                      id="gen-out-missing-parent"),
         pytest.param(EXPORT + ["DIR"], None, BAD_VALUE, "DIR", id="export-out-directory"),
         pytest.param(EXPORT + ["NO_PARENT"], None, BAD_VALUE, "NO_PARENT",
@@ -474,14 +474,13 @@ def test_malformed_input_is_a_coded_error(runner, tmp_path, command, text, error
         assert names.get(detail, detail) in payload["message"]
 
 
-def run_fresh(probe: str, cwd=None, argv=None) -> str:
-    """stdout of `probe` (or of `python argv`) run in a fresh interpreter
-    that imports from src/."""
+def run_fresh(*argv: str, cwd=None) -> str:
+    """stdout of `python *argv` in a fresh interpreter that imports from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, *(argv or ["-c", probe])], env={**os.environ, "PYTHONPATH": path},
-        cwd=cwd, capture_output=True, text=True, check=True,
+        [sys.executable, *argv], env={**os.environ, "PYTHONPATH": path}, cwd=cwd,
+        capture_output=True, text=True, check=True,
     )
     return out.stdout.strip()
 
@@ -496,7 +495,7 @@ LOADED = f"print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or 
 def test_cli_import_leaves_scipy_out(module):
     """Importing the package or the CLI loads neither scipy nor numpy, nor
     any module of the circuit stack."""
-    assert run_fresh(f"import sys, {module}; {LOADED}") == "[]"
+    assert run_fresh("-c", f"import sys, {module}; {LOADED}") == "[]"
 
 
 @pytest.mark.parametrize(
@@ -516,7 +515,7 @@ def test_light_commands_leave_numpy_unloaded(tmp_path, args):
     (tmp_path / "registry.json").write_text(registry_to_json(builtin_backends()))
     probe = (f"import sys\nfrom qjobtime.cli import main\n"
              f"main({args!r}, standalone_mode=False)\n{LOADED}")
-    assert run_fresh(probe, cwd=tmp_path).splitlines()[-1] == "[]"
+    assert run_fresh("-c", probe, cwd=tmp_path).splitlines()[-1] == "[]"
 
 
 def test_wrappers_set_on_the_cli_module_are_called(runner, tmp_path, monkeypatch):
@@ -539,7 +538,7 @@ def test_wrappers_set_on_the_cli_module_are_called(runner, tmp_path, monkeypatch
     family = '{"n":2,"d":1}'
     runs = [
         ["simulate-kernel", "--family", family, "--data", str(data), "--out", out],
-        ["gen-circuits", "--qv-width", "2", "--qv-layers", "1", "--out", out],
+        GEN_QV + [out],
         ["gen-circuits", "--family", family, "--out", out],
         ["sweep", "--backend", "ibm_hanoi", "--params", str(params), "--M", "1", "--S", "1",
          "--families", f"[{family}]", "--kernel-samples", "1", "--qv-samples", "1",
@@ -556,9 +555,8 @@ def test_wrappers_set_on_the_cli_module_are_called(runner, tmp_path, monkeypatch
 def test_cli_runs_as_main(tmp_path):
     """`python -m qjobtime.cli` resolves the numpy-backed names on itself
     while it runs as `__main__`."""
-    argv = ["-m", "qjobtime.cli", "gen-circuits", "--qv-width", "2", "--qv-layers", "1",
-            "--count", "2", "--out", "qv.txt"]
-    assert run_fresh("", cwd=tmp_path, argv=argv) == "wrote 2 circuit(s) -> qv.txt"
+    out = run_fresh("-m", "qjobtime.cli", *GEN_QV, "qv.txt", "--count", "2", cwd=tmp_path)
+    assert out == "wrote 2 circuit(s) -> qv.txt"
 
 
 def test_lazy_exports_resolve_to_their_definitions():
