@@ -1,4 +1,5 @@
-"""Gate-level circuit IR with composition, inversion, and ASAP depth.
+"""Gate-level circuit IR with composition, inversion, ASAP depth, and the
+unitary of each gate.
 
 Circuits are immutable after construction and all operations are pure, so
 values can be shared freely across threads.
@@ -68,13 +69,14 @@ def check_su4_payloads(m: np.ndarray) -> None:
         raise InvalidGateError("SU4 matrix payload is not unitary")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Gate:
     """One gate application: a kind, the qubits it acts on, real parameters.
 
     Generic two-qubit gates (SU4) carry their 4x4 unitary as a matrix payload
     instead of angle parameters; decomposition into a fixed basis is the
-    transpiler's job, not the IR's.
+    transpiler's job, not the IR's. Slotted: a gate has no `__dict__`, since
+    a transpiled circuit holds tens of thousands of them.
     """
 
     kind: GateKind
@@ -127,11 +129,10 @@ class Gate:
         on a circuit's whole payload stack).
         """
         g = object.__new__(cls)
-        fields = g.__dict__
-        fields["kind"] = kind
-        fields["qubits"] = qubits
-        fields["params"] = params
-        fields["matrix"] = matrix
+        _set_kind(g, kind)
+        _set_qubits(g, qubits)
+        _set_params(g, params)
+        _set_matrix(g, matrix)
         return g
 
     @classmethod
@@ -206,6 +207,52 @@ class Gate:
         if self.matrix is not None:
             parts.append("<4x4>")
         return f"Gate({' '.join(parts)})"
+
+
+# the slot descriptors' setters, which write past the frozen `__setattr__`
+_set_kind, _set_qubits, _set_params, _set_matrix = (
+    Gate.__dict__[name].__set__ for name in ("kind", "qubits", "params", "matrix")
+)
+
+_SQ2 = 1.0 / np.sqrt(2.0)
+_H = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
+_CX = np.array(
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+)
+_SWAP = np.array(
+    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+)
+
+
+def gate_matrix(gate: Gate) -> np.ndarray:
+    """Unitary of a single gate (2x2 or 4x4; first listed qubit = high bit)."""
+    k = gate.kind
+    if k is GateKind.H:
+        return _H
+    if k is GateKind.X:
+        return _X
+    if k is GateKind.SX:
+        return _SX
+    if k is GateKind.RZ:
+        t = gate.params[0]
+        return np.array([[np.exp(-0.5j * t), 0], [0, np.exp(0.5j * t)]])
+    if k is GateKind.U3:
+        theta, phi, lam, phase = gate.params
+        c, s = np.cos(theta / 2), np.sin(theta / 2)
+        return np.exp(1j * phase) * np.array(
+            [[c, -np.exp(1j * lam) * s], [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]]
+        )
+    if k is GateKind.CX:
+        return _CX
+    if k is GateKind.SWAP:
+        return _SWAP
+    if k is GateKind.RZZ:
+        t = gate.params[0]
+        e = np.exp(-0.5j * t)
+        return np.diag([e, e.conjugate(), e.conjugate(), e])
+    return gate.matrix  # SU4
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,9 @@ artifacts. Failures print a machine-readable error JSON on stderr and exit
 with the error's code-specific status.
 """
 
+import errno
 import json
+import os
 import sys
 from importlib import import_module
 from pathlib import Path
@@ -76,6 +78,18 @@ def _echo_json(data, path=None, err: bool = False) -> None:
     if path:
         Path(path).write_text(text + "\n")
     click.echo(text, err=err)
+
+
+def _check_out(*paths) -> None:
+    """Refuse an output path that cannot be opened for writing (a directory,
+    or a file in a missing directory) before the command does any work, so a
+    refused command prints nothing and writes no file. `None` paths are skipped."""
+    for path in filter(None, paths):
+        p = Path(path)
+        if p.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not p.parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _read_json(path, what: str):
@@ -180,6 +194,7 @@ def predict(backend, registry, m, s, k, deff):
 @click.option("--out", type=click.Path(), required=True, help="Report CSV path.")
 def score_cmd(records_path, registry, out):
     """Score predictions against recorded runtimes (ratio r, loss L)."""
+    _check_out(out)
     rows = []
     if holds_prediction_pairs(records_path):
         for predicted, actual in load_prediction_pairs(records_path):
@@ -215,6 +230,7 @@ def score_cmd(records_path, registry, out):
 @click.option("--out", type=click.Path(), default=None, help="Also write the JSON here.")
 def deff_cmd(family, map_spec, registry, kernel_samples, qv_samples, seed, qv_job, out):
     """Estimate a family's effective QV layer count on a coupling map."""
+    _check_out(out)
     fam = _parse_family(family)
     cmap = _parse_map(map_spec, _load_registry(registry))
     est = _this.deff_mod.effective_layers(
@@ -233,6 +249,7 @@ def deff_cmd(family, map_spec, registry, kernel_samples, qv_samples, seed, qv_jo
 @click.option("--out", type=click.Path(), required=True)
 def gen_circuits(family, qv_width, qv_layers, count, seed, out):
     """Emit circuits in the line-oriented text format."""
+    _check_out(out)
     deff = _this.deff_mod
     deff.check_sample_count("--count", count)
     if family is not None:
@@ -267,6 +284,7 @@ def simulate_kernel(family, data_path, shots, seed, out, summary_path):
     """Compute a pairwise kernel matrix for a dataset (exact or shot-based)."""
     import numpy as np
 
+    _check_out(out, summary_path)
     fam = _parse_family(family)
     dataset = load_dataset(data_path)
     if shots == "exact":
@@ -300,16 +318,15 @@ def simulate_kernel(family, data_path, shots, seed, out, summary_path):
 @click.option("--out", type=click.Path(), default=None, help="Sweep CSV (N, clops, seconds).")
 def extrapolate_cmd(n, s, deff, clops, out):
     """Extrapolate whole-dataset kernel runtimes over N and CLOPS grids."""
+    _check_out(out)
     rows = []
     for size in _list(n):
         for speed in _list(clops, float):
-            seconds = extrapolate(size, s, deff, speed)
-            rows.append([size, speed, seconds])
-            click.echo(
-                f"N={size} clops={speed!r} seconds={seconds!r} (~{format_duration(seconds)})"
-            )
+            rows.append([size, speed, extrapolate(size, s, deff, speed)])
     if out:
         write_csv(out, ["N", "clops", "seconds"], rows)
+    for size, speed, seconds in rows:
+        click.echo(f"N={size} clops={speed!r} seconds={seconds!r} (~{format_duration(seconds)})")
 
 
 @main.command(name="sweep")
@@ -328,6 +345,7 @@ def extrapolate_cmd(n, s, deff, clops, out):
 def sweep_cmd(backend, registry, params_path, m, s, families,
               kernel_samples, qv_samples, seed, out):
     """Grid of predicted vs simulated runtimes over (family, M, S)."""
+    _check_out(out)
     reg = _load_registry(registry)
     spec = get_backend(backend, reg)
     params = _this.StackTimingParams.from_dict(_read_json(params_path, "--params"))
@@ -368,6 +386,7 @@ def sweep_cmd(backend, registry, params_path, m, s, families,
 @click.option("--out", type=click.Path(), default=None)
 def fit_cmd(records_path, fix_t_job, out):
     """Calibrate stack timing parameters from recorded runtimes."""
+    _check_out(out)
     records = load_runtime_records(records_path)
     params = _this.fit_params([(r.job, r.seconds) for r in records], fix_t_job=fix_t_job)
     _echo_json(params.to_dict(), out)
@@ -394,6 +413,7 @@ def backends_list(registry):
 @click.option("--registry", type=click.Path(exists=True), default=None)
 @click.option("--out", type=click.Path(), required=True)
 def backends_export(registry, out):
+    _check_out(out)
     reg = _load_registry(registry)
     Path(out).write_text(registry_to_json(reg) + "\n")
     click.echo(f"exported {len(reg)} backend(s) -> {out}")

@@ -17,53 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import Circuit, Gate, gate_matrix  # gate_matrix stays importable from here
 from .errors import InvalidParameterError, SimulationCapError
 from .generators import KernelFamily, kernel_circuit, phase_angles, seed_stream
 
 DEFAULT_QUBIT_CAP = 12
 MAX_SHOTS = 2**63 - 1  # numpy's int64 limit for a binomial draw
-
-_SQ2 = 1.0 / np.sqrt(2.0)
-_H = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
-_CX = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-
-
-def gate_matrix(gate: Gate) -> np.ndarray:
-    """Unitary of a single gate (2x2 or 4x4; first listed qubit = high bit)."""
-    k = gate.kind
-    if k is GateKind.H:
-        return _H
-    if k is GateKind.X:
-        return _X
-    if k is GateKind.SX:
-        return _SX
-    if k is GateKind.RZ:
-        t = gate.params[0]
-        return np.array([[np.exp(-0.5j * t), 0], [0, np.exp(0.5j * t)]])
-    if k is GateKind.U3:
-        theta, phi, lam, phase = gate.params
-        c, s = np.cos(theta / 2), np.sin(theta / 2)
-        return np.exp(1j * phase) * np.array(
-            [[c, -np.exp(1j * lam) * s], [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]]
-        )
-    if k is GateKind.CX:
-        return _CX
-    if k is GateKind.SWAP:
-        return _SWAP
-    if k is GateKind.RZZ:
-        t = gate.params[0]
-        e = np.exp(-0.5j * t)
-        return np.diag([e, e.conjugate(), e.conjugate(), e])
-    return gate.matrix  # SU4
-
 
 def _apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     """Apply a gate to a state tensor whose leading axes are the qubits.

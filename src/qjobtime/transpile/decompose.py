@@ -11,13 +11,14 @@ Output is unitarily equivalent to the input up to global phase. Fixed rules:
 
 Every emitted gate acts on the qubits of an already-checked input gate, so it
 is built with `Gate._trusted` (angles passed as Python floats), skipping the
-construction checks.
+construction checks. Gates are immutable, so a gate that recurs within one
+circuit (each qubit's SX and the H rule's RZ(pi/2), each pair's CX) is built
+once and shared.
 """
 
 import numpy as np
 
-from ..circuit import Circuit, Gate, GateKind
-from ..sim import gate_matrix
+from ..circuit import Circuit, Gate, GateKind, gate_matrix
 from .kak import canonical_layers, kak_decompose, zsx_angles
 
 BASIS_1Q = (GateKind.RZ, GateKind.SX, GateKind.X)
@@ -37,10 +38,19 @@ def _emit_1q(out: list[Gate], rows) -> None:
             out.append(trusted(rz, sx.qubits, (a1,)))
 
 
-def swap_as_cx(a: int, b: int) -> tuple[Gate, Gate, Gate]:
-    """SWAP(a, b) as CX(a,b), CX(b,a), CX(a,b); the outer two are one shared gate."""
-    ab = Gate._trusted(GateKind.CX, (a, b))
-    return ab, Gate._trusted(GateKind.CX, (b, a)), ab
+class SharedGates(dict):
+    """Gates keyed by their `Gate._trusted` arguments, (kind, qubits) or
+    (kind, qubits, params), each built on its first lookup."""
+
+    def __missing__(self, key):
+        gate = self[key] = Gate._trusted(*key)
+        return gate
+
+
+def swap_as_cx(shared: SharedGates, a: int, b: int) -> tuple[Gate, Gate, Gate]:
+    """SWAP(a, b) as CX(a,b), CX(b,a), CX(a,b), taken from `shared`."""
+    ab = shared[GateKind.CX, (a, b)]
+    return ab, shared[GateKind.CX, (b, a)], ab
 
 
 def _su4_dressings(payloads: list[np.ndarray]):
@@ -58,28 +68,28 @@ def decompose(c: Circuit) -> Circuit:
     """Rewrite every gate into basis gates; width and metadata preserved."""
     su4 = [g.matrix for g in c.gates if g.kind is GateKind.SU4]
     dressings = _su4_dressings(su4) if su4 else None
-    # gates are immutable, so each qubit's SX is built once and shared
     sx = [Gate._trusted(GateKind.SX, (q,)) for q in range(c.width)]
+    shared = SharedGates()
     out: list[Gate] = []
     for g in c.gates:
         k = g.kind
         if k in (GateKind.X, GateKind.SX, GateKind.RZ, GateKind.CX):
             out.append(g)
         elif k is GateKind.H:
-            rz = Gate._trusted(GateKind.RZ, g.qubits, (np.pi / 2,))
-            out.extend([rz, sx[g.qubits[0]], rz])
+            rz = shared[GateKind.RZ, g.qubits, (np.pi / 2,)]
+            out += (rz, sx[g.qubits[0]], rz)
         elif k is GateKind.RZZ:
-            cx = Gate._trusted(GateKind.CX, g.qubits)
-            out.extend([cx, Gate._trusted(GateKind.RZ, g.qubits[1:], g.params), cx])
+            cx = shared[GateKind.CX, g.qubits]
+            out += (cx, Gate._trusted(GateKind.RZ, g.qubits[1:], g.params), cx)
         elif k is GateKind.SWAP:
-            out.extend(swap_as_cx(*g.qubits))
+            out.extend(swap_as_cx(shared, *g.qubits))
         elif k is GateKind.U3:
             counts, angles = zsx_angles(gate_matrix(g)[None])
             _emit_1q(out, zip((sx[g.qubits[0]],), counts.tolist(), angles.tolist()))
         else:  # SU4: a 1q layer (rows 0, 1), then three times CX and a 1q layer
             counts, angles = next(dressings)
             qa, qb = g.qubits
-            cx = Gate._trusted(GateKind.CX, g.qubits)
+            cx = shared[GateKind.CX, g.qubits]
             sides = (sx[qa], sx[qb])
             _emit_1q(out, zip(sides, counts[:2], angles[:2]))
             for i in (2, 4, 6):

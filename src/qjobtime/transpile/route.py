@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from ..circuit import Circuit, Gate
 from ..errors import CouplingError
 from .coupling import CouplingMap
-from .decompose import decompose, swap_as_cx
+from .decompose import SharedGates, decompose, swap_as_cx
 
 
 @dataclass(frozen=True)
@@ -36,19 +36,13 @@ def route(c: Circuit, cmap: CouplingMap) -> RoutedCircuit:
     out: list[Gate] = []
     swaps = 0
     # Every gate emitted is one of c's checked gates moved to other physical
-    # qubits, or a swap CX, so it is built with `Gate._trusted`. Gates are
-    # immutable, so each swap pair's CX triple is built once and shared, and
-    # so is each source gate's copy on a given set of physical qubits (the
-    # lowering shares one SX per qubit and one CX per pair). Copies are keyed
-    # by the source gate's id, which `c` keeps alive for the whole call.
-    swap_cx: dict[tuple[int, int], tuple[Gate, Gate, Gate]] = {}
-    moved: dict[tuple[int, tuple[int, ...]], Gate] = {}
+    # qubits, or a swap CX, so it is built with `Gate._trusted`. A moved gate
+    # with parameters or a payload (RZ, SU4) is built anew; a parameter-free
+    # one (SX, X, CX) is the one shared gate of its kind on those qubits.
+    shared = SharedGates()
 
     def do_swap(pa: int, pb: int) -> None:
-        triple = swap_cx.get((pa, pb))
-        if triple is None:
-            triple = swap_cx[pa, pb] = swap_as_cx(pa, pb)
-        out.extend(triple)
+        out.extend(swap_as_cx(shared, pa, pb))
         la, lb = p2l[pa], p2l[pb]
         p2l[pa], p2l[pb] = lb, la
         if la is not None:
@@ -73,11 +67,10 @@ def route(c: Circuit, cmap: CouplingMap) -> RoutedCircuit:
                 pa, pb = l2p[la], l2p[lb]
             physical = (pa, pb)
         if physical != qubits:  # a gate that stays on its qubits is reused as is
-            key = (id(g), physical)
-            copy = moved.get(key)
-            if copy is None:
-                copy = moved[key] = trusted(g.kind, physical, g.params, g.matrix)
-            g = copy
+            if g.params or g.matrix is not None:
+                g = trusted(g.kind, physical, g.params, g.matrix)
+            else:
+                g = shared[g.kind, physical]
         append(g)
 
     return RoutedCircuit(

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,14 @@ class TestValidation:
     def test_param_arity_enforced(self):
         with pytest.raises(InvalidGateError):
             Gate(GateKind.RZ, (0,), (0.1, 0.2))
+
+    def test_gate_is_frozen_and_slotted(self):
+        """Checked and trusted gates alike refuse field assignment and carry
+        no `__dict__`."""
+        for g in (Gate.rz(0, 0.5), Gate._trusted(GateKind.RZ, (0,), (0.5,))):
+            with pytest.raises(FrozenInstanceError):
+                g.params = (1.0,)
+            assert not hasattr(g, "__dict__")
 
     def test_su4_payload_must_be_unitary(self):
         with pytest.raises(InvalidGateError):

@@ -443,6 +443,10 @@ EXPORT = ["backends", "export", "--out"]
                      id="extrapolate-out-directory"),
         pytest.param(EXTRAPOLATE + ["10", "--out", "NO_PARENT"], None, BAD_VALUE, "NO_PARENT",
                      id="extrapolate-out-missing-parent"),
+        pytest.param(KERNEL + ["--summary", "NO_PARENT"], "0.1,0.2\n0.3,0.4\n", BAD_VALUE,
+                     "NO_PARENT", id="kernel-summary-missing-parent"),
+        pytest.param(KERNEL + ["--summary", "DIR"], "0.1,0.2\n0.3,0.4\n", BAD_VALUE, "DIR",
+                     id="kernel-summary-directory"),
         pytest.param(GEN_QV + ["DIR"], None, BAD_VALUE, "DIR", id="gen-out-directory"),
         pytest.param(GEN_QV + ["NO_PARENT"], None, BAD_VALUE, "NO_PARENT",
                      id="gen-out-missing-parent"),
@@ -456,6 +460,7 @@ def test_malformed_input_is_a_coded_error(runner, tmp_path, command, text, error
     overflowing results, malformed JSON inputs and paths that cannot be read
     or written (DIR is a directory, NO_PARENT a file in a missing one) give
     the error JSON and its exit status, never a traceback or a NaN result.
+    A refused command prints nothing on stdout and leaves no file behind.
     `detail` is the CSV row the message must name, or a phrase or path it
     must contain."""
     path = tmp_path / "input.csv"
@@ -472,6 +477,8 @@ def test_malformed_input_is_a_coded_error(runner, tmp_path, command, text, error
         assert f"{path}:{detail}:" in payload["message"]
     elif detail is not None:
         assert names.get(detail, detail) in payload["message"]
+    assert result.stdout == ""
+    assert list(tmp_path.iterdir()) == ([path] if text is not None else [])
 
 
 def run_fresh(*argv: str, cwd=None) -> str:
@@ -496,6 +503,16 @@ def test_cli_import_leaves_scipy_out(module):
     """Importing the package or the CLI loads neither scipy nor numpy, nor
     any module of the circuit stack."""
     assert run_fresh("-c", f"import sys, {module}; {LOADED}") == "[]"
+
+
+def test_deff_leaves_the_simulator_unloaded():
+    """Estimating d_eff (sampling, lowering, routing, depth) loads no simulator."""
+    probe = ("import sys\nfrom qjobtime.deff import effective_layers\n"
+             "from qjobtime.generators import KernelFamily\n"
+             "from qjobtime.transpile import line_map\n"
+             "effective_layers(KernelFamily(3, 1), line_map(4), kernel_samples=2, qv_samples=2)\n"
+             "print('qjobtime.sim' in sys.modules)")
+    assert run_fresh("-c", probe) == "False"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import inspect
 from collections import deque
@@ -298,13 +299,52 @@ class TestRoute:
             route(Circuit(5), line_map(3))
 
     def test_moved_gate_built_once_per_physical_qubits(self):
-        """A source gate that lands on the same physical qubits again is
-        emitted as the same copy."""
-        sx = Gate.sx(0)
-        c = Circuit(3, (Gate.cx(0, 2), sx, Gate.rz(0, 0.5), sx))
+        """Parameter-free gates of one kind that land on the same physical
+        qubits are emitted as one shared gate, also from distinct sources."""
+        c = Circuit(3, (Gate.cx(0, 2), Gate.sx(0), Gate.rz(0, 0.5), Gate.sx(0)))
         out = route(c, line_map(3)).circuit.gates  # one swap moves qubit 0 to 1
         assert out[3:] == (Gate.cx(1, 2), Gate.sx(1), Gate.rz(1, 0.5), Gate.sx(1))
         assert out[4] is out[6]
+
+
+# sha256 of `to_text()`, swap count and final layout of
+# route(decompose(c), heavy_hex_like_map(27)), as computed when every moved
+# gate was a fresh copy, for sample 0 of seed 0 of a v=8 QV baseline and of
+# each `sweep-kak` kernel family
+PINNED_ROUTES = {
+    "qv-8": ("d34bf409c358e715f25d3d84775dfed565077276600ace4be51dfaebf8a18e98", 34,
+             (3, 6, 2, 4, 1, 5, 0, 7)),
+    "kernel-8-4-linear": ("cfd76e8a6d2e0a7f2648749189f83318e4ea3d15da8c4c77002376e2ec0a1699",
+                          0, tuple(range(8))),
+    "kernel-4-8-linear": ("94116965b374f577ca10f6b6ee0c4fd9b399e1f20e841336c7666111b71abaea",
+                          0, tuple(range(4))),
+}
+
+
+def test_pinned_transpiler_output():
+    """The lowering and the router emit exactly the pinned gates. Gates that
+    carry an angle or a payload are never merged when they land on the same
+    physical qubits: two SU4 gates with different payloads on (0, 2) of a line
+    both move to (1, 2), and so do two RZ gates with different angles."""
+    circuits = {
+        "qv-8": sample_qv_circuits(8, 8, 1, seed=0)[0],
+        "kernel-8-4-linear": sample_kernel_circuits(KernelFamily(8, 4, Entanglement.LINEAR), 1, 0)[0],
+        "kernel-4-8-linear": sample_kernel_circuits(KernelFamily(4, 8, Entanglement.LINEAR), 1, 0)[0],
+    }
+    cmap = heavy_hex_like_map(27)
+    for name, c in circuits.items():
+        routed = route(decompose(c), cmap)
+        text = routed.circuit.to_text().encode()
+        assert (hashlib.sha256(text).hexdigest(), routed.swap_count,
+                routed.final_layout) == PINNED_ROUTES[name], name
+    rng = np.random.default_rng(5)
+    a, b = haar_su4(rng), haar_su4(rng)
+    c = Circuit(3, (Gate.su4(0, 2, a), Gate.rz(0, 0.5), Gate.su4(0, 2, b), Gate.rz(0, -0.5)))
+    routed = route(c, line_map(3))
+    assert routed.swap_count == 1
+    assert routed.circuit.gates[3:] == (
+        Gate.su4(1, 2, a), Gate.rz(1, 0.5), Gate.su4(1, 2, b), Gate.rz(1, -0.5)
+    )
 
 
 def test_package_names_are_functions_not_submodules():
