@@ -68,7 +68,6 @@ def decompose(c: Circuit) -> Circuit:
     """Rewrite every gate into basis gates; width and metadata preserved."""
     su4 = [g.matrix for g in c.gates if g.kind is GateKind.SU4]
     dressings = _su4_dressings(su4) if su4 else None
-    sx = [Gate._trusted(GateKind.SX, (q,)) for q in range(c.width)]
     shared = SharedGates()
     out: list[Gate] = []
     for g in c.gates:
@@ -77,7 +76,7 @@ def decompose(c: Circuit) -> Circuit:
             out.append(g)
         elif k is GateKind.H:
             rz = shared[GateKind.RZ, g.qubits, (np.pi / 2,)]
-            out += (rz, sx[g.qubits[0]], rz)
+            out += (rz, shared[GateKind.SX, g.qubits], rz)
         elif k is GateKind.RZZ:
             cx = shared[GateKind.CX, g.qubits]
             out += (cx, Gate._trusted(GateKind.RZ, g.qubits[1:], g.params), cx)
@@ -85,12 +84,13 @@ def decompose(c: Circuit) -> Circuit:
             out.extend(swap_as_cx(shared, *g.qubits))
         elif k is GateKind.U3:
             counts, angles = zsx_angles(gate_matrix(g)[None])
-            _emit_1q(out, zip((sx[g.qubits[0]],), counts.tolist(), angles.tolist()))
+            sx = shared[GateKind.SX, g.qubits]
+            _emit_1q(out, zip((sx,), counts.tolist(), angles.tolist()))
         else:  # SU4: a 1q layer (rows 0, 1), then three times CX and a 1q layer
             counts, angles = next(dressings)
             qa, qb = g.qubits
             cx = shared[GateKind.CX, g.qubits]
-            sides = (sx[qa], sx[qb])
+            sides = (shared[GateKind.SX, (qa,)], shared[GateKind.SX, (qb,)])
             _emit_1q(out, zip(sides, counts[:2], angles[:2]))
             for i in (2, 4, 6):
                 out.append(cx)
