@@ -282,9 +282,9 @@ def gen_circuits(family, qv_width, qv_layers, count, seed, out):
               help="Write the JSON summary here as well.")
 def simulate_kernel(family, data_path, shots, seed, out, summary_path):
     """Compute a pairwise kernel matrix for a dataset (exact or shot-based)."""
+    _check_out(out, summary_path)
     import numpy as np
 
-    _check_out(out, summary_path)
     fam = _parse_family(family)
     dataset = load_dataset(data_path)
     if shots == "exact":
