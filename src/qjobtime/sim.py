@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Gate, gate_matrix  # gate_matrix stays importable from here
+from .circuit import Circuit, Gate, gate_matrix  # gate_matrix is public here too
 from .errors import InvalidParameterError, SimulationCapError
 from .generators import KernelFamily, kernel_circuit, phase_angles, seed_stream
 

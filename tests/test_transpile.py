@@ -326,10 +326,11 @@ def test_pinned_transpiler_output():
     carry an angle or a payload are never merged when they land on the same
     physical qubits: two SU4 gates with different payloads on (0, 2) of a line
     both move to (1, 2), and so do two RZ gates with different angles."""
+    linear = Entanglement.LINEAR
     circuits = {
         "qv-8": sample_qv_circuits(8, 8, 1, seed=0)[0],
-        "kernel-8-4-linear": sample_kernel_circuits(KernelFamily(8, 4, Entanglement.LINEAR), 1, 0)[0],
-        "kernel-4-8-linear": sample_kernel_circuits(KernelFamily(4, 8, Entanglement.LINEAR), 1, 0)[0],
+        "kernel-8-4-linear": sample_kernel_circuits(KernelFamily(8, 4, linear), 1, seed=0)[0],
+        "kernel-4-8-linear": sample_kernel_circuits(KernelFamily(4, 8, linear), 1, seed=0)[0],
     }
     cmap = heavy_hex_like_map(27)
     for name, c in circuits.items():
