@@ -30,6 +30,11 @@ class GateKind(Enum):
     U3 = "U3"
     SU4 = "SU4"
 
+    # members are singletons: hash by identity, not by a Python-level call on
+    # the name, since the lowering's and the router's gate tables hash a kind
+    # on every lookup
+    __hash__ = object.__hash__
+
 
 # number of qubit operands: every gate acts on one or two qubits
 _ARITY = {

@@ -353,6 +353,8 @@ def sweep_cmd(backend, registry, params_path, m, s, families,
         descriptors = json.loads(families)
     except json.JSONDecodeError as exc:
         raise InvalidParameterError(f"--families must be a JSON array: {exc}")
+    if not isinstance(descriptors, list):
+        raise InvalidParameterError(f"--families must be a JSON array, got {families!r}")
     fams = [_this.KernelFamily.from_dict(d) for d in descriptors]
     rows = []
     job_index = 0

@@ -24,7 +24,7 @@ from .errors import CouplingError, InvalidParameterError
 from .generators import KernelFamily, kernel_circuit, qv_circuit, sample_features, seed_stream
 from .model import DEFAULT_KERNEL_SAMPLES, DEFAULT_QV_SAMPLES
 from .transpile.coupling import CouplingMap
-from .transpile.route import transpiled_depth
+from .transpile.route import transpiled_depths
 
 MAX_SAMPLES = 10_000  # ceiling on every sample count, refused before any circuit is built
 
@@ -81,7 +81,7 @@ def sample_qv_circuits(width: int, layers: int, count: int, seed: int) -> list[C
 def mean_transpiled_depth(circuits: Sequence[Circuit], cmap: CouplingMap) -> float:
     if not circuits:
         raise InvalidParameterError("need at least one circuit")
-    return float(np.mean([transpiled_depth(c, cmap) for c in circuits]))
+    return float(np.mean(transpiled_depths(circuits, cmap)))
 
 
 def effective_layers(

@@ -56,11 +56,20 @@ class KernelFamily:
         return 2 * self.d * self.n
 
     @classmethod
-    def from_dict(cls, spec: dict) -> "KernelFamily":
+    def from_dict(cls, spec) -> "KernelFamily":
+        """Family from a JSON object with integer `n` and `d` (bools, floats
+        and strings are refused, never rounded) and an optional entanglement."""
+        if not isinstance(spec, dict):
+            raise InvalidParameterError(f"family descriptor must be a JSON object, got {spec!r}")
         try:
-            return cls(int(spec["n"]), int(spec["d"]), Entanglement(spec.get("entanglement", "linear")))
+            n, d = spec["n"], spec["d"]
+            entanglement = Entanglement(spec.get("entanglement", "linear"))
         except (KeyError, ValueError) as exc:
             raise InvalidParameterError(f"bad family descriptor {spec!r}: {exc}") from exc
+        for name, value in (("n", n), ("d", d)):
+            if type(value) is not int:  # bool is an int subclass
+                raise InvalidParameterError(f"family {name} must be an integer, got {value!r}")
+        return cls(n, d, entanglement)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "d": self.d, "entanglement": self.entanglement.value}
@@ -74,15 +83,27 @@ def aspect_label(ratio) -> str:
     return "narrow-deep"
 
 
-def haar_su4_stack(rng: np.random.Generator, k: int) -> np.ndarray:
-    """k Haar-random SU(4) matrices (k, 4, 4), each by QR of a complex Ginibre
-    matrix with phase fix. One draw of 32k normals: per matrix, 16 real parts
-    then 16 imaginary parts, the stream order of k one-matrix draws."""
-    g = rng.standard_normal((k, 2, 4, 4))
+# most SU4 gates one QV circuit may hold (layers * floor(q/2)), refused before
+# any draw: lowering and routing peak at about 8 kB per SU4 gate (40-qubit
+# heavy-hex-like map), so about 80 MB for a circuit at the ceiling
+MAX_QV_GATES = 10_000
+
+
+def _haar_su4(g: np.ndarray) -> np.ndarray:
+    """Haar-random SU(4) matrices from normals g (k, 2, 4, 4): per row, QR of
+    the complex Ginibre matrix (g[0] + i g[1]) / sqrt(2), phase fix, and
+    det normalization, all as one stacked pass."""
     q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
     diag = np.diagonal(r, axis1=1, axis2=2)
     q = q * (diag / np.abs(diag))[:, None, :]
     return q * np.linalg.det(q)[:, None, None] ** -0.25
+
+
+def haar_su4_stack(rng: np.random.Generator, k: int) -> np.ndarray:
+    """k Haar-random SU(4) matrices (k, 4, 4) from one draw of 32k normals:
+    per matrix, 16 real parts then 16 imaginary parts, the stream order of
+    k one-matrix draws."""
+    return _haar_su4(rng.standard_normal((k, 2, 4, 4)))
 
 
 def haar_su4(rng: np.random.Generator) -> np.ndarray:
@@ -96,21 +117,26 @@ def qv_circuit(q: int, layers: int, seed: "int | np.random.SeedSequence") -> Cir
 
     Permutations are logical relabelings (they select the pairing), not SWAP
     gates, so the circuit contains exactly layers*floor(q/2) two-qubit gates.
-    Each layer draws its permutation, then its floor(q/2) matrices as one
-    `haar_su4_stack`; the whole circuit's payload stack is checked once and
-    made read-only, and each gate holds one row of it.
+    Each layer draws its permutation, then the normals of its floor(q/2)
+    matrices, in the stream order of per-layer `haar_su4_stack` calls; the
+    whole circuit's matrices are then made in one stacked pass, checked once
+    and made read-only, and each gate holds one row of that stack.
     """
     if q < 2:
         raise InvalidParameterError("qv_circuit needs q >= 2")
     if layers < 1:
         raise InvalidParameterError("qv_circuit needs layers >= 1")
+    if layers * (q // 2) > MAX_QV_GATES:
+        raise InvalidParameterError(
+            f"qv_circuit of width {q} and {layers} layers has more than {MAX_QV_GATES} SU4 gates"
+        )
     rng = np.random.default_rng(seed)
-    pairs, stacks = [], []
-    for _ in range(layers):
+    pairs, normals = [], np.empty((layers, q // 2, 2, 4, 4))
+    for layer in normals:
         perm = rng.permutation(q).tolist()
         pairs += zip(perm[::2], perm[1::2])  # an odd width leaves its last qubit out
-        stacks.append(haar_su4_stack(rng, q // 2))
-    payloads = np.concatenate(stacks)
+        rng.standard_normal(out=layer)
+    payloads = _haar_su4(normals.reshape(-1, 2, 4, 4))
     check_su4_payloads(payloads)
     payloads.setflags(write=False)
     gates = tuple(Gate._trusted(GateKind.SU4, pair, (), m) for pair, m in zip(pairs, payloads))

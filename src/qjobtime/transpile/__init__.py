@@ -10,9 +10,9 @@ from .coupling import (
     named_map,
     ring_map,
 )
-from .decompose import BASIS_1Q, BASIS_2Q, decompose
+from .decompose import BASIS_1Q, BASIS_2Q, decompose, decompose_all
 from .kak import canonical_matrix, kak_decompose
-from .route import RoutedCircuit, route, transpiled_depth, uses_only_map_edges
+from .route import RoutedCircuit, route, transpiled_depth, transpiled_depths, uses_only_map_edges
 
 # every public name bound above, the submodules aside
 __all__ = [

@@ -2,9 +2,15 @@
 
 import json
 from collections import deque
+from itertools import chain
 from typing import Iterable
 
 from ..errors import CouplingError
+
+# most physical qubits a map may have, refused before its edges are read: the
+# distance and first-hop tables grow with the square of the qubit count
+# (heavy-hex-like:1121, the size of IBM's largest device, takes about 40 MB)
+MAX_MAP_QUBITS = 1200
 
 
 class CouplingMap:
@@ -12,12 +18,14 @@ class CouplingMap:
 
     Immutable by convention; adjacency, all-pairs shortest distances and the
     first hop of each shortest path are precomputed (maps are small: tens of
-    qubits).
+    qubits, at most `MAX_MAP_QUBITS`).
     """
 
     def __init__(self, num_qubits: int, edges: Iterable[tuple[int, int]], tag: str = "custom"):
         if num_qubits < 1:
             raise CouplingError("coupling map needs at least one qubit")
+        if num_qubits > MAX_MAP_QUBITS:
+            raise CouplingError(f"coupling map has {num_qubits} qubits, above {MAX_MAP_QUBITS}")
         norm = set()
         for a, b in edges:
             a, b = int(a), int(b)
@@ -93,34 +101,34 @@ class CouplingMap:
     def from_json(cls, text: str) -> "CouplingMap":
         try:
             spec = json.loads(text)
-            n, edges = int(spec["n"]), [(int(a), int(b)) for a, b in spec["edges"]]
-            tag = spec.get("tag", "custom")
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(int(spec["n"]), spec["edges"], spec.get("tag", "custom"))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CouplingError(f"bad coupling map JSON: {exc!r}") from exc
-        return cls(n, edges, tag)
+
+
+# The builders pass their edges as generators, so a map above
+# `MAX_MAP_QUBITS` is refused before any edge exists.
 
 
 def line_map(n: int) -> CouplingMap:
-    return CouplingMap(n, [(i, i + 1) for i in range(n - 1)], tag="line")
+    return CouplingMap(n, ((i, i + 1) for i in range(n - 1)), tag="line")
 
 
 def ring_map(n: int) -> CouplingMap:
     if n < 3:
         raise CouplingError("ring needs at least 3 qubits")
-    return CouplingMap(n, [(i, (i + 1) % n) for i in range(n)], tag="ring")
+    return CouplingMap(n, ((i, (i + 1) % n) for i in range(n)), tag="ring")
 
 
 def all_to_all_map(n: int) -> CouplingMap:
-    return CouplingMap(n, [(i, j) for i in range(n) for j in range(i + 1, n)], tag="all-to-all")
+    return CouplingMap(n, ((i, j) for i in range(n) for j in range(i + 1, n)), tag="all-to-all")
 
 
 def heavy_hex_like_map(n: int) -> CouplingMap:
     """Sparse degree-<=3 graph approximating heavy-hex device connectivity:
     a backbone path with a rung every eight qubits."""
-    edges = [(i, i + 1) for i in range(n - 1)]
-    for i in range(1, n - 4, 8):
-        edges.append((i, i + 4))
-    return CouplingMap(n, edges, tag="heavy-hex-like")
+    rungs = ((i, i + 4) for i in range(1, n - 4, 8))
+    return CouplingMap(n, chain(((i, i + 1) for i in range(n - 1)), rungs), tag="heavy-hex-like")
 
 
 _NAMED = {

@@ -13,8 +13,8 @@ identity that reproduces exp(i(x XX + y YY + z ZZ)) exactly, including phase:
 
 Single-qubit factors are lowered to RZ/SX strings via ZYZ Euler angles.
 
-Every step works on a stack (k, 4, 4) of payloads at once, so a circuit's
-SU(4) gates are factored in one pass; only the rows whose interaction
+Every step works on a stack (k, 4, 4) of payloads at once, so the SU(4) gates
+of many circuits are factored in one pass; only the rows whose interaction
 spectrum is near-degenerate take the per-matrix refinement and retries.
 """
 

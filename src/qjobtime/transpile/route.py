@@ -8,11 +8,12 @@ as CX triples so routed circuits stay inside the two-qubit basis. Deterministic 
 """
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..circuit import Circuit, Gate
 from ..errors import CouplingError
 from .coupling import CouplingMap
-from .decompose import SharedGates, decompose, swap_as_cx
+from .decompose import SharedGates, decompose, decompose_all, swap_as_cx
 
 
 @dataclass(frozen=True)
@@ -88,3 +89,9 @@ def uses_only_map_edges(c: Circuit, cmap: CouplingMap) -> bool:
 def transpiled_depth(c: Circuit, cmap: CouplingMap) -> int:
     """Depth after lowering to basis gates and routing onto the map."""
     return route(decompose(c), cmap).circuit.depth()
+
+
+def transpiled_depths(circuits: Iterable[Circuit], cmap: CouplingMap) -> list[int]:
+    """`transpiled_depth` of each circuit, with the SU4 payloads of all of
+    them factored together by `decompose_all`."""
+    return [route(d, cmap).circuit.depth() for d in decompose_all(circuits)]

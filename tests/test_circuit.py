@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -142,6 +143,19 @@ class TestValidation:
             Gate.su4(0, 1, np.full((4, 4), np.nan))
         with pytest.raises(InvalidGateError):  # off by more than UNITARY_TOL = 1e-7
             Gate.su4(0, 1, np.diag([1, 1, 1, 1 + 5e-7]))
+
+
+class TestGateKind:
+    def test_members_hash_by_identity(self):
+        """Members are singletons, so they hash by identity; lookups by value,
+        dict keys and pickling still give the one member."""
+        assert GateKind.__hash__ is object.__hash__
+        table = {kind: kind.value for kind in GateKind}
+        assert all(table[GateKind(value)] == value for value in table.values())
+        assert GateKind("RZ") is GateKind.RZ
+        assert {GateKind.RZ, GateKind.RZ, GateKind.SX} == {GateKind.SX, GateKind.RZ}
+        for kind in GateKind:
+            assert pickle.loads(pickle.dumps(kind)) is kind
 
 
 class TestSu4PayloadCheck:

@@ -15,8 +15,10 @@ from refdata import CLOPS_JOB_RUNS
 from qjobtime.circuit import read_circuits
 from qjobtime.cli import main
 from qjobtime.errors import MalformedRecordsError
+from qjobtime.generators import MAX_QV_GATES
 from qjobtime.model import builtin_backends, registry_to_json
 from qjobtime.records import RECORD_HEADER, load_runtime_records
+from qjobtime.transpile.coupling import MAX_MAP_QUBITS
 
 
 @pytest.fixture
@@ -331,6 +333,15 @@ DEFF = ["deff", "--family", '{"n":2,"d":1}', "--map", "line:4"]
 OVER_CEILING = "10001"  # just over, on tiny circuits: a missing check fails, not hangs
 GEN_QV = ["gen-circuits", "--qv-width", "2", "--qv-layers", "1", "--out"]
 EXPORT = ["backends", "export", "--out"]
+# family descriptors that are not an object of integer sizes, and the phrase
+# each one's message must contain
+NOT_AN_OBJECT, NOT_AN_INTEGER = "must be a JSON object", "must be an integer"
+BAD_FAMILIES = [("[]", NOT_AN_OBJECT, "list"), ("3", NOT_AN_OBJECT, "number"),
+                ("null", NOT_AN_OBJECT, "null"), ('{"n":1e400,"d":1}', NOT_AN_INTEGER, "inf-n"),
+                ('{"n":4,"d":1.9}', NOT_AN_INTEGER, "float-d"),
+                ('{"n":true,"d":1}', NOT_AN_INTEGER, "bool-n")]
+OVER_MAP = str(MAX_MAP_QUBITS + 1)
+OVER_QV = str(MAX_QV_GATES + 1)  # layers of width 2, one SU4 gate each
 
 
 @pytest.mark.parametrize(
@@ -450,6 +461,24 @@ EXPORT = ["backends", "export", "--out"]
         pytest.param(GEN_QV + ["DIR"], None, BAD_VALUE, "DIR", id="gen-out-directory"),
         pytest.param(GEN_QV + ["NO_PARENT"], None, BAD_VALUE, "NO_PARENT",
                      id="gen-out-missing-parent"),
+        *(pytest.param(["deff", "--family", family, "--map", "line:4"], None, BAD_VALUE, detail,
+                       id=f"deff-family-{name}") for family, detail, name in BAD_FAMILIES),
+        *(pytest.param(["simulate-kernel", "--family", family] + KERNEL[3:], "0.1,0.2\n",
+                       BAD_VALUE, detail, id=f"kernel-family-{name}")
+          for family, detail, name in BAD_FAMILIES),
+        pytest.param(PARAMS[:-4] + ["--families", "3", "--out", "OUT"], TIMING % "1.0", BAD_VALUE,
+                     "--families must be a JSON array", id="sweep-families-not-an-array"),
+        pytest.param(DEFF[:-1] + [f"line:{OVER_MAP}"], None, BAD_MAP, f"above {MAX_MAP_QUBITS}",
+                     id="deff-map-over-ceiling"),
+        pytest.param(DEFF[:-1] + ["line:99999999999999999999"], None, BAD_MAP,
+                     f"above {MAX_MAP_QUBITS}", id="deff-map-far-over-ceiling"),
+        pytest.param(MAP_FILE, '{"n": %s, "edges": [[0, 1]]}' % OVER_MAP, BAD_MAP,
+                     f"above {MAX_MAP_QUBITS}", id="map-file-over-ceiling"),
+        pytest.param(["deff", "--qv-job", "--family", '{"n":2,"d":%s}' % OVER_QV, "--map", "line:4",
+                      "--qv-samples", "1"], None, BAD_VALUE, f"more than {MAX_QV_GATES} SU4 gates",
+                     id="deff-qv-job-over-gate-ceiling"),
+        pytest.param(GEN + ["--qv-width", "2", "--qv-layers", OVER_QV], None, BAD_VALUE,
+                     f"more than {MAX_QV_GATES} SU4 gates", id="gen-qv-over-gate-ceiling"),
         pytest.param(EXPORT + ["DIR"], None, BAD_VALUE, "DIR", id="export-out-directory"),
         pytest.param(EXPORT + ["NO_PARENT"], None, BAD_VALUE, "NO_PARENT",
                      id="export-out-missing-parent"),

@@ -6,11 +6,13 @@ import pytest
 from qjobtime.circuit import Circuit, Gate, GateKind
 from qjobtime.errors import InvalidParameterError
 from qjobtime.generators import (
+    MAX_QV_GATES,
     Entanglement,
     KernelFamily,
     aspect_label,
     encoding_circuit,
     haar_su4,
+    haar_su4_stack,
     kernel_circuit,
     phase_angles,
     qv_circuit,
@@ -45,6 +47,18 @@ def reference_qv_circuit(q: int, layers: int, seed: int) -> Circuit:
             u, r = np.linalg.qr(g)
             u = u * (np.diag(r) / np.abs(np.diag(r)))
             u = u * np.linalg.det(u) ** -0.25
+            gates.append(Gate.su4(int(perm[2 * k]), int(perm[2 * k + 1]), u))
+    return Circuit(q, tuple(gates), base_layers=layers)
+
+
+def reference_qv_layers(q: int, layers: int, seed: int) -> Circuit:
+    """Per-layer QV construction: a permutation, then the layer's floor(q/2)
+    matrices as one `haar_su4_stack`, each gate built checked."""
+    rng = np.random.default_rng(seed)
+    gates = []
+    for _ in range(layers):
+        perm = rng.permutation(q)
+        for k, u in enumerate(haar_su4_stack(rng, q // 2)):
             gates.append(Gate.su4(int(perm[2 * k]), int(perm[2 * k + 1]), u))
     return Circuit(q, tuple(gates), base_layers=layers)
 
@@ -97,6 +111,20 @@ class TestQuantumVolumeCircuits:
     def test_stacked_draws_match_per_matrix_reference(self, q):
         for seed in range(200):
             assert_built_as_checked(qv_circuit(q, 2, seed), reference_qv_circuit(q, 2, seed))
+
+    @pytest.mark.parametrize("q", range(2, 10))
+    def test_one_pass_matches_per_layer_stacks(self, q):
+        for layers in (1, 3, 8):
+            for seed in range(20):
+                assert_built_as_checked(qv_circuit(q, layers, seed),
+                                        reference_qv_layers(q, layers, seed))
+
+    @pytest.mark.parametrize("q, layers", [(2, MAX_QV_GATES + 1), (9, MAX_QV_GATES // 4 + 1),
+                                           (10**6, 1), (3, 10**11)])
+    def test_gate_ceiling_is_refused_before_any_draw(self, q, layers, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", None)  # a draw would fail otherwise
+        with pytest.raises(InvalidParameterError, match=f"more than {MAX_QV_GATES} SU4 gates"):
+            qv_circuit(q, layers, seed=0)
 
     def test_payloads_are_read_only(self):
         c = qv_circuit(5, 3, seed=4)
@@ -217,6 +245,15 @@ class TestFamilyDescriptor:
     def test_bad_descriptor(self):
         with pytest.raises(InvalidParameterError):
             KernelFamily.from_dict({"n": 4})
+
+    @pytest.mark.parametrize("spec", [[], 3, None, "n=4", {"n": float("inf"), "d": 1},
+                                      {"n": 4, "d": 1.9}, {"n": 4, "d": 2.0}, {"n": True, "d": 1},
+                                      {"n": 4, "d": False}, {"n": "4", "d": 1},
+                                      {"n": 4, "d": 1, "entanglement": "ring"},
+                                      {"n": 4, "d": 1, "entanglement": ["full"]}])
+    def test_only_objects_with_integer_sizes_parse(self, spec):
+        with pytest.raises(InvalidParameterError):
+            KernelFamily.from_dict(spec)
 
     def test_invariants(self):
         with pytest.raises(InvalidParameterError):

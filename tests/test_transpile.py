@@ -20,15 +20,19 @@ from qjobtime.transpile import (
     CouplingMap,
     all_to_all_map,
     decompose,
+    decompose_all,
     heavy_hex_like_map,
     line_map,
     named_map,
     ring_map,
     route,
     transpiled_depth,
+    transpiled_depths,
     uses_only_map_edges,
 )
 from qjobtime.transpile import kak
+from qjobtime.transpile.coupling import MAX_MAP_QUBITS
+from qjobtime.transpile.decompose import KAK_BATCH
 from qjobtime.transpile.kak import canonical_matrix, kak_decompose
 
 BASIS = set(BASIS_1Q) | set(BASIS_2Q)
@@ -247,6 +251,88 @@ class TestDecompose:
         assert shapes == []
 
 
+def kicked_cx(log_eps: float, seed: int) -> np.ndarray:
+    """exp(i eps H) times CX for a seeded random Hermitian H, eps = 10**log_eps."""
+    kick_rng = np.random.default_rng(seed)
+    a = kick_rng.standard_normal((4, 4)) + 1j * kick_rng.standard_normal((4, 4))
+    w, v = np.linalg.eigh((a + a.conj().T) / 2)
+    return (v * np.exp(1j * 10.0**log_eps * w)) @ v.conj().T @ gate_matrix(Gate.cx(0, 1))
+
+
+class TestDecomposeAll:
+    @pytest.fixture(scope="class")
+    def pool(self):
+        """QV circuits (one alone larger than `KAK_BATCH`), kernel circuits,
+        random circuits with U3, SWAP, RZZ and SU4 gates, circuits without
+        SU4, and a kicked CX whose KAK takes the retry path."""
+        rng = np.random.default_rng(15)
+        circuits = [qv_circuit(q, layers, seed=k) for k, (q, layers) in enumerate(
+            [(8, 8)] * 30 + [(2, 1), (3, 5), (9, 4), (5, 2)])]
+        circuits.append(qv_circuit(9, KAK_BATCH // 4 + 7, seed=99))
+        circuits += sample_kernel_circuits(KernelFamily(4, 2, Entanglement.FULL), 4, seed=1)
+        circuits += [random_circuit(3, 25, rng) for _ in range(12)]
+        circuits += [random_circuit(4, 10, rng, two_qubit_only_cx=True) for _ in range(4)]
+        circuits.append(Circuit(2, (Gate.h(0), Gate.su4(0, 1, kicked_cx(-10.0, 148)), Gate.x(1))))
+        return circuits, [decompose(c) for c in circuits]
+
+    def test_batches_equal_per_circuit_lowering(self, pool):
+        """Lowered together, in random order and random batch sizes (some
+        beyond `KAK_BATCH` payloads), each circuit gives the gates `decompose`
+        gives it alone, with bit-identical angles."""
+        circuits, lowered = pool
+        rng = np.random.default_rng(7)
+        orders = [np.arange(len(circuits))] + [rng.permutation(len(circuits)) for _ in range(3)]
+        for order in orders + [rng.choice(len(circuits), int(rng.integers(1, 12))) for _ in range(6)]:
+            got = list(decompose_all([circuits[i] for i in order]))
+            assert got == [lowered[i] for i in order]
+            assert [c.to_text() for c in got] == [lowered[i].to_text() for i in order]
+
+    def test_retry_payload_takes_the_retry_path(self, pool, monkeypatch):
+        retried = []
+        retry_bases = kak._retry_bases
+        monkeypatch.setattr(kak, "_retry_bases", lambda m2: retried.append(m2) or retry_bases(m2))
+        circuits, lowered = pool
+        assert list(decompose_all(circuits[-3:])) == lowered[-3:]
+        assert retried
+
+    def test_passes_hold_at_most_the_batch_constant(self, pool, monkeypatch):
+        """Every payload is factored once, in passes of at most `KAK_BATCH`;
+        a batch of circuits without SU4 gates makes no pass."""
+        module = importlib.import_module("qjobtime.transpile.decompose")
+        shapes = []
+        kak_decompose = module.kak_decompose
+        monkeypatch.setattr(module, "kak_decompose", lambda u: shapes.append(u.shape) or kak_decompose(u))
+        circuits, _ = pool
+        list(decompose_all(circuits))
+        total = sum(g.kind is GateKind.SU4 for c in circuits for g in c.gates)
+        assert total > 2 * KAK_BATCH
+        assert sum(shape[0] for shape in shapes) == total
+        assert max(shape[0] for shape in shapes) <= KAK_BATCH
+        assert len(shapes) <= 2 * total // KAK_BATCH + 2  # two neighbouring batches overflow one
+        shapes.clear()
+        list(decompose_all(sample_kernel_circuits(KernelFamily(3, 2), 5, seed=0)))
+        assert shapes == []
+
+    @pytest.mark.parametrize("where", [0, 5, 39])
+    def test_failing_payload_in_a_batch_is_a_coded_error(self, where):
+        """A payload that fails KAK (built unchecked here, as no checked gate
+        can carry one) raises `InvalidGateError` from any place in a batch,
+        a later batch included."""
+        rng = np.random.default_rng(where)
+        bad = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        circuits = [qv_circuit(8, 8, seed=k) for k in range(40)]
+        gates = circuits[where].gates
+        circuits[where] = Circuit(8, gates[:3] + (Gate._trusted(GateKind.SU4, (1, 6), (), bad),))
+        with pytest.raises(InvalidGateError):
+            list(decompose_all(circuits))
+
+    def test_depths_equal_one_circuit_depths(self):
+        circuits = sample_qv_circuits(6, 6, 5, seed=2) + sample_kernel_circuits(
+            KernelFamily(3, 2), 3, seed=2)
+        cmap = heavy_hex_like_map(12)
+        assert transpiled_depths(circuits, cmap) == [transpiled_depth(c, cmap) for c in circuits]
+
+
 class TestRoute:
     def test_already_mapped_circuit_untouched(self):
         fam = KernelFamily(4, 1, Entanglement.LINEAR)
@@ -434,6 +520,22 @@ class TestCouplingMaps:
         cmap = heavy_hex_like_map(27)
         degree = [len(cmap.neighbors(q)) for q in range(27)]
         assert max(degree) <= 3
+
+    def test_map_over_the_qubit_ceiling_is_refused_before_its_edges(self):
+        def edges():
+            raise AssertionError("edges read")
+            yield
+
+        for build in (lambda: CouplingMap(MAX_MAP_QUBITS + 1, edges()),
+                      lambda: named_map("all-to-all", MAX_MAP_QUBITS + 1),
+                      lambda: named_map("heavy-hex-like", MAX_MAP_QUBITS + 1),
+                      lambda: CouplingMap.from_json('{"n": %d, "edges": 5}' % (MAX_MAP_QUBITS + 1))):
+            with pytest.raises(CouplingError, match=f"above {MAX_MAP_QUBITS}"):
+                build()
+
+    def test_json_map_with_overflowing_size_is_a_coded_error(self):
+        with pytest.raises(CouplingError, match="bad coupling map JSON"):
+            CouplingMap.from_json('{"n": 1e400, "edges": []}')
 
     def test_named_map_lookup(self):
         assert named_map("line", 5).num_qubits == 5
