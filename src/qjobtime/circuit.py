@@ -10,7 +10,8 @@ circuits in one file are separated by blank lines.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -35,6 +36,9 @@ class GateKind(Enum):
     # on every lookup
     __hash__ = object.__hash__
 
+
+# the one kind the constructor, the text reader and the writer test, bound once
+_SU4 = GateKind.SU4
 
 # number of qubit operands: every gate acts on one or two qubits
 _ARITY = {
@@ -74,56 +78,56 @@ def check_su4_payloads(m: np.ndarray) -> None:
         raise InvalidGateError("SU4 matrix payload is not unitary")
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Gate:
+_GateFields = namedtuple("_GateFields", ("kind", "qubits", "params", "matrix"))
+_new_tuple = tuple.__new__
+
+
+class Gate(_GateFields):
     """One gate application: a kind, the qubits it acts on, real parameters.
 
     Generic two-qubit gates (SU4) carry their 4x4 unitary as a matrix payload
     instead of angle parameters; decomposition into a fixed basis is the
-    transpiler's job, not the IR's. Slotted: a gate has no `__dict__`, since
-    a transpiled circuit holds tens of thousands of them.
+    transpiler's job, not the IR's. An immutable 4-field tuple: a gate has no
+    `__dict__` and is built in one allocation, since a transpiled circuit
+    holds tens of thousands of them. It compares by value, but is neither
+    hashable nor ordered, and its fields cannot be assigned.
     """
 
-    kind: GateKind
-    qubits: tuple[int, ...]
-    params: tuple[float, ...] = ()
-    matrix: np.ndarray | None = field(default=None, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if len(set(self.qubits)) != len(self.qubits):
-            raise InvalidGateError(f"{self.kind.value}: repeated qubit in {self.qubits}")
-        if any(q < 0 for q in self.qubits):
-            raise InvalidGateError(f"{self.kind.value}: negative qubit index")
-        if len(self.qubits) != _ARITY[self.kind]:
+    def __new__(cls, kind: GateKind, qubits: tuple[int, ...], params: tuple[float, ...] = (),
+                matrix: np.ndarray | None = None):
+        qubits = tuple(int(q) for q in qubits)
+        params = tuple(float(p) for p in params)
+        if len(set(qubits)) != len(qubits):
+            raise InvalidGateError(f"{kind.value}: repeated qubit in {qubits}")
+        if any(q < 0 for q in qubits):
+            raise InvalidGateError(f"{kind.value}: negative qubit index")
+        if len(qubits) != _ARITY[kind]:
+            raise InvalidGateError(f"{kind.value} acts on {_ARITY[kind]} qubit(s), got {qubits}")
+        if len(params) != _NPARAMS.get(kind, 0):
             raise InvalidGateError(
-                f"{self.kind.value} acts on {_ARITY[self.kind]} qubit(s), got {self.qubits}"
+                f"{kind.value} takes {_NPARAMS.get(kind, 0)} parameter(s), got {len(params)}"
             )
-        if len(self.params) != _NPARAMS.get(self.kind, 0):
-            raise InvalidGateError(
-                f"{self.kind.value} takes {_NPARAMS.get(self.kind, 0)} parameter(s), "
-                f"got {len(self.params)}"
-            )
-        if not all(map(math.isfinite, self.params)):
-            raise InvalidGateError(f"{self.kind.value}: non-finite parameter in {self.params}")
-        if self.kind is GateKind.SU4:
-            m = self.matrix
-            if m is None or m.shape != (4, 4):
+        if not all(map(math.isfinite, params)):
+            raise InvalidGateError(f"{kind.value}: non-finite parameter in {params}")
+        if kind is _SU4:
+            if matrix is None or matrix.shape != (4, 4):
                 raise InvalidGateError("SU4 requires a 4x4 unitary matrix payload")
-            check_su4_payloads(m[None])
-            m = np.array(m, dtype=complex)
-            m.setflags(write=False)
-            object.__setattr__(self, "matrix", m)
-        elif self.matrix is not None:
-            raise InvalidGateError(f"{self.kind.value} does not take a matrix payload")
+            check_su4_payloads(matrix[None])
+            matrix = np.array(matrix, dtype=complex)
+            matrix.setflags(write=False)
+        elif matrix is not None:
+            raise InvalidGateError(f"{kind.value} does not take a matrix payload")
+        return _new_tuple(cls, (kind, qubits, params, matrix))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def _trusted(cls, kind: GateKind, qubits: tuple[int, ...], params: tuple[float, ...] = (),
                  matrix: np.ndarray | None = None) -> "Gate":
-        """Build without `__post_init__`, for gates whose inputs were already checked.
+        """Build without the checks of `__new__`, for gates whose inputs were
+        already checked: one tuple allocation.
 
         The caller guarantees what the checks would: `qubits` a tuple of
         distinct nonnegative ints of the kind's arity, `params` a tuple of
@@ -133,12 +137,20 @@ class Gate:
         as a batch (`phase_angles` for rotation angles, `check_su4_payloads`
         on a circuit's whole payload stack).
         """
-        g = object.__new__(cls)
-        _set_kind(g, kind)
-        _set_qubits(g, qubits)
-        _set_params(g, params)
-        _set_matrix(g, matrix)
-        return g
+        return _new_tuple(cls, (kind, qubits, params, matrix))
+
+    @classmethod
+    def _make(cls, iterable) -> "Gate":
+        """The namedtuple's field-list constructor, through the checks."""
+        return cls(*iterable)
+
+    def _replace(self, **changes) -> "Gate":
+        """A copy with some fields changed, through the checks."""
+        return Gate(**{**self._asdict(), **changes})
+
+    def __reduce__(self):
+        # pickling (every protocol) and copying rebuild through the checks
+        return Gate, tuple(self)
 
     @classmethod
     def h(cls, q: int) -> "Gate":
@@ -198,12 +210,29 @@ class Gate:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gate):
-            return NotImplemented
+            # a plain tuple of the same fields is not a gate
+            return False if isinstance(other, tuple) else NotImplemented
         if (self.kind, self.qubits, self.params) != (other.kind, other.qubits, other.params):
             return False
         if (self.matrix is None) != (other.matrix is None):
             return False
         return self.matrix is None or np.array_equal(self.matrix, other.matrix)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = None  # a payload is an array, so gates compare by value but do not hash
+
+    def _unordered(self, other):
+        raise TypeError("gates are not ordered")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
         parts = [self.kind.value, ",".join(map(str, self.qubits))]
@@ -213,11 +242,6 @@ class Gate:
             parts.append("<4x4>")
         return f"Gate({' '.join(parts)})"
 
-
-# the slot descriptors' setters, which write past the frozen `__setattr__`
-_set_kind, _set_qubits, _set_params, _set_matrix = (
-    Gate.__dict__[name].__set__ for name in ("kind", "qubits", "params", "matrix")
-)
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 _H = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
@@ -353,7 +377,7 @@ class Circuit:
         for g in self.gates:
             entry = f"{g.kind.value} {','.join(map(str, g.qubits))}"
             params: tuple[float, ...] = g.params
-            if g.kind is GateKind.SU4:
+            if g.kind is _SU4:
                 flat = g.matrix.reshape(-1)
                 params = tuple(float(v) for c in flat for v in (c.real, c.imag))
             if params:
@@ -381,7 +405,7 @@ class Circuit:
                 kind = GateKind(fields[0])
                 qubits = tuple(int(q) for q in fields[1].split(","))
                 raw = tuple(float(p) for p in fields[2].split(",")) if len(fields) > 2 else ()
-                if kind is GateKind.SU4:
+                if kind is _SU4:
                     if len(raw) != 32:
                         raise ValueError("SU4 needs 32 re,im values")
                     vals = np.array(raw).reshape(16, 2)

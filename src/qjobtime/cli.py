@@ -51,6 +51,7 @@ _LAZY = {
     "fit_params": "execsim",
     "simulate_job_runtime": "execsim",
     "KernelFamily": "generators",
+    "check_kernel_gates": "generators",
     "kernel_circuit": "generators",
     "qv_circuit": "generators",
     "seed_stream": "generators",
@@ -254,6 +255,7 @@ def gen_circuits(family, qv_width, qv_layers, count, seed, out):
     deff.check_sample_count("--count", count)
     if family is not None:
         fam = _parse_family(family)
+        _this.check_kernel_gates(fam)  # before any feature vector is drawn
         circuits = [
             _this.kernel_circuit(fam, *deff.kernel_features(fam, seed, k)) for k in range(count)
         ]

@@ -14,6 +14,9 @@ import numpy as np
 from .circuit import Circuit, Gate, GateKind, check_su4_payloads
 from .errors import InvalidGateError, InvalidParameterError
 
+# the kinds the generators emit, bound once outside their per-gate loops
+_H, _RZ, _RZZ, _SU4 = GateKind.H, GateKind.RZ, GateKind.RZZ, GateKind.SU4
+
 
 class Entanglement(Enum):
     """Which qubit pairs the encoding circuit entangles."""
@@ -139,8 +142,31 @@ def qv_circuit(q: int, layers: int, seed: "int | np.random.SeedSequence") -> Cir
     payloads = _haar_su4(normals.reshape(-1, 2, 4, 4))
     check_su4_payloads(payloads)
     payloads.setflags(write=False)
-    gates = tuple(Gate._trusted(GateKind.SU4, pair, (), m) for pair, m in zip(pairs, payloads))
+    gates = tuple(Gate._trusted(_SU4, pair, (), m) for pair, m in zip(pairs, payloads))
     return Circuit._trusted(q, gates, layers)
+
+
+# most gates one overlap circuit U(x) U(y)^dagger may hold, 2*d*(2n + |pairs|),
+# refused before any gate or state is built; the families the tests, the README
+# and the benchmark use hold at most about a thousand gates. Lowering and
+# routing peak at about 0.1 kB per gate for linear and 0.8 kB for full
+# entanglement on a 40-qubit heavy-hex-like map, so about 10 and 80 MB at the
+# ceiling. The swaps routing adds are not bounded by it: they grow with the
+# map's distances, and full entanglement on line:200 peaks at about 4 kB per gate
+MAX_KERNEL_GATES = 100_000
+
+
+def check_kernel_gates(fam: KernelFamily) -> None:
+    """Refuse a family whose overlap circuit has more than `MAX_KERNEL_GATES`
+    gates (H and RZ per qubit and RZZ per pair, in 2d rounds); the count is
+    worked out without building the pairs."""
+    n = fam.n
+    pairs = n - 1 if fam.entanglement is Entanglement.LINEAR else n * (n - 1) // 2
+    if 2 * fam.d * (2 * n + pairs) > MAX_KERNEL_GATES:
+        raise InvalidParameterError(
+            f"kernel family {fam.to_dict()} has an overlap circuit of more than "
+            f"{MAX_KERNEL_GATES} gates"
+        )
 
 
 def _as_features(fam: KernelFamily, x: Sequence[float]) -> np.ndarray:
@@ -174,10 +200,10 @@ def _encoding_layer(fam: KernelFamily, x: Sequence[float], sign: float) -> list[
     from range(n) and the entanglement's pairs."""
     n, trusted = fam.n, Gate._trusted
     theta = (sign * (2.0 * phase_angles(fam, x))).tolist()
-    layer = [trusted(GateKind.H, (j,)) for j in range(n)]
-    layer += [trusted(GateKind.RZ, (j,), (t,)) for j, t in enumerate(theta[:n])]
+    layer = [trusted(_H, (j,)) for j in range(n)]
+    layer += [trusted(_RZ, (j,), (t,)) for j, t in enumerate(theta[:n])]
     pairs = fam.entanglement.pairs(n)
-    layer += [trusted(GateKind.RZZ, pair, (t,)) for pair, t in zip(pairs, theta[n:])]
+    layer += [trusted(_RZZ, pair, (t,)) for pair, t in zip(pairs, theta[n:])]
     return layer
 
 
@@ -190,6 +216,7 @@ def encoding_circuit(fam: KernelFamily, x: Sequence[float]) -> Circuit:
     (angles from `phase_angles`). Global phase is dropped throughout; kernel
     values are insensitive to it.
     """
+    check_kernel_gates(fam)
     return Circuit._trusted(fam.n, tuple(_encoding_layer(fam, x, 1.0)) * fam.d, fam.d)
 
 
@@ -200,6 +227,7 @@ def kernel_circuit(fam: KernelFamily, x: Sequence[float], y: Sequence[float]) ->
     negated angles: H is its own inverse and RZ, RZZ invert by negation, as
     `Circuit.inverse` would give.
     """
+    check_kernel_gates(fam)
     forward = tuple(_encoding_layer(fam, x, 1.0))
     back = tuple(reversed(_encoding_layer(fam, y, -1.0)))
     return Circuit._trusted(fam.n, forward * fam.d + back * fam.d, 2 * fam.d)

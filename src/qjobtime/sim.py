@@ -19,7 +19,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, gate_matrix  # gate_matrix is public here too
 from .errors import InvalidParameterError, SimulationCapError
-from .generators import KernelFamily, kernel_circuit, phase_angles, seed_stream
+from .generators import KernelFamily, check_kernel_gates, kernel_circuit, phase_angles, seed_stream
 
 DEFAULT_QUBIT_CAP = 12
 MAX_SHOTS = 2**63 - 1  # numpy's int64 limit for a binomial draw
@@ -179,6 +179,7 @@ def kernel_matrix(
     if shots is not None:
         _check_shots(shots)
         stream = seed_stream(seed, 3)
+    check_kernel_gates(fam)
     n = len(dataset)
     if n == 0:
         return np.zeros((0, 0))

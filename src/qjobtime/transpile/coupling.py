@@ -99,11 +99,27 @@ class CouplingMap:
 
     @classmethod
     def from_json(cls, text: str) -> "CouplingMap":
+        """Map from `{"n": ..., "edges": [[a, b], ...], "tag": ...}`; `n` and
+        every endpoint must be JSON integers (bools, floats and strings are
+        refused, never rounded)."""
         try:
             spec = json.loads(text)
-            return cls(int(spec["n"]), spec["edges"], spec.get("tag", "custom"))
+            n = spec["n"]
+            if type(n) is not int:  # bool is an int subclass
+                raise ValueError(f"n must be an integer, got {n!r}")
+            return cls(n, _integer_edges(spec["edges"]), spec.get("tag", "custom"))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CouplingError(f"bad coupling map JSON: {exc!r}") from exc
+
+
+def _integer_edges(edges):
+    """The items of a JSON edge list, each refused unless its endpoints are
+    integers and not bools. A generator, so the constructor refuses a map
+    above `MAX_MAP_QUBITS` before any edge is read."""
+    for edge in edges:
+        if not all(type(q) is int for q in edge):
+            raise ValueError(f"edge {edge!r} must be a pair of integers")
+        yield edge
 
 
 # The builders pass their edges as generators, so a map above

@@ -27,18 +27,25 @@ from .kak import canonical_layers, kak_decompose, zsx_angles
 BASIS_1Q = (GateKind.RZ, GateKind.SX, GateKind.X)
 BASIS_2Q = (GateKind.CX,)
 
+# the kinds, bound once: reading an Enum member costs a class attribute
+# lookup, and the lowering tests a kind on every gate
+_H, _SX, _RZ, _RZZ, _CX = GateKind.H, GateKind.SX, GateKind.RZ, GateKind.RZZ, GateKind.CX
+_SWAP, _U3, _SU4 = GateKind.SWAP, GateKind.U3, GateKind.SU4
+_PASS_THROUGH = frozenset(BASIS_1Q + BASIS_2Q)  # already in the basis
+_HALF_PI = (np.pi / 2,)  # the H rule's RZ angle
+
 
 def _emit_1q(out: list[Gate], rows) -> None:
     """Append rows of `zsx_angles`, each (sx, n, [a1, a2, a3]) giving its n
     gates on the qubit of the shared gate `sx`: none, RZ(a1), or
     RZ(a1) SX RZ(a2) SX RZ(a3)."""
-    trusted, rz = Gate._trusted, GateKind.RZ
+    trusted = Gate._trusted
     for sx, n, (a1, a2, a3) in rows:
         if n == 3:
             q = sx.qubits
-            out += (trusted(rz, q, (a1,)), sx, trusted(rz, q, (a2,)), sx, trusted(rz, q, (a3,)))
+            out += (trusted(_RZ, q, (a1,)), sx, trusted(_RZ, q, (a2,)), sx, trusted(_RZ, q, (a3,)))
         elif n:
-            out.append(trusted(rz, sx.qubits, (a1,)))
+            out.append(trusted(_RZ, sx.qubits, (a1,)))
 
 
 class SharedGates(dict):
@@ -52,8 +59,8 @@ class SharedGates(dict):
 
 def swap_as_cx(shared: SharedGates, a: int, b: int) -> tuple[Gate, Gate, Gate]:
     """SWAP(a, b) as CX(a,b), CX(b,a), CX(a,b), taken from `shared`."""
-    ab = shared[GateKind.CX, (a, b)]
-    return ab, shared[GateKind.CX, (b, a)], ab
+    ab = shared[_CX, (a, b)]
+    return ab, shared[_CX, (b, a)], ab
 
 
 # most SU4 payloads one stacked KAK pass factors: a whole QV baseline of 20
@@ -81,7 +88,7 @@ def decompose_all(circuits: Iterable[Circuit]) -> Iterator[Circuit]:
     of at most `KAK_BATCH`, and its circuits are then lowered one at a time."""
     batch, size = [], 0
     for c in circuits:
-        su4 = [g.matrix for g in c.gates if g.kind is GateKind.SU4]
+        su4 = [g.matrix for g in c.gates if g.kind is _SU4]
         if batch and size + len(su4) > KAK_BATCH:
             yield from _lower_batch(batch)
             batch, size = [], 0
@@ -116,25 +123,25 @@ def _lower(c: Circuit, dressings) -> Circuit:
     out: list[Gate] = []
     for g in c.gates:
         k = g.kind
-        if k in (GateKind.X, GateKind.SX, GateKind.RZ, GateKind.CX):
+        if k in _PASS_THROUGH:
             out.append(g)
-        elif k is GateKind.H:
-            rz = shared[GateKind.RZ, g.qubits, (np.pi / 2,)]
-            out += (rz, shared[GateKind.SX, g.qubits], rz)
-        elif k is GateKind.RZZ:
-            cx = shared[GateKind.CX, g.qubits]
-            out += (cx, Gate._trusted(GateKind.RZ, g.qubits[1:], g.params), cx)
-        elif k is GateKind.SWAP:
+        elif k is _H:
+            rz = shared[_RZ, g.qubits, _HALF_PI]
+            out += (rz, shared[_SX, g.qubits], rz)
+        elif k is _RZZ:
+            cx = shared[_CX, g.qubits]
+            out += (cx, Gate._trusted(_RZ, g.qubits[1:], g.params), cx)
+        elif k is _SWAP:
             out.extend(swap_as_cx(shared, *g.qubits))
-        elif k is GateKind.U3:
+        elif k is _U3:
             counts, angles = zsx_angles(gate_matrix(g)[None])
-            sx = shared[GateKind.SX, g.qubits]
+            sx = shared[_SX, g.qubits]
             _emit_1q(out, zip((sx,), counts.tolist(), angles.tolist()))
         else:  # SU4: a 1q layer (rows 0, 1), then three times CX and a 1q layer
             counts, angles = next(dressings)
             qa, qb = g.qubits
-            cx = shared[GateKind.CX, g.qubits]
-            sides = (shared[GateKind.SX, (qa,)], shared[GateKind.SX, (qb,)])
+            cx = shared[_CX, g.qubits]
+            sides = (shared[_SX, (qa,)], shared[_SX, (qb,)])
             _emit_1q(out, zip(sides, counts[:2], angles[:2]))
             for i in (2, 4, 6):
                 out.append(cx)

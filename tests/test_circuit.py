@@ -1,9 +1,14 @@
+import ast
+import copy
+import operator
 import pickle
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qjobtime
 from conftest import random_circuit, up_to_phase
 from qjobtime.circuit import (
     Circuit,
@@ -136,6 +141,47 @@ class TestValidation:
                 g.params = (1.0,)
             assert not hasattr(g, "__dict__")
 
+    def test_gate_contract(self, rng):
+        """Gates compare by value (payloads by `array_equal`), are neither
+        hashable nor ordered, keep their repr, and every way to build one
+        from field values but `_trusted` runs the constructor's checks."""
+        u = haar_su4(rng)
+        su4 = Gate.su4(0, 1, u)
+        assert su4 == Gate.su4(0, 1, u.copy()) and not su4 != Gate.su4(0, 1, u.copy())
+        assert su4 != Gate.su4(0, 1, u.conj().T) and not su4 == Gate.su4(0, 1, u.conj().T)
+        assert su4 != Gate.su4(1, 0, u)
+        rz = Gate.rz(0, 0.5)
+        assert rz == Gate._trusted(GateKind.RZ, (0,), (0.5,)) and not rz != Gate.rz(0, 0.5)
+        assert rz != Gate.rz(0, -0.5) and rz != Gate.rzz(0, 1, 0.5) and rz != Gate.h(0)
+        assert Gate.h(0) != (GateKind.H, (0,), (), None)  # a tuple of its fields is no gate
+        assert repr(rz) == "Gate(RZ 0 0.5)" and repr(su4) == "Gate(SU4 0,1 <4x4>)"
+        assert repr(Gate.u3(1, 0.1, 0.2, 0.3)) == "Gate(U3 1 0.1,0.2,0.3,0.0)"
+        for g in (rz, su4, Gate.cx(1, 0)):
+            with pytest.raises(TypeError):
+                hash(g)
+            for order in (operator.lt, operator.le, operator.gt, operator.ge):
+                with pytest.raises(TypeError):
+                    order(g, g)
+            with pytest.raises(FrozenInstanceError):
+                del g.kind
+            clones = [pickle.loads(pickle.dumps(g, protocol)) for protocol in range(6)]
+            for clone in clones + [copy.copy(g), copy.deepcopy(g)]:
+                assert type(clone) is Gate and clone == g and repr(clone) == repr(g)
+        assert not copy.deepcopy(su4).matrix.flags.writeable
+        assert Gate._make((GateKind.RZ, (0,), (0.5,), None)) == rz
+        assert rz._replace(params=(1.0,)) == Gate.rz(0, 1.0)
+        # a gate built unchecked with a repeated qubit does not survive a round trip
+        bad = Gate._trusted(GateKind.CX, (0, 0))
+        for build in (lambda: pickle.loads(pickle.dumps(bad)),
+                      lambda: pickle.loads(pickle.dumps(bad, 0)), lambda: copy.copy(bad),
+                      lambda: copy.deepcopy(bad), lambda: Gate._make(bad),
+                      lambda: Gate._make((GateKind.CX, (1, 1), (), None)),
+                      lambda: Gate.cx(0, 1)._replace(qubits=(1, 1)),
+                      lambda: rz._replace(params=(float("nan"),)),
+                      lambda: su4._replace(matrix=np.ones((4, 4), dtype=complex))):
+            with pytest.raises(InvalidGateError):
+                build()
+
     def test_su4_payload_must_be_unitary(self):
         with pytest.raises(InvalidGateError):
             Gate(GateKind.SU4, (0, 1), (), np.ones((4, 4), dtype=complex))
@@ -156,6 +202,57 @@ class TestGateKind:
         assert {GateKind.RZ, GateKind.RZ, GateKind.SX} == {GateKind.SX, GateKind.RZ}
         for kind in GateKind:
             assert pickle.loads(pickle.dumps(kind)) is kind
+
+
+def gatekind_reads_in_loops(source: str) -> list[int]:
+    """Lines of the `GateKind.<member>` reads inside a `for` or `while` body
+    or a comprehension of `source`."""
+    found = []
+
+    def visit(node, in_loop):
+        if (in_loop and isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "GateKind" and node.attr in GateKind.__members__):
+            found.append(node.lineno)
+        looping = isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))
+        for name, value in ast.iter_fields(node):
+            body = name == "body" and isinstance(node, (ast.For, ast.AsyncFor, ast.While))
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    visit(child, in_loop or looping or body)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+class TestGateKindReads:
+    def test_the_detector_finds_reads_in_loops_only(self):
+        source = (
+            "A = GateKind.H\n"
+            "for g in gates:\n"
+            "    k = GateKind.RZ\n"
+            "else:\n"
+            "    k = GateKind.SX\n"
+            "while g:\n"
+            "    f(GateKind.CX.value)\n"
+            "xs = [g for g in gates if g.kind is GateKind.SU4]\n"
+            "ys = {k: GateKind.X for k in ks}\n"
+            "GateKind.__members__\n"
+            "for g in gates:\n"
+            "    GateKind.values\n"
+        )
+        assert gatekind_reads_in_loops(source) == [3, 7, 8, 9]
+
+    def test_no_module_reads_an_enum_member_per_gate(self):
+        """The lowering, the router, the generators and the text format bind
+        each `GateKind` member once at module level: reading a member costs a
+        class attribute lookup, several times that of a global name."""
+        src = Path(qjobtime.__file__).parent
+        found = {
+            str(path.relative_to(src)): lines
+            for path in sorted(src.rglob("*.py"))
+            if (lines := gatekind_reads_in_loops(path.read_text()))
+        }
+        assert found == {}
 
 
 class TestSu4PayloadCheck:

@@ -15,7 +15,7 @@ from refdata import CLOPS_JOB_RUNS
 from qjobtime.circuit import read_circuits
 from qjobtime.cli import main
 from qjobtime.errors import MalformedRecordsError
-from qjobtime.generators import MAX_QV_GATES
+from qjobtime.generators import MAX_KERNEL_GATES, MAX_QV_GATES
 from qjobtime.model import builtin_backends, registry_to_json
 from qjobtime.records import RECORD_HEADER, load_runtime_records
 from qjobtime.transpile.coupling import MAX_MAP_QUBITS
@@ -342,6 +342,12 @@ BAD_FAMILIES = [("[]", NOT_AN_OBJECT, "list"), ("3", NOT_AN_OBJECT, "number"),
                 ('{"n":true,"d":1}', NOT_AN_INTEGER, "bool-n")]
 OVER_MAP = str(MAX_MAP_QUBITS + 1)
 OVER_QV = str(MAX_QV_GATES + 1)  # layers of width 2, one SU4 gate each
+# kernel families whose overlap circuit is just over the gate ceiling: n = 2
+# linear has 2*d*5 gates, and full entanglement on n qubits n*(n + 3) per d
+OVER_KERNEL = '{"n":2,"d":%d}' % (MAX_KERNEL_GATES // 10 + 1)
+WIDE_FULL = next(n for n in range(2, MAX_KERNEL_GATES) if n * (n + 3) > MAX_KERNEL_GATES)
+OVER_KERNEL_FULL = '{"n":%d,"d":1,"entanglement":"full"}' % WIDE_FULL
+MORE_THAN_KERNEL_GATES = f"more than {MAX_KERNEL_GATES} gates"
 
 
 @pytest.mark.parametrize(
@@ -479,6 +485,22 @@ OVER_QV = str(MAX_QV_GATES + 1)  # layers of width 2, one SU4 gate each
                      id="deff-qv-job-over-gate-ceiling"),
         pytest.param(GEN + ["--qv-width", "2", "--qv-layers", OVER_QV], None, BAD_VALUE,
                      f"more than {MAX_QV_GATES} SU4 gates", id="gen-qv-over-gate-ceiling"),
+        pytest.param(GEN + ["--family", OVER_KERNEL], None, BAD_VALUE, MORE_THAN_KERNEL_GATES,
+                     id="gen-kernel-over-gate-ceiling"),
+        pytest.param(GEN + ["--family", OVER_KERNEL_FULL], None, BAD_VALUE,
+                     MORE_THAN_KERNEL_GATES, id="gen-kernel-full-over-gate-ceiling"),
+        pytest.param(["simulate-kernel", "--family", OVER_KERNEL] + KERNEL[3:], "0.1,0.2\n",
+                     BAD_VALUE, MORE_THAN_KERNEL_GATES, id="kernel-over-gate-ceiling"),
+        pytest.param(MAP_FILE, '{"n": 2.5, "edges": [[0, 1]]}', BAD_MAP,
+                     "n must be an integer, got 2.5", id="map-float-n"),
+        pytest.param(MAP_FILE, '{"n": true, "edges": []}', BAD_MAP,
+                     "n must be an integer, got True", id="map-bool-n"),
+        pytest.param(MAP_FILE, '{"n": "3", "edges": [[0, 1], [1, 2]]}', BAD_MAP,
+                     "n must be an integer, got '3'", id="map-string-n"),
+        pytest.param(MAP_FILE, '{"n": 3, "edges": [[0, 1], [1, 2.0]]}', BAD_MAP,
+                     "edge [1, 2.0] must be a pair of integers", id="map-float-endpoint"),
+        pytest.param(MAP_FILE, '{"n": 2, "edges": [[false, true]]}', BAD_MAP,
+                     "edge [False, True] must be a pair of integers", id="map-bool-endpoint"),
         pytest.param(EXPORT + ["DIR"], None, BAD_VALUE, "DIR", id="export-out-directory"),
         pytest.param(EXPORT + ["NO_PARENT"], None, BAD_VALUE, "NO_PARENT",
                      id="export-out-missing-parent"),

@@ -3,9 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qjobtime import generators, sim
 from qjobtime.circuit import Circuit, Gate, GateKind
 from qjobtime.errors import InvalidParameterError
 from qjobtime.generators import (
+    MAX_KERNEL_GATES,
     MAX_QV_GATES,
     Entanglement,
     KernelFamily,
@@ -20,7 +22,7 @@ from qjobtime.generators import (
     seed_stream,
 )
 from qjobtime.model import BackendSpec
-from qjobtime.sim import exact_kernel, simulate
+from qjobtime.sim import exact_kernel, kernel_matrix, simulate
 
 
 def assert_built_as_checked(c: Circuit, reference: Circuit) -> None:
@@ -216,6 +218,29 @@ class TestKernelCircuits:
         for _ in range(10):
             val = exact_kernel(fam, sample_features(fam, rng), sample_features(fam, rng))
             assert 0.0 <= val <= 1.0
+
+    # the widest full family one layer of which fits under the gate ceiling:
+    # its overlap circuit has n * (n + 3) gates
+    WIDE_FULL = max(n for n in range(2, MAX_KERNEL_GATES) if n * (n + 3) <= MAX_KERNEL_GATES)
+
+    @pytest.mark.parametrize("fam", [KernelFamily(2, MAX_KERNEL_GATES // 10),
+                                     KernelFamily(WIDE_FULL, 1, Entanglement.FULL)])
+    def test_family_at_the_gate_ceiling_builds(self, fam):
+        c = kernel_circuit(fam, np.zeros(fam.n), np.ones(fam.n))
+        assert len(c) == 2 * fam.d * (2 * fam.n + len(fam.entanglement.pairs(fam.n)))
+        assert len(c) <= MAX_KERNEL_GATES
+
+    @pytest.mark.parametrize("fam", [KernelFamily(2, MAX_KERNEL_GATES // 10 + 1),
+                                     KernelFamily(WIDE_FULL + 1, 1, Entanglement.FULL),
+                                     KernelFamily(10**9, 1), KernelFamily(3, 10**12)])
+    def test_gate_ceiling_is_refused_before_any_gate_or_state(self, fam, monkeypatch):
+        for module in (generators, sim):  # building a gate or a state would fail otherwise
+            monkeypatch.setattr(module, "phase_angles", None)
+        x = [0.0]
+        for build in (lambda: encoding_circuit(fam, x), lambda: kernel_circuit(fam, x, x),
+                      lambda: kernel_matrix(fam, [x, x]), lambda: kernel_matrix(fam, [x], 10)):
+            with pytest.raises(InvalidParameterError, match=f"more than {MAX_KERNEL_GATES} gates"):
+                build()
 
 
 class TestAspectRatio:
