@@ -11,7 +11,7 @@ circuits in one file are separated by blank lines.
 
 import math
 from collections import namedtuple
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -290,10 +290,15 @@ class Circuit:
 
     `base_layers` optionally records how many repetitions of a base template
     the circuit was built from; it is metadata and does not affect semantics.
+
+    Depth, length and the map-edge check read only the circuit's qubit
+    stream: the qubits of each gate, in order. A circuit made by the
+    transpiler is made from its stream and builds its gates on first access
+    of `gates`; any other circuit derives its stream from its gates.
     """
 
     width: int
-    gates: tuple[Gate, ...] = ()
+    gates: tuple[Gate, ...] = field(default_factory=tuple)
     base_layers: int | None = None
 
     def __post_init__(self):
@@ -316,8 +321,34 @@ class Circuit:
         fields["base_layers"] = base_layers
         return c
 
+    @classmethod
+    def _lazy(cls, width: int, stream: list[tuple[int, ...]], build, base_layers: int | None) -> "Circuit":
+        """A transpiler output: its qubit stream now, and its gates from
+        `build()` on first access of `gates`. The caller guarantees that the
+        gates `build` returns fit `width` and that `stream` holds their qubits."""
+        c = object.__new__(cls)
+        fields = c.__dict__
+        fields["width"] = width
+        fields["base_layers"] = base_layers
+        fields["_stream"] = stream
+        fields["_build"] = build
+        return c
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute not set yet: the gates of a circuit
+        # made by `_lazy`, or the qubit stream of any other circuit
+        fields = self.__dict__
+        if name == "gates" and "_build" in fields:
+            fields.setdefault("gates", fields["_build"]())
+            fields.pop("_build", None)
+        elif name == "_stream" and "gates" in fields:
+            fields.setdefault("_stream", [g.qubits for g in fields["gates"]])
+        if name not in fields:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return fields[name]
+
     def __len__(self) -> int:
-        return len(self.gates)
+        return len(self._stream)
 
     def __iter__(self) -> Iterator[Gate]:
         return iter(self.gates)
@@ -331,16 +362,11 @@ class Circuit:
             and self.gates == other.gates
         )
 
-    def same_structure(self, other: "Circuit") -> bool:
-        """Gate-for-gate equality, ignoring metadata."""
-        return self.width == other.width and self.gates == other.gates
-
     def depth(self) -> int:
         """Longest chain of gates sharing qubits (unit-cost ASAP layering)."""
         ready = [0] * self.width
         top = 0
-        for g in self.gates:
-            qubits = g.qubits
+        for qubits in self._stream:
             if len(qubits) == 1:
                 q = qubits[0]
                 layer = ready[q] = ready[q] + 1
@@ -419,8 +445,16 @@ class Circuit:
 
 
 def write_circuits(path, circuits: Iterable[Circuit]) -> None:
+    """Write each circuit as it is drawn from `circuits`, blank-line
+    separated. The file is opened once the first circuit is drawn, so an
+    error while building that one leaves no file behind."""
+    circuits = iter(circuits)
+    first = next(circuits, None)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(c.to_text() for c in circuits))
+        if first is not None:
+            fh.write(first.to_text())
+        for c in circuits:
+            fh.write("\n" + c.to_text())
 
 
 def read_circuits(path) -> list[Circuit]:

@@ -256,20 +256,22 @@ def gen_circuits(family, qv_width, qv_layers, count, seed, out):
     if family is not None:
         fam = _parse_family(family)
         _this.check_kernel_gates(fam)  # before any feature vector is drawn
-        circuits = [
+        circuits = (
             _this.kernel_circuit(fam, *deff.kernel_features(fam, seed, k)) for k in range(count)
-        ]
+        )
     elif qv_width is not None:
         if qv_layers is None:
             raise InvalidParameterError("--qv-layers is required with --qv-width")
-        circuits = [
+        circuits = (
             _this.qv_circuit(qv_width, qv_layers, _this.seed_stream(seed, 1, k))
             for k in range(count)
-        ]
+        )
     else:
         raise InvalidParameterError("provide --family or --qv-width/--qv-layers")
+    # each circuit is written as it is built; a refusal comes from the first
+    # one, before the file is opened
     _this.write_circuits(out, circuits)
-    click.echo(f"wrote {len(circuits)} circuit(s) -> {out}")
+    click.echo(f"wrote {count} circuit(s) -> {out}")
 
 
 @main.command(name="simulate-kernel")

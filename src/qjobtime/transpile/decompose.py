@@ -10,6 +10,11 @@ Output is unitarily equivalent to the input up to global phase. Fixed rules:
                  the circuits given to `decompose_all` are factored in
                  stacked passes of at most `KAK_BATCH` payloads
 
+Each rule states its gate sequence once, in `_RULES`. A lowered circuit's
+qubit stream, all that routing and depth read, is read from the rules when
+the circuit is lowered; its gates are read from them on first access of
+`gates`. The router emits its swaps by the SWAP rule.
+
 Every emitted gate acts on the qubits of an already-checked input gate, so it
 is built with `Gate._trusted` (angles passed as Python floats), skipping the
 construction checks. Gates are immutable, so a gate that recurs within one
@@ -17,6 +22,7 @@ circuit (each qubit's SX and the H rule's RZ(pi/2), each pair's CX) is built
 once and shared.
 """
 
+from functools import lru_cache, partial
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -34,18 +40,55 @@ _SWAP, _U3, _SU4 = GateKind.SWAP, GateKind.U3, GateKind.SU4
 _PASS_THROUGH = frozenset(BASIS_1Q + BASIS_2Q)  # already in the basis
 _HALF_PI = (np.pi / 2,)  # the H rule's RZ angle
 
+# A rule is the gate sequence one input gate lowers to. Each step is
+# (kind, positions, angles): a gate of `kind` on the input gate's qubits at
+# `positions`, with the constant `angles`, or with the input gate's own
+# parameters where `angles` is `_OWN`. A `_ROW` step takes the input gate's
+# next `zsx_angles` row (count, angles) and emits `_ROW_GATES[count]` on its
+# qubit: each entry is the index of an RZ angle, or None for SX.
+_ROW, _OWN = "row", "own"
+_CX01 = (_CX, (0, 1), ())
+_ROWS01 = ((_ROW, (0,), ()), (_ROW, (1,), ()))  # a 1q layer on (hi, lo)
+_RULES = {
+    _H: ((_RZ, (0,), _HALF_PI), (_SX, (0,), ()), (_RZ, (0,), _HALF_PI)),
+    _RZZ: (_CX01, (_RZ, (1,), _OWN), _CX01),
+    _SWAP: (_CX01, (_CX, (1, 0), ()), _CX01),
+    _U3: ((_ROW, (0,), ()),),
+    _SU4: _ROWS01 + (_CX01,) + _ROWS01 + (_CX01,) + _ROWS01 + (_CX01,) + _ROWS01,
+}
+_ROW_GATES = {0: (), 1: (0,), 3: (0, None, 1, None, 2)}  # RZ(a1) SX RZ(a2) SX RZ(a3)
 
-def _emit_1q(out: list[Gate], rows) -> None:
-    """Append rows of `zsx_angles`, each (sx, n, [a1, a2, a3]) giving its n
-    gates on the qubit of the shared gate `sx`: none, RZ(a1), or
-    RZ(a1) SX RZ(a2) SX RZ(a3)."""
+
+@lru_cache(maxsize=4096)
+def rule_stream(kind: GateKind, qubits: tuple[int, ...], counts: tuple[int, ...]) -> tuple:
+    """The qubits of each gate that `kind` on `qubits` lowers to, given the
+    counts of its `zsx_angles` rows in order."""
+    counts = iter(counts)
+    out = []
+    for step, positions, _ in _RULES[kind]:
+        q = tuple(qubits[i] for i in positions)
+        out += (q,) * (len(_ROW_GATES[next(counts)]) if step is _ROW else 1)
+    return tuple(out)
+
+
+def emit_rule(out: list[Gate], shared: "SharedGates", kind: GateKind, qubits: tuple[int, ...],
+              params: tuple[float, ...] = (), rows=()) -> None:
+    """Append the gates that `kind` on `qubits` with `params` lowers to,
+    taking its `zsx_angles` rows, each (count, [a1, a2, a3]), from `rows`."""
+    rows = iter(rows)
     trusted = Gate._trusted
-    for sx, n, (a1, a2, a3) in rows:
-        if n == 3:
-            q = sx.qubits
-            out += (trusted(_RZ, q, (a1,)), sx, trusted(_RZ, q, (a2,)), sx, trusted(_RZ, q, (a3,)))
-        elif n:
-            out.append(trusted(_RZ, sx.qubits, (a1,)))
+    for step, positions, angles in _RULES[kind]:
+        q = tuple(qubits[i] for i in positions)
+        if step is _ROW:
+            count, a = next(rows)
+            sx = shared[_SX, q]
+            out += (sx if i is None else trusted(_RZ, q, (a[i],)) for i in _ROW_GATES[count])
+        elif angles is _OWN:
+            out.append(trusted(step, q, params))
+        elif angles:
+            out.append(shared[step, q, angles])
+        else:
+            out.append(shared[step, q])
 
 
 class SharedGates(dict):
@@ -55,12 +98,6 @@ class SharedGates(dict):
     def __missing__(self, key):
         gate = self[key] = Gate._trusted(*key)
         return gate
-
-
-def swap_as_cx(shared: SharedGates, a: int, b: int) -> tuple[Gate, Gate, Gate]:
-    """SWAP(a, b) as CX(a,b), CX(b,a), CX(a,b), taken from `shared`."""
-    ab = shared[_CX, (a, b)]
-    return ab, shared[_CX, (b, a)], ab
 
 
 # most SU4 payloads one stacked KAK pass factors: a whole QV baseline of 20
@@ -105,8 +142,8 @@ def _lower_batch(batch: list[tuple[Circuit, list[np.ndarray]]]) -> Iterator[Circ
     start = 0
     for c, su4 in batch:
         end = start + len(su4)
-        # dressing rows become Python lists only for the circuit being lowered
-        rows = zip(counts[start:end].tolist(), angles[start:end].tolist()) if su4 else None
+        # dressing rows become Python values only for the circuit being lowered
+        rows = zip(map(tuple, counts[start:end].tolist()), angles[start:end].tolist()) if su4 else None
         yield _lower(c, rows)
         start = end
 
@@ -117,33 +154,37 @@ def decompose(c: Circuit) -> Circuit:
 
 
 def _lower(c: Circuit, dressings) -> Circuit:
-    """`c` in basis gates, taking each SU4 gate's dressing rows, in gate
-    order, from the iterator `dressings`."""
-    shared = SharedGates()
-    out: list[Gate] = []
+    """`c` in basis gates, taking each SU4 gate's dressing rows, (counts,
+    angles) in gate order, from the iterator `dressings`: the qubit stream
+    now, the gates on first access."""
+    stream: list[tuple[int, ...]] = []
+    rows = []  # per gate that is not passed through, in order: its (counts, angles)
     for g in c.gates:
         k = g.kind
         if k in _PASS_THROUGH:
-            out.append(g)
-        elif k is _H:
-            rz = shared[_RZ, g.qubits, _HALF_PI]
-            out += (rz, shared[_SX, g.qubits], rz)
-        elif k is _RZZ:
-            cx = shared[_CX, g.qubits]
-            out += (cx, Gate._trusted(_RZ, g.qubits[1:], g.params), cx)
-        elif k is _SWAP:
-            out.extend(swap_as_cx(shared, *g.qubits))
+            stream.append(g.qubits)
+            continue
+        if k is _SU4:
+            counts, angles = next(dressings)
         elif k is _U3:
             counts, angles = zsx_angles(gate_matrix(g)[None])
-            sx = shared[_SX, g.qubits]
-            _emit_1q(out, zip((sx,), counts.tolist(), angles.tolist()))
-        else:  # SU4: a 1q layer (rows 0, 1), then three times CX and a 1q layer
-            counts, angles = next(dressings)
-            qa, qb = g.qubits
-            cx = shared[_CX, g.qubits]
-            sides = (shared[_SX, (qa,)], shared[_SX, (qb,)])
-            _emit_1q(out, zip(sides, counts[:2], angles[:2]))
-            for i in (2, 4, 6):
-                out.append(cx)
-                _emit_1q(out, zip(sides, counts[i : i + 2], angles[i : i + 2]))
-    return Circuit._trusted(c.width, tuple(out), c.base_layers)
+            counts, angles = tuple(counts.tolist()), angles.tolist()
+        else:
+            counts = angles = ()
+        rows.append((counts, angles))
+        stream += rule_stream(k, g.qubits, counts)
+    return Circuit._lazy(c.width, stream, partial(_lower_gates, c.gates, rows), c.base_layers)
+
+
+def _lower_gates(gates: tuple[Gate, ...], rows) -> tuple[Gate, ...]:
+    """The gates of `_lower`'s circuit, from the input gates and the rows it kept."""
+    shared = SharedGates()
+    out: list[Gate] = []
+    rows = iter(rows)
+    for g in gates:
+        k = g.kind
+        if k in _PASS_THROUGH:
+            out.append(g)
+        else:
+            emit_rule(out, shared, k, g.qubits, g.params, zip(*next(rows)))
+    return tuple(out)

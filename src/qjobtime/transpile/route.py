@@ -4,16 +4,23 @@ No lookahead: whenever a two-qubit gate straddles non-adjacent physical
 qubits, the endpoint with the lower physical index walks one step along a BFS
 shortest path (ties broken by ascending neighbor index; the map precomputes
 each path's first hop) until the pair is adjacent. Inserted swaps are emitted
-as CX triples so routed circuits stay inside the two-qubit basis. Deterministic by construction.
+by the lowering's SWAP rule, as CX triples, so routed circuits stay inside the
+two-qubit basis. Deterministic by construction.
+
+The router walks its input's qubit stream and records the physical stream and
+where each swap goes; the routed gates are built on first access of `gates`.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
-from ..circuit import Circuit, Gate
+from ..circuit import Circuit, Gate, GateKind
 from ..errors import CouplingError
 from .coupling import CouplingMap
-from .decompose import SharedGates, decompose, decompose_all, swap_as_cx
+from .decompose import SharedGates, decompose, decompose_all, emit_rule, rule_stream
+
+_SWAP = GateKind.SWAP
 
 
 @dataclass(frozen=True)
@@ -34,56 +41,69 @@ def route(c: Circuit, cmap: CouplingMap) -> RoutedCircuit:
         )
     l2p = list(range(c.width))  # logical -> physical
     p2l: list[int | None] = list(range(c.width)) + [None] * (cmap.num_qubits - c.width)
-    out: list[Gate] = []
-    swaps = 0
-    # Every gate emitted is one of c's checked gates moved to other physical
-    # qubits, or a swap CX, so it is built with `Gate._trusted`. A moved gate
-    # with parameters or a payload (RZ, SU4) is built anew; a parameter-free
-    # one (SX, X, CX) is the one shared gate of its kind on those qubits.
-    shared = SharedGates()
-
-    def do_swap(pa: int, pb: int) -> None:
-        out.extend(swap_as_cx(shared, pa, pb))
-        la, lb = p2l[pa], p2l[pb]
-        p2l[pa], p2l[pb] = lb, la
-        if la is not None:
-            l2p[la] = pb
-        if lb is not None:
-            l2p[lb] = pa
-
+    stream: list[tuple[int, ...]] = []  # the physical qubits of each routed gate
+    swap_at: list[int] = []  # per swap, the index in c of the gate it precedes
+    singles = [(p,) for p in range(cmap.num_qubits)]
     # the map's distance and first-hop tables, read directly per gate
     dist, hop = cmap._dist, cmap._hop
-    trusted, append = Gate._trusted, out.append
-    for g in c.gates:
-        qubits = g.qubits
+    append = stream.append
+    for i, qubits in enumerate(c._stream):
         if len(qubits) == 1:
-            physical = (l2p[qubits[0]],)
-        else:
-            la, lb = qubits
+            append(singles[l2p[qubits[0]]])
+            continue
+        la, lb = qubits
+        pa, pb = l2p[la], l2p[lb]
+        while dist[pa][pb] > 1:
+            mover, target = (pa, pb) if pa < pb else (pb, pa)
+            step = hop[mover][target]
+            stream += rule_stream(_SWAP, (mover, step), ())
+            swap_at.append(i)
+            lm, ls = p2l[mover], p2l[step]
+            p2l[mover], p2l[step] = ls, lm
+            if lm is not None:
+                l2p[lm] = step
+            if ls is not None:
+                l2p[ls] = mover
             pa, pb = l2p[la], l2p[lb]
-            while dist[pa][pb] > 1:
-                mover, target = (pa, pb) if pa < pb else (pb, pa)
-                do_swap(mover, hop[mover][target])
-                swaps += 1
-                pa, pb = l2p[la], l2p[lb]
-            physical = (pa, pb)
-        if physical != qubits:  # a gate that stays on its qubits is reused as is
+        append(qubits if pa == la and pb == lb else (pa, pb))
+    build = partial(_routed_gates, c, stream, swap_at)
+    return RoutedCircuit(
+        Circuit._lazy(cmap.num_qubits, stream, build, c.base_layers), tuple(l2p), len(swap_at)
+    )
+
+
+def _routed_gates(c: Circuit, stream: list[tuple[int, ...]], swap_at: list[int]) -> tuple[Gate, ...]:
+    """The gates of `route`'s circuit: c's gates moved to the physical qubits
+    of `stream`, with a swap before gate i of c for each i in `swap_at`.
+
+    Every gate is one of c's checked gates moved, or a swap CX, so it is built
+    with `Gate._trusted`. A moved gate with parameters or a payload (RZ, SU4)
+    is built anew; a parameter-free one (SX, X, CX) is the one shared gate of
+    its kind on those qubits.
+    """
+    shared = SharedGates()
+    out: list[Gate] = []
+    swaps = iter(swap_at)
+    next_swap = next(swaps, -1)
+    trusted = Gate._trusted
+    # stream[len(out)] holds the qubits of the next gate out: for a swap, its first CX
+    for i, g in enumerate(c.gates):
+        while next_swap == i:
+            emit_rule(out, shared, _SWAP, stream[len(out)])
+            next_swap = next(swaps, -1)
+        physical = stream[len(out)]
+        if physical != g.qubits:  # a gate that stays on its qubits is reused as is
             if g.params or g.matrix is not None:
                 g = trusted(g.kind, physical, g.params, g.matrix)
             else:
                 g = shared[g.kind, physical]
-        append(g)
-
-    return RoutedCircuit(
-        Circuit._trusted(cmap.num_qubits, tuple(out), c.base_layers), tuple(l2p), swaps
-    )
+        out.append(g)
+    return tuple(out)
 
 
 def uses_only_map_edges(c: Circuit, cmap: CouplingMap) -> bool:
     """True when every 2-qubit gate acts on a coupling-map edge."""
-    return all(
-        cmap.has_edge(*g.qubits) for g in c.gates if len(g.qubits) == 2
-    )
+    return all(cmap.has_edge(*qubits) for qubits in c._stream if len(qubits) == 2)
 
 
 def transpiled_depth(c: Circuit, cmap: CouplingMap) -> int:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,21 @@ class TestCircuitAndKernelCommands:
         circuits = read_circuits(out)
         assert len(circuits) == 2
         assert all(len(c) == 8 for c in circuits)
+
+    def test_gen_circuits_memory_does_not_grow_with_count(self, runner, tmp_path):
+        """Each circuit is written as it is built: the traced peak at
+        `--count 16` is within 20% of the peak at `--count 1`."""
+        args = ["gen-circuits", "--family", '{"n":2,"d":150}', "--out"]  # 1500 gates each
+        assert runner.invoke(main, args + [str(tmp_path / "warm.txt")]).exit_code == 0
+        peaks = []
+        for count in ("1", "16"):
+            tracemalloc.start()
+            result = runner.invoke(main, args + [str(tmp_path / f"{count}.txt"), "--count", count])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert result.exit_code == 0
+        assert (tmp_path / "16.txt").read_text().count("width=") == 16
+        assert peaks[1] <= 1.2 * peaks[0], peaks
 
     def test_deff_command_json(self, runner):
         result = runner.invoke(

@@ -1,21 +1,34 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qjobtime.deff as deff_mod
+from qjobtime.circuit import Gate
 from qjobtime.deff import (
     MAX_SAMPLES,
     DeffEstimate,
     effective_layers,
     equivalent_qv_width,
+    kernel_features,
     mean_transpiled_depth,
     sample_kernel_circuits,
     sample_qv_circuits,
 )
 from qjobtime.errors import CouplingError, InvalidParameterError
-from qjobtime.generators import Entanglement, KernelFamily
-from qjobtime.transpile import all_to_all_map, heavy_hex_like_map, line_map
+from qjobtime.generators import Entanglement, KernelFamily, kernel_circuit, qv_circuit
+from qjobtime.transpile import (
+    all_to_all_map,
+    decompose,
+    heavy_hex_like_map,
+    line_map,
+    named_map,
+    route,
+    transpiled_depth,
+)
 
 
 class TestEquivalentQvWidth:
@@ -117,3 +130,45 @@ class TestEffectiveLayers:
         for counts in ({"kernel_samples": MAX_SAMPLES + 1}, {"qv_samples": MAX_SAMPLES + 1}):
             with pytest.raises(InvalidParameterError, match=f"<= {MAX_SAMPLES}"):
                 effective_layers(KernelFamily(2, 1), line_map(2), **counts)
+
+
+SMALL_MAPS = [named_map(name, 6) for name in ("line", "ring", "all-to-all", "heavy-hex-like")]
+
+
+@settings(max_examples=25, deadline=None)
+@given(fam=st.builds(KernelFamily, st.integers(2, 5), st.integers(1, 2),
+                     st.sampled_from(list(Entanglement))),
+       data=st.data())
+def test_kernel_depth_does_not_depend_on_features(fam, data):
+    """Every kernel sample of a family has one transpiled depth on each map:
+    a kernel circuit's gate kinds and qubits do not depend on (x, y), and
+    lowering, routing and depth read only those. This breaks if the 1q-gate
+    accounting ever starts to depend on the angles."""
+    features = st.lists(st.floats(-10.0, 10.0), min_size=fam.n, max_size=fam.n).map(np.array)
+    x, y = data.draw(features), data.draw(features)
+    reference = kernel_circuit(fam, *kernel_features(fam, 0, 0))
+    for cmap in SMALL_MAPS:
+        assert transpiled_depth(kernel_circuit(fam, x, y), cmap) == transpiled_depth(reference, cmap)
+
+
+def test_effective_layers_builds_no_transpiled_gate(monkeypatch):
+    """d_eff reads only qubit streams: lowering and routing build no `Gate`
+    (every gate the transpiler builds goes through `Gate._trusted`), while
+    reading `.gates` of a transpiled circuit builds them."""
+    built = []
+    trusted = Gate._trusted.__func__
+
+    def spy(cls, *args):
+        built.append(sys._getframe(1).f_globals["__name__"])
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(Gate, "_trusted", classmethod(spy))
+    effective_layers(KernelFamily(3, 2, Entanglement.FULL), line_map(6), 3, 3, seed=1)
+    assert "qjobtime.generators" in built  # the generators' gates are seen
+    assert not [name for name in built if name.startswith("qjobtime.transpile")]
+    qv = qv_circuit(5, 3, seed=0)
+    built.clear()
+    routed = route(decompose(qv), line_map(6))
+    assert built == []
+    assert routed.swap_count > 0 and len(routed.circuit.gates) == len(routed.circuit)
+    assert {"qjobtime.transpile.decompose", "qjobtime.transpile.route"} <= set(built)

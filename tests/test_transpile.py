@@ -446,6 +446,61 @@ def test_package_names_are_functions_not_submodules():
     assert package.route is route and package.decompose is decompose
 
 
+# one maker per lowering rule and `zsx_angles` count: a U3 whose row count is
+# 0, 1 or 3, and SU4 payloads whose dressing rows hold counts 0, 1 and 3 (the
+# identity) or only 3 (a Haar draw)
+STREAM_GATES = {
+    "H": lambda a, b, rng: Gate.h(a),
+    "X": lambda a, b, rng: Gate.x(a),
+    "SX": lambda a, b, rng: Gate.sx(a),
+    "RZ": lambda a, b, rng: Gate.rz(a, float(rng.uniform(-np.pi, np.pi))),
+    "CX": lambda a, b, rng: Gate.cx(a, b),
+    "RZZ": lambda a, b, rng: Gate.rzz(a, b, float(rng.uniform(-np.pi, np.pi))),
+    "SWAP": lambda a, b, rng: Gate.swap(a, b),
+    "U3-count-0": lambda a, b, rng: Gate.u3(a, 0.0, 0.0, 0.0, 0.3),
+    "U3-count-1": lambda a, b, rng: Gate.u3(a, 0.0, 0.0, 0.7),
+    "U3-count-3": lambda a, b, rng: Gate.u3(a, *(float(v) for v in rng.uniform(-np.pi, np.pi, 4))),
+    "SU4-counts-0-1-3": lambda a, b, rng: Gate.su4(a, b, np.eye(4)),
+    "SU4-haar": lambda a, b, rng: Gate.su4(a, b, haar_su4(rng)),
+}
+
+
+@st.composite
+def stream_circuits(draw):
+    width = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gates = []
+    for name in draw(st.lists(st.sampled_from(sorted(STREAM_GATES)), max_size=24)):
+        a, b = (int(q) for q in rng.choice(width, 2, replace=False))
+        gates.append(STREAM_GATES[name](a, b, rng))
+    return Circuit(width, tuple(gates))
+
+
+EVERY_RULE = Circuit(6, tuple(maker(k % 6, (k + 3) % 6, np.random.default_rng(k))
+                              for k, maker in enumerate(STREAM_GATES.values())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream_circuits(), st.sampled_from(["line", "ring", "heavy-hex-like", "all-to-all"]))
+@example(EVERY_RULE, "line")
+def test_qubit_stream_equals_the_gates_qubits(c, map_name):
+    """A lowered and a routed circuit are made from their qubit streams, and
+    their gates are built on first access; the stream equals the built
+    gates' qubits, over every lowering rule and dressing count, and depth and
+    length read from it equal those of the same gates in a plain circuit."""
+    cmap = named_map(map_name, 6)
+    lowered = decompose(c)
+    routed = route(lowered, cmap).circuit
+    for out in (lowered, routed):
+        assert "gates" not in vars(out)
+    for out in (routed, lowered):
+        stream = list(out._stream)
+        plain = Circuit(out.width, out.gates)
+        assert stream == [g.qubits for g in out.gates] == plain._stream
+        assert (len(out), out.depth()) == (len(plain), plain.depth())
+        assert uses_only_map_edges(out, cmap) == uses_only_map_edges(plain, cmap)
+
+
 class TestTranspiledDepth:
     def test_empty(self):
         assert transpiled_depth(Circuit(3), line_map(3)) == 0
