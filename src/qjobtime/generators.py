@@ -149,10 +149,11 @@ def qv_circuit(q: int, layers: int, seed: "int | np.random.SeedSequence") -> Cir
 # most gates one overlap circuit U(x) U(y)^dagger may hold, 2*d*(2n + |pairs|),
 # refused before any gate or state is built; the families the tests, the README
 # and the benchmark use hold at most about a thousand gates. Lowering and
-# routing peak at about 0.1 kB per gate for linear and 0.8 kB for full
-# entanglement on a 40-qubit heavy-hex-like map, so about 10 and 80 MB at the
-# ceiling. The swaps routing adds are not bounded by it: they grow with the
-# map's distances, and full entanglement on line:200 peaks at about 4 kB per gate
+# routing peak at about 0.1 kB per gate for linear entanglement on a 40-qubit
+# heavy-hex-like map, so about 10 MB at the ceiling. The swaps routing adds
+# grow with the map's distances and are bounded separately, by the router's
+# `MAX_ROUTED_GATES`: full entanglement at this ceiling on that map would
+# route to about 2.7 million gates and is refused there
 MAX_KERNEL_GATES = 100_000
 
 

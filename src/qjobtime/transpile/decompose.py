@@ -7,13 +7,16 @@ Output is unitarily equivalent to the input up to global phase. Fixed rules:
     SWAP      -> CX, CX, CX                             (exact)
     U3        -> ZYZ Euler angles as an RZ/SX string
     SU4       -> three CX with 1q dressings (see kak); the SU4 payloads of
-                 the circuits given to `decompose_all` are factored in
-                 stacked passes of at most `KAK_BATCH` payloads
+                 the circuits given to `decompose_all` go through KAK's
+                 interaction pass in stacks of at most `KAK_BATCH`
+                 payloads, which gives each dressing's gate count
 
 Each rule states its gate sequence once, in `_RULES`. A lowered circuit's
 qubit stream, all that routing and depth read, is read from the rules when
 the circuit is lowered; its gates are read from them on first access of
-`gates`. The router emits its swaps by the SWAP rule.
+`gates`, and only then are the SU4 gates' local factors and dressing angles
+computed, from the interaction-pass rows the circuit keeps. The router
+emits its swaps by the SWAP rule.
 
 Every emitted gate acts on the qubits of an already-checked input gate, so it
 is built with `Gate._trusted` (angles passed as Python floats), skipping the
@@ -28,7 +31,11 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..circuit import Circuit, Gate, GateKind, gate_matrix
-from .kak import canonical_layers, kak_decompose, zsx_angles
+from .kak import all_three_rows, canonical_layers, kak_interaction, kak_local_factors, zsx_angles
+
+# the two KAK passes in one call, unused here but bound at this module path,
+# where bench/tracing.py wraps it
+from .kak import kak_decompose  # noqa: F401
 
 BASIS_1Q = (GateKind.RZ, GateKind.SX, GateKind.X)
 BASIS_2Q = (GateKind.CX,)
@@ -100,29 +107,44 @@ class SharedGates(dict):
         return gate
 
 
-# most SU4 payloads one stacked KAK pass factors: a whole QV baseline of 20
+# most SU4 payloads one stacked KAK interaction pass takes: a whole QV baseline of 20
 # width-8 circuits (640 payloads) fits in one pass, and the pass's
 # intermediates stay the same size however many circuits are lowered
 KAK_BATCH = 1024
 
 
-def _su4_dressings(payloads: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per SU4 payload, the `zsx_angles` counts (k, 8) and angles (k, 8, 3) of
-    its eight 1q dressings in emission order: (hi, lo) before the first CX
-    and after each of the three CX. All payloads go through one stacked KAK
-    pass."""
-    _, a1, a0, xyz, b1, b0 = kak_decompose(np.stack(payloads))
+def _su4_dressings(k1: np.ndarray, p: np.ndarray, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of an interaction pass, the `zsx_angles` counts (k, 8) and
+    angles (k, 8, 3) of its SU4 payload's eight 1q dressings in emission
+    order: (hi, lo) before the first CX and after each of the three CX."""
+    a1, a0, b1, b0 = kak_local_factors(k1, p)
     (pre_hi, pre_lo), (m1_hi, m1_lo), (m2_hi, m2_lo) = canonical_layers(*xyz.T)
     layers = np.broadcast_arrays(pre_hi @ b1, pre_lo @ b0, m1_hi, m1_lo, m2_hi, m2_lo, a1, a0)
     counts, angles = zsx_angles(np.stack(layers, axis=1).reshape(-1, 2, 2))
     return counts.reshape(-1, 8), angles.reshape(-1, 8, 3)
 
 
+def _su4_counts(payloads: list[np.ndarray]):
+    """(counts, k1, p, xyz) for SU4 payloads factored in one stacked
+    interaction pass: the `_su4_dressings` counts, and the pass's outputs
+    that the dressings are later computed from. The counts of a row that
+    `all_three_rows` clears are all 3; only the other rows take
+    `_su4_dressings` now."""
+    _, k1, p, xyz, _ = kak_interaction(np.stack(payloads))
+    counts = np.full((len(payloads), 8), 3)
+    rest = np.flatnonzero(~all_three_rows(k1, p, xyz))
+    if rest.size:
+        counts[rest] = _su4_dressings(k1[rest], p[rest], xyz[rest])[0]
+    return counts, k1, p, xyz
+
+
 def decompose_all(circuits: Iterable[Circuit]) -> Iterator[Circuit]:
     """`decompose` of each circuit, yielded in order. Consecutive circuits are
     gathered while their SU4 payloads fit in `KAK_BATCH` (a larger circuit
-    forms a batch alone); a batch's payloads are factored in stacked passes
-    of at most `KAK_BATCH`, and its circuits are then lowered one at a time."""
+    forms a batch alone); a batch's payloads go through the interaction pass
+    in stacks of at most `KAK_BATCH`, and its circuits are then lowered one
+    at a time. Each circuit keeps its rows of the pass, from which its
+    dressings are computed on first access of its gates."""
     batch, size = [], 0
     for c in circuits:
         su4 = [g.matrix for g in c.gates if g.kind is _SU4]
@@ -136,15 +158,17 @@ def decompose_all(circuits: Iterable[Circuit]) -> Iterator[Circuit]:
 
 def _lower_batch(batch: list[tuple[Circuit, list[np.ndarray]]]) -> Iterator[Circuit]:
     payloads = [m for _, su4 in batch for m in su4]
-    passes = [_su4_dressings(payloads[i : i + KAK_BATCH])
+    passes = [_su4_counts(payloads[i : i + KAK_BATCH])
               for i in range(0, len(payloads), KAK_BATCH)]
-    counts, angles = map(np.concatenate, zip(*passes)) if passes else (None, None)
+    counts, k1, p, xyz = map(np.concatenate, zip(*passes)) if passes else (None,) * 4
     start = 0
     for c, su4 in batch:
         end = start + len(su4)
-        # dressing rows become Python values only for the circuit being lowered
-        rows = zip(map(tuple, counts[start:end].tolist()), angles[start:end].tolist()) if su4 else None
-        yield _lower(c, rows)
+        if su4:  # the counts become Python values only for the circuit being lowered
+            yield _lower(c, map(tuple, counts[start:end].tolist()),
+                         (k1[start:end], p[start:end], xyz[start:end]))
+        else:
+            yield _lower(c, None, None)
         start = end
 
 
@@ -153,38 +177,46 @@ def decompose(c: Circuit) -> Circuit:
     return next(decompose_all((c,)))
 
 
-def _lower(c: Circuit, dressings) -> Circuit:
-    """`c` in basis gates, taking each SU4 gate's dressing rows, (counts,
-    angles) in gate order, from the iterator `dressings`: the qubit stream
-    now, the gates on first access."""
+def _lower(c: Circuit, su4_counts, interaction) -> Circuit:
+    """`c` in basis gates: the qubit stream now, taking each SU4 gate's
+    dressing counts in gate order from the iterator `su4_counts`, and the
+    gates on first access, with the SU4 dressings computed then from the
+    interaction-pass rows `interaction`, (k1, p, xyz)."""
     stream: list[tuple[int, ...]] = []
-    rows = []  # per gate that is not passed through, in order: its (counts, angles)
+    rows = []  # per U3, H, RZZ or SWAP gate, in order: its (counts, angles)
     for g in c.gates:
         k = g.kind
         if k in _PASS_THROUGH:
             stream.append(g.qubits)
             continue
         if k is _SU4:
-            counts, angles = next(dressings)
+            counts = next(su4_counts)
         elif k is _U3:
             counts, angles = zsx_angles(gate_matrix(g)[None])
-            counts, angles = tuple(counts.tolist()), angles.tolist()
+            counts = tuple(counts.tolist())
+            rows.append((counts, angles.tolist()))
         else:
-            counts = angles = ()
-        rows.append((counts, angles))
+            counts = ()
+            rows.append(((), ()))
         stream += rule_stream(k, g.qubits, counts)
-    return Circuit._lazy(c.width, stream, partial(_lower_gates, c.gates, rows), c.base_layers)
+    build = partial(_lower_gates, c.gates, rows, interaction)
+    return Circuit._lazy(c.width, stream, build, c.base_layers)
 
 
-def _lower_gates(gates: tuple[Gate, ...], rows) -> tuple[Gate, ...]:
-    """The gates of `_lower`'s circuit, from the input gates and the rows it kept."""
+def _lower_gates(gates: tuple[Gate, ...], rows, interaction) -> tuple[Gate, ...]:
+    """The gates of `_lower`'s circuit, from the input gates, the rows it
+    kept and the dressings of its interaction-pass rows."""
     shared = SharedGates()
     out: list[Gate] = []
     rows = iter(rows)
+    if interaction is not None:
+        counts, angles = _su4_dressings(*interaction)
+        su4_rows = zip(map(tuple, counts.tolist()), angles.tolist())
     for g in gates:
         k = g.kind
         if k in _PASS_THROUGH:
             out.append(g)
         else:
-            emit_rule(out, shared, k, g.qubits, g.params, zip(*next(rows)))
+            row = next(su4_rows if k is _SU4 else rows)
+            emit_rule(out, shared, k, g.qubits, g.params, zip(*row))
     return tuple(out)

@@ -11,7 +11,16 @@ identity that reproduces exp(i(x XX + y YY + z ZZ)) exactly, including phase:
 
     CX . (Rx(-2x) (x) Rz(-2z)H) . CX . (Rx(2y)S (x) HS) . CX . (I (x) Sdg)
 
+(the dressing layout of Vatan & Williams, PRA 69, 032315, 2004).
 Single-qubit factors are lowered to RZ/SX strings via ZYZ Euler angles.
+
+`kak_decompose` is two passes. The interaction pass (`kak_interaction`)
+finds (x, y, z) and the real orthogonal k1 and p whose magic-basis
+conjugates are the local tensor products; the local-factor pass
+(`kak_local_factors`) splits those products into single-qubit unitaries.
+`all_three_rows` tells, from the interaction pass alone, which rows lower
+every dressing to the full RZ SX RZ SX RZ string (`zsx_angles` count 3), so
+a caller that needs only gate counts can skip the second pass for them.
 
 Every step works on a stack (k, 4, 4) of payloads at once, so the SU(4) gates
 of many circuits are factored in one pass; only the rows whose interaction
@@ -153,19 +162,19 @@ def factor_kron(m4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-def kak_decompose(u: np.ndarray):
-    """Return (phase, a1, a0, (x, y, z), b1, b0) with
+def kak_interaction(u: np.ndarray):
+    """The interaction pass of `kak_decompose` on a stack u (k, 4, 4):
+    (gamma, k1, p, xyz, w) with, per row,
 
-        u == phase * kron(a1, a0) @ canonical_matrix(x, y, z) @ kron(b1, b0)
+        u == e^{i(gamma + w)} MAGIC k1 MAGIC^dag . canonical_matrix(x, y, z)
+             . MAGIC p^T MAGIC^dag
 
-    where a*/b* are single-qubit unitaries acting on the high/low bit.
-    `u` is one (4, 4) matrix or a stack (k, 4, 4); for a stack every value
-    gains a leading axis of length k and (x, y, z) is a (k, 3) array.
-    One Newton-Schulz step first moves u to the nearest unitary, so that any
-    payload within `UNITARY_TOL` of unitary factors.
+    where k1 and p are real orthogonal with determinant +1, so that both
+    magic-basis conjugates are tensor products of single-qubit unitaries,
+    and xyz is the (k, 3) array of (x, y, z). One Newton-Schulz step first
+    moves u to the nearest unitary, so that any payload within `UNITARY_TOL`
+    of unitary factors.
     """
-    single = u.ndim == 2
-    u = u.reshape(-1, 4, 4)
     u = u @ (1.5 * np.eye(4) - 0.5 * (u.conj().swapaxes(1, 2) @ u))
     gamma = np.angle(np.linalg.det(u)) / 4
     us = u * np.exp(-1j * gamma)[:, None, None]
@@ -186,12 +195,38 @@ def kak_decompose(u: np.ndarray):
     k1 = k1.real
     theta[_proper(k1), 0] += np.pi
     x, y, z, w = np.linalg.solve(_COEFF, theta[:, :, None])[:, :, 0].T
-    a1, a0 = factor_kron(MAGIC @ k1 @ MAGIC.conj().T)
-    b1, b0 = factor_kron(MAGIC @ p.swapaxes(1, 2) @ MAGIC.conj().T)
+    return gamma, k1, p, np.stack([x, y, z], -1), w
+
+
+def kak_local_factors(k1: np.ndarray, p: np.ndarray):
+    """The local-factor pass of `kak_decompose`: (a1, a0, b1, b0), stacks
+    (k, 2, 2), from the interaction pass's k1 and p."""
+    ka, kb = _tensor_products(k1, p)
+    return (*factor_kron(ka), *factor_kron(kb))
+
+
+def _tensor_products(k1: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """kron(a1, a0) and kron(b1, b0): the magic-basis conjugates of k1 and p^T."""
+    return MAGIC @ k1 @ MAGIC.conj().T, MAGIC @ p.swapaxes(1, 2) @ MAGIC.conj().T
+
+
+def kak_decompose(u: np.ndarray):
+    """Return (phase, a1, a0, (x, y, z), b1, b0) with
+
+        u == phase * kron(a1, a0) @ canonical_matrix(x, y, z) @ kron(b1, b0)
+
+    where a*/b* are single-qubit unitaries acting on the high/low bit.
+    `u` is one (4, 4) matrix or a stack (k, 4, 4); for a stack every value
+    gains a leading axis of length k and (x, y, z) is a (k, 3) array.
+    It is `kak_interaction` followed by `kak_local_factors`.
+    """
+    single = u.ndim == 2
+    gamma, k1, p, xyz, w = kak_interaction(u.reshape(-1, 4, 4))
+    a1, a0, b1, b0 = kak_local_factors(k1, p)
     phase = np.exp(1j * (gamma + w))
     if single:
-        return phase[0], a1[0], a0[0], (float(x[0]), float(y[0]), float(z[0])), b1[0], b0[0]
-    return phase, a1, a0, np.stack([x, y, z], -1), b1, b0
+        return phase[0], a1[0], a0[0], tuple(xyz[0].tolist()), b1[0], b0[0]
+    return phase, a1, a0, xyz, b1, b0
 
 
 def zsx_angles(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,3 +266,36 @@ def canonical_layers(x: np.ndarray, y: np.ndarray, z: np.ndarray):
     mid1 = (_rx(2 * y) @ _S, _H @ _S)
     mid2 = (_rx(-2 * x), _rz(-2 * z) @ _H)
     return pre, mid1, mid2
+
+
+# A dressing's `zsx_angles` count is 3 unless its entry [1, 0] is within
+# about 1e-12 of zero: the two 1e-12 branches there (with |[0, 0]| <= 1, a
+# larger entry gives theta >= 2e-12). Of the eight dressings, H S and
+# RZ(-2z) H have |[1, 0]| = 1/sqrt(2), RX(2y) S has |sin y| and RX(-2x) has
+# |sin x|; b1, Sdg b0, a1 and a0 have their local factor's |[1, 0]|, which
+# `all_three_rows` reads from the tensor products without an SVD. That read
+# equals the SVD's to within the orthogonality of k1 and p, which the
+# interaction pass holds to `UNITARY_TOL` (1e-7). The margin sits three
+# orders above that and eight above 1e-12, so a row that clears it on all
+# six magnitudes has eight counts of 3 however either path rounds; 11 of
+# 20 000 Haar rows (`haar_su4`, seed 0) fall below it.
+DRESSING_MARGIN = 1e-4
+
+
+def all_three_rows(k1: np.ndarray, p: np.ndarray, xyz: np.ndarray) -> np.ndarray:
+    """Mask of the rows of an interaction pass whose eight three-CX dressings
+    all have `zsx_angles` count 3, read without the local-factor pass: |sin x|,
+    |sin y| and |[1, 0]| of a1, a0, b1 and b0 all exceed `DRESSING_MARGIN`.
+
+    kron(hi, lo) rearranged to vec(hi) vec(lo)^T (as in `factor_kron`) has
+    row 2 = hi[1, 0] vec(lo) and column 2 = lo[1, 0] vec(hi); the factors
+    are unitary, so |hi[1, 0]|^2 is half of row 2's squared norm and
+    |lo[1, 0]|^2 half of column 2's.
+    """
+    floor = 2 * DRESSING_MARGIN**2
+    ok = (np.abs(np.sin(xyz[:, :2])) > DRESSING_MARGIN).all(axis=1)
+    for m4 in _tensor_products(k1, p):
+        r = np.abs(m4.reshape(-1, 2, 2, 2, 2)) ** 2  # r[k, i1, i0, j1, j0]
+        ok &= r[:, 1, :, 0, :].sum(axis=(1, 2)) > floor  # row 2: i1 = 1, j1 = 0
+        ok &= r[:, :, 1, :, 0].sum(axis=(1, 2)) > floor  # column 2: i0 = 1, j0 = 0
+    return ok

@@ -22,6 +22,14 @@ from .decompose import SharedGates, decompose, decompose_all, emit_rule, rule_st
 
 _SWAP = GateKind.SWAP
 
+# most gates a routed circuit may hold, checked where a swap is appended (a
+# route without swaps is no longer than its lowered input, which the
+# generators' gate ceilings bound). The qubit stream and the swap positions
+# cost about 14 bytes per routed gate, so about 28 MB here. The families the
+# tests, the README and the benchmark use route to under 20 000 gates; a full
+# family of n = 200, d = 1 on line:200 would route to 8.06 million.
+MAX_ROUTED_GATES = 2_000_000
+
 
 @dataclass(frozen=True)
 class RoutedCircuit:
@@ -57,6 +65,11 @@ def route(c: Circuit, cmap: CouplingMap) -> RoutedCircuit:
             mover, target = (pa, pb) if pa < pb else (pb, pa)
             step = hop[mover][target]
             stream += rule_stream(_SWAP, (mover, step), ())
+            if len(stream) > MAX_ROUTED_GATES:
+                raise CouplingError(
+                    f"routing a {c.width}-qubit circuit onto a {cmap.num_qubits}-qubit "
+                    f"map needs more than {MAX_ROUTED_GATES} gates"
+                )
             swap_at.append(i)
             lm, ls = p2l[mover], p2l[step]
             p2l[mover], p2l[step] = ls, lm

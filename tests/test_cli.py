@@ -20,6 +20,7 @@ from qjobtime.generators import MAX_KERNEL_GATES, MAX_QV_GATES
 from qjobtime.model import builtin_backends, registry_to_json
 from qjobtime.records import RECORD_HEADER, load_runtime_records
 from qjobtime.transpile.coupling import MAX_MAP_QUBITS
+from qjobtime.transpile.route import MAX_ROUTED_GATES
 
 
 @pytest.fixture
@@ -496,6 +497,9 @@ MORE_THAN_KERNEL_GATES = f"more than {MAX_KERNEL_GATES} gates"
                      f"above {MAX_MAP_QUBITS}", id="deff-map-far-over-ceiling"),
         pytest.param(MAP_FILE, '{"n": %s, "edges": [[0, 1]]}' % OVER_MAP, BAD_MAP,
                      f"above {MAX_MAP_QUBITS}", id="map-file-over-ceiling"),
+        pytest.param(["deff", "--family", '{"n":200,"d":1,"entanglement":"full"}', "--map",
+                      "line:200", "--kernel-samples", "1", "--qv-samples", "1"], None, BAD_MAP,
+                     f"more than {MAX_ROUTED_GATES} gates", id="deff-route-over-ceiling"),
         pytest.param(["deff", "--qv-job", "--family", '{"n":2,"d":%s}' % OVER_QV, "--map", "line:4",
                       "--qv-samples", "1"], None, BAD_VALUE, f"more than {MAX_QV_GATES} SU4 gates",
                      id="deff-qv-job-over-gate-ceiling"),

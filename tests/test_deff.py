@@ -20,6 +20,7 @@ from qjobtime.deff import (
 )
 from qjobtime.errors import CouplingError, InvalidParameterError
 from qjobtime.generators import Entanglement, KernelFamily, kernel_circuit, qv_circuit
+from qjobtime.transpile import kak
 from qjobtime.transpile import (
     all_to_all_map,
     decompose,
@@ -172,3 +173,21 @@ def test_effective_layers_builds_no_transpiled_gate(monkeypatch):
     assert built == []
     assert routed.swap_count > 0 and len(routed.circuit.gates) == len(routed.circuit)
     assert {"qjobtime.transpile.decompose", "qjobtime.transpile.route"} <= set(built)
+
+
+def test_effective_layers_runs_no_local_factor_pass(monkeypatch):
+    """d_eff reads only the dressing counts of the QV baselines' SU4 gates,
+    which the KAK interaction pass gives: the local factors (`factor_kron`)
+    of these payloads are computed only once a transpiled circuit's `.gates`
+    is read."""
+    factored = []
+    factor_kron = kak.factor_kron
+    monkeypatch.setattr(kak, "factor_kron", lambda m4: factored.append(len(m4)) or factor_kron(m4))
+    fam = KernelFamily(4, 3, Entanglement.FULL)
+    effective_layers(fam, line_map(8), 3, 3, seed=1)
+    effective_layers(fam, line_map(8), qv_samples=3, seed=1, as_qv_job=True)
+    assert factored == []
+    routed = route(decompose(qv_circuit(5, 3, seed=0)), line_map(6))
+    assert factored == []
+    assert routed.circuit.gates
+    assert factored == [6, 6]  # kron(a1, a0) and kron(b1, b0) of the 6 payloads

@@ -32,7 +32,7 @@ from qjobtime.transpile import (
 )
 from qjobtime.transpile import kak
 from qjobtime.transpile.coupling import MAX_MAP_QUBITS
-from qjobtime.transpile.decompose import KAK_BATCH
+from qjobtime.transpile.decompose import KAK_BATCH, _su4_counts, _su4_dressings
 from qjobtime.transpile.kak import canonical_matrix, kak_decompose
 
 BASIS = set(BASIS_1Q) | set(BASIS_2Q)
@@ -46,6 +46,16 @@ def undo_layout(amplitudes: np.ndarray, layout, width: int) -> np.ndarray:
     """Move each logical qubit's axis back from its physical position."""
     tensor = amplitudes.reshape((2,) * width)
     return np.moveaxis(tensor, layout, range(len(layout))).reshape(-1)
+
+
+def payload_at_tolerance(seed: int) -> np.ndarray:
+    """A Haar SU(4) perturbed to a unitarity error of 0.99 * UNITARY_TOL."""
+    rng = np.random.default_rng(seed)
+    u = haar_su4(rng)
+    kick = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    kick *= 1e-7 / np.abs(kick).max()
+    unitarity_error = lambda m: np.abs(m @ m.conj().T - np.eye(4)).max()
+    return u + kick * (0.99 * UNITARY_TOL / unitarity_error(u + kick))
 
 
 class TestKak:
@@ -107,12 +117,7 @@ class TestKak:
     def test_every_accepted_payload_decomposes(self, seed):
         """A Haar SU(4) perturbed to a unitarity error of 0.99 * UNITARY_TOL
         passes `Gate.su4` and factors to within that error."""
-        rng = np.random.default_rng(seed)
-        u = haar_su4(rng)
-        kick = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        kick *= 1e-7 / np.abs(kick).max()
-        unitarity_error = lambda m: np.abs(m @ m.conj().T - np.eye(4)).max()
-        u = u + kick * (0.99 * UNITARY_TOL / unitarity_error(u + kick))
+        u = payload_at_tolerance(seed)
         phase, a1, a0, xyz, b1, b0 = kak_decompose(Gate.su4(0, 1, u).matrix)
         v = phase * np.kron(a1, a0) @ canonical_matrix(*xyz) @ np.kron(b1, b0)
         assert np.abs(u - v).max() < 2 * UNITARY_TOL
@@ -232,23 +237,33 @@ class TestDecompose:
         assert decompose(c).base_layers == 3
 
     def test_one_kak_call_per_circuit(self, monkeypatch):
-        """All SU4 gates of a circuit are factored in one stacked call, made
-        through the module attribute that the benchmark's tracer wraps; a
-        circuit without SU4 gates makes none."""
+        """All SU4 gates of a circuit go through one stacked interaction pass,
+        made through the module attribute; a circuit without SU4 gates makes
+        none. The local-factor pass runs only when `.gates` is read, once per
+        circuit."""
         module = importlib.import_module("qjobtime.transpile.decompose")
-        shapes = []
-        kak_decompose = module.kak_decompose
+        shapes, factored = [], []
+        interaction, local_factors = module.kak_interaction, module.kak_local_factors
 
-        def counted_kak_decompose(u):
+        def counted_interaction(u):
             shapes.append(u.shape)
-            return kak_decompose(u)
+            return interaction(u)
 
-        monkeypatch.setattr(module, "kak_decompose", counted_kak_decompose)
-        decompose(qv_circuit(6, 6, seed=3))
+        def counted_local_factors(k1, p):
+            factored.append(k1.shape)
+            return local_factors(k1, p)
+
+        monkeypatch.setattr(module, "kak_interaction", counted_interaction)
+        monkeypatch.setattr(module, "kak_local_factors", counted_local_factors)
+        d = decompose(qv_circuit(6, 6, seed=3))
         assert shapes == [(18, 4, 4)]
+        assert factored == []
+        assert d.gates is d.gates
+        assert factored == [(18, 4, 4)]
         shapes.clear()
-        decompose(sample_kernel_circuits(KernelFamily(4, 2, Entanglement.FULL), 1, seed=0)[0])
+        decompose(sample_kernel_circuits(KernelFamily(4, 2, Entanglement.FULL), 1, seed=0)[0]).gates
         assert shapes == []
+        assert factored == [(18, 4, 4)]
 
 
 def kicked_cx(log_eps: float, seed: int) -> np.ndarray:
@@ -296,19 +311,33 @@ class TestDecomposeAll:
         assert retried
 
     def test_passes_hold_at_most_the_batch_constant(self, pool, monkeypatch):
-        """Every payload is factored once, in passes of at most `KAK_BATCH`;
-        a batch of circuits without SU4 gates makes no pass."""
+        """Every payload goes through the interaction pass once, in passes of
+        at most `KAK_BATCH`; a batch of circuits without SU4 gates makes no
+        pass. The local-factor pass runs once per circuit with SU4 gates, on
+        its payloads, when its `.gates` is read (and before that only on the
+        rows that `all_three_rows` does not clear)."""
         module = importlib.import_module("qjobtime.transpile.decompose")
-        shapes = []
-        kak_decompose = module.kak_decompose
-        monkeypatch.setattr(module, "kak_decompose", lambda u: shapes.append(u.shape) or kak_decompose(u))
+        shapes, factored = [], []
+        interaction, local_factors = module.kak_interaction, module.kak_local_factors
+        monkeypatch.setattr(module, "kak_interaction",
+                            lambda u: shapes.append(u.shape) or interaction(u))
+        monkeypatch.setattr(module, "kak_local_factors",
+                            lambda k1, p: factored.append(len(k1)) or local_factors(k1, p))
         circuits, _ = pool
-        list(decompose_all(circuits))
+        lowered = list(decompose_all(circuits))
         total = sum(g.kind is GateKind.SU4 for c in circuits for g in c.gates)
         assert total > 2 * KAK_BATCH
         assert sum(shape[0] for shape in shapes) == total
         assert max(shape[0] for shape in shapes) <= KAK_BATCH
         assert len(shapes) <= 2 * total // KAK_BATCH + 2  # two neighbouring batches overflow one
+        # before `.gates` is read, only the rows below the margin (the kicked CX among them)
+        assert 0 < sum(factored) < total // 100
+        factored.clear()
+        for c, d in zip(circuits, lowered):
+            su4 = sum(g.kind is GateKind.SU4 for g in c.gates)
+            assert d.gates is d.gates
+            assert factored == ([su4] if su4 else []), c
+            factored.clear()
         shapes.clear()
         list(decompose_all(sample_kernel_circuits(KernelFamily(3, 2), 5, seed=0)))
         assert shapes == []
@@ -331,6 +360,65 @@ class TestDecomposeAll:
             KernelFamily(3, 2), 3, seed=2)
         cmap = heavy_hex_like_map(12)
         assert transpiled_depths(circuits, cmap) == [transpiled_depth(c, cmap) for c in circuits]
+
+
+def haar_u2(rng: np.random.Generator) -> np.ndarray:
+    """A Haar-random 2x2 unitary: QR of a complex normal matrix, with the
+    phases of R's diagonal moved into Q."""
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def canonical_with_zero(rng: np.random.Generator, axis: int) -> np.ndarray:
+    """canonical_matrix at random angles, with the angle on `axis` set to 0."""
+    angles = rng.uniform(-np.pi, np.pi, 3)
+    angles[axis] = 0.0
+    return canonical_matrix(*angles)
+
+
+# one maker per payload kind of the dressing-count property, each
+# (rng, seed, log_eps) -> (4, 4); "canonical" at random angles sometimes has
+# diagonal local factors
+COUNT_PAYLOADS = {
+    "haar": lambda rng, *_: haar_su4(rng),
+    "identity": lambda *_: np.eye(4, dtype=complex),
+    "cx": lambda *_: gate_matrix(Gate.cx(0, 1)),
+    "swap": lambda *_: gate_matrix(Gate.swap(0, 1)),
+    "kron": lambda rng, *_: np.kron(haar_u2(rng), haar_u2(rng)),
+    "canonical": lambda rng, *_: canonical_matrix(*rng.uniform(-np.pi, np.pi, 3)),
+    "canonical-x0": lambda rng, *_: canonical_with_zero(rng, 0),
+    "canonical-y0": lambda rng, *_: canonical_with_zero(rng, 1),
+    "kicked-cx": lambda rng, seed, log_eps: kicked_cx(log_eps, seed),
+    "at-tolerance": lambda rng, seed, log_eps: payload_at_tolerance(seed),
+}
+
+
+def test_eager_dressing_counts_equal_the_full_counts():
+    """The counts `decompose_all` derives from the interaction pass alone equal
+    those of the full dressing path (local factors, `canonical_layers` and
+    `zsx_angles` on every row), on stacks of the `COUNT_PAYLOADS` kinds: Haar
+    draws, the identity, CX, SWAP, products of Haar 1q unitaries, canonical
+    gates (also with x = 0 or y = 0), CX kicked by exp(i eps H) and Haar
+    payloads at 0.99 * UNITARY_TOL. The examples take both the all-3 branch
+    and the fallback."""
+    branches = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(sorted(COUNT_PAYLOADS)), st.integers(0, 2**32 - 1),
+                              st.floats(-14.0, -5.0)), min_size=1, max_size=6))
+    @example([(kind, 0, -14.0) for kind in COUNT_PAYLOADS])
+    @example([("kicked-cx", 84, -10.0), ("kicked-cx", 148, -10.0), ("haar", 1, -5.0)])
+    def check(cases):
+        payloads = [COUNT_PAYLOADS[kind](np.random.default_rng(seed), seed, log_eps)
+                    for kind, seed, log_eps in cases]
+        payloads = [Gate.su4(0, 1, u).matrix for u in payloads]
+        counts, k1, p, xyz = _su4_counts(payloads)
+        full, _ = _su4_dressings(k1, p, xyz)
+        assert counts.tolist() == full.tolist()
+        branches.update(kak.all_three_rows(k1, p, xyz).tolist())
+
+    check()
+    assert branches == {True, False}
 
 
 class TestRoute:
@@ -383,6 +471,16 @@ class TestRoute:
     def test_width_overflow_rejected(self):
         with pytest.raises(CouplingError):
             route(Circuit(5), line_map(3))
+
+    def test_routed_size_over_the_ceiling_is_refused(self, monkeypatch):
+        """A route whose stream passes `MAX_ROUTED_GATES` is refused. The check
+        runs where a swap is appended, so a longer circuit that needs no swap
+        still routes."""
+        route_module = importlib.import_module("qjobtime.transpile.route")
+        monkeypatch.setattr(route_module, "MAX_ROUTED_GATES", 10)
+        with pytest.raises(CouplingError, match="more than 10 gates"):
+            route(Circuit(8, (Gate.cx(0, 7),)), line_map(8))  # six swaps, 19 gates
+        assert len(route(Circuit(2, (Gate.cx(0, 1),) * 20), line_map(2)).circuit) == 20
 
     def test_moved_gate_built_once_per_physical_qubits(self):
         """Parameter-free gates of one kind that land on the same physical
