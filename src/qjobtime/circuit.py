@@ -32,8 +32,8 @@ class GateKind(Enum):
     SU4 = "SU4"
 
     # members are singletons: hash by identity, not by a Python-level call on
-    # the name, since the lowering's and the router's gate tables hash a kind
-    # on every lookup
+    # the name, since the lowering hashes a kind on every input gate (the
+    # `_RULES` table, the `_PASS_THROUGH` set and `rule_stream`'s cache)
     __hash__ = object.__hash__
 
 

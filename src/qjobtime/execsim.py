@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FitError, InvalidParameterError
-from .model import JobSpec, check_range
+from .model import JobSpec, check_range, json_typed
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,12 @@ class StackTimingParams:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "StackTimingParams":
+        """Parameters from a JSON object of numbers; `jitter` may be left out."""
         try:
-            return cls(
-                float(spec["t_job"]),
-                float(spec["t_circ"]),
-                float(spec["t_layer_shot"]),
-                float(spec.get("jitter", 0.0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            fields = {"jitter": 0.0, **spec}
+            return cls(*(float(json_typed(k, fields[k], int, float))
+                         for k in ("t_job", "t_circ", "t_layer_shot", "jitter")))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidParameterError(f"bad timing parameters {spec!r}: {exc}") from exc
 
 

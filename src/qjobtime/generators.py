@@ -13,6 +13,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, check_su4_payloads
 from .errors import InvalidGateError, InvalidParameterError
+from .model import json_typed
 
 # the kinds the generators emit, bound once outside their per-gate loops
 _H, _RZ, _RZZ, _SU4 = GateKind.H, GateKind.RZ, GateKind.RZZ, GateKind.SU4
@@ -53,11 +54,6 @@ class KernelFamily:
         """Exact 2d/n: <1 wide and shallow, 1 square, >1 narrow and deep."""
         return Fraction(2 * self.d, self.n)
 
-    @property
-    def volumetric_area(self) -> int:
-        """Width times total base layers of the kernel circuit: 2*d*n."""
-        return 2 * self.d * self.n
-
     @classmethod
     def from_dict(cls, spec) -> "KernelFamily":
         """Family from a JSON object with integer `n` and `d` (bools, floats
@@ -65,13 +61,10 @@ class KernelFamily:
         if not isinstance(spec, dict):
             raise InvalidParameterError(f"family descriptor must be a JSON object, got {spec!r}")
         try:
-            n, d = spec["n"], spec["d"]
+            n, d = (json_typed(f"family {k}", spec[k], int) for k in ("n", "d"))
             entanglement = Entanglement(spec.get("entanglement", "linear"))
         except (KeyError, ValueError) as exc:
             raise InvalidParameterError(f"bad family descriptor {spec!r}: {exc}") from exc
-        for name, value in (("n", n), ("d", d)):
-            if type(value) is not int:  # bool is an int subclass
-                raise InvalidParameterError(f"family {name} must be an integer, got {value!r}")
         return cls(n, d, entanglement)
 
     def to_dict(self) -> dict:

@@ -35,6 +35,15 @@ def check_range(name: str, value: float, low: float = -math.inf, *, closed: bool
         raise InvalidParameterError(f"{name} must be finite{bound}, got {value}")
 
 
+def json_typed(name: str, value, *types: type):
+    """`value`, read from parsed JSON, refused with a ValueError unless its type
+    is one of `types`: a bool or a string is never a number, a float never an int."""
+    if type(value) not in types:  # bool is an int subclass
+        kind = "an integer" if types == (int,) else "a number" if int in types else "a string"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
 def _finite(what: str, compute) -> float:
     """`compute()`, refused when it is not a finite float: an int or a power
     beyond float range raises OverflowError, a float product turns inf."""
@@ -118,13 +127,9 @@ class RuntimeReport:
     loss that penalizes under-prediction (r < 1) harder than over-prediction."""
 
     predicted: float
-    actual: float | None = None
-    ratio: float | None = None
-    loss: float | None = None
-
-    @property
-    def under_predicts(self) -> bool:
-        return self.ratio is not None and self.ratio < 1.0
+    actual: float
+    ratio: float
+    loss: float
 
 
 def clops_from_measurement(circuits: int, layers: int, updates: int, shots: int, elapsed: float) -> float:
@@ -250,14 +255,20 @@ def registry_to_json(registry: dict[str, BackendSpec]) -> str:
 
 
 def registry_from_json(text: str) -> dict[str, BackendSpec]:
+    """Registry from `{"backends": [{"name", "num_qubits", "quantum_volume",
+    "clops"}, ...]}`: a string name, integer sizes and a numeric CLOPS, each
+    name listed once."""
+    registry = {}
     try:
-        entries = [
-            (e["name"], int(e["num_qubits"]), int(e["quantum_volume"]), float(e["clops"]))
-            for e in json.loads(text)["backends"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
+        for e in json.loads(text)["backends"]:
+            name = json_typed("name", e["name"], str)
+            if name in registry:
+                raise ValueError(f"backend {name!r} is listed twice")
+            n, v = (json_typed(k, e[k], int) for k in ("num_qubits", "quantum_volume"))
+            registry[name] = BackendSpec(name, n, v, float(json_typed("clops", e["clops"], int, float)))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameterError(f"bad backend registry JSON: {exc!r}") from exc
-    return {name: BackendSpec(name, *fields) for name, *fields in entries}
+    return registry
 
 
 def format_duration(seconds: float) -> str:

@@ -6,6 +6,7 @@ from itertools import chain
 from typing import Iterable
 
 from ..errors import CouplingError
+from ..model import json_typed
 
 # most physical qubits a map may have, refused before its edges are read: the
 # distance and first-hop tables grow with the square of the qubit count
@@ -75,27 +76,14 @@ class CouplingMap:
             hop.append(tuple(h))
         return tuple(dist), tuple(hop)
 
-    def neighbors(self, q: int) -> tuple[int, ...]:
-        return self._adj[q]
-
     def distance(self, a: int, b: int) -> int:
         return self._dist[a][b]
 
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
 
-    def next_hop(self, src: int, dst: int) -> int:
-        """First step of a BFS shortest path from src to dst (ties broken by
-        ascending neighbor index); src itself when src == dst."""
-        return self._hop[src][dst]
-
     def __repr__(self):
         return f"CouplingMap({self.tag}, n={self.num_qubits}, edges={len(self.edges)})"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"n": self.num_qubits, "edges": sorted(list(e) for e in self.edges), "tag": self.tag}
-        )
 
     @classmethod
     def from_json(cls, text: str) -> "CouplingMap":
@@ -104,9 +92,7 @@ class CouplingMap:
         refused, never rounded)."""
         try:
             spec = json.loads(text)
-            n = spec["n"]
-            if type(n) is not int:  # bool is an int subclass
-                raise ValueError(f"n must be an integer, got {n!r}")
+            n = json_typed("n", spec["n"], int)
             return cls(n, _integer_edges(spec["edges"]), spec.get("tag", "custom"))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CouplingError(f"bad coupling map JSON: {exc!r}") from exc

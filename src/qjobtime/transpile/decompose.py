@@ -19,10 +19,8 @@ computed, from the interaction-pass rows the circuit keeps. The router
 emits its swaps by the SWAP rule.
 
 Every emitted gate acts on the qubits of an already-checked input gate, so it
-is built with `Gate._trusted` (angles passed as Python floats), skipping the
-construction checks. Gates are immutable, so a gate that recurs within one
-circuit (each qubit's SX and the H rule's RZ(pi/2), each pair's CX) is built
-once and shared.
+is built with one `Gate._trusted` call (angles passed as Python floats),
+skipping the construction checks.
 """
 
 from functools import lru_cache, partial
@@ -78,7 +76,7 @@ def rule_stream(kind: GateKind, qubits: tuple[int, ...], counts: tuple[int, ...]
     return tuple(out)
 
 
-def emit_rule(out: list[Gate], shared: "SharedGates", kind: GateKind, qubits: tuple[int, ...],
+def emit_rule(out: list[Gate], kind: GateKind, qubits: tuple[int, ...],
               params: tuple[float, ...] = (), rows=()) -> None:
     """Append the gates that `kind` on `qubits` with `params` lowers to,
     taking its `zsx_angles` rows, each (count, [a1, a2, a3]), from `rows`."""
@@ -88,23 +86,10 @@ def emit_rule(out: list[Gate], shared: "SharedGates", kind: GateKind, qubits: tu
         q = tuple(qubits[i] for i in positions)
         if step is _ROW:
             count, a = next(rows)
-            sx = shared[_SX, q]
-            out += (sx if i is None else trusted(_RZ, q, (a[i],)) for i in _ROW_GATES[count])
-        elif angles is _OWN:
-            out.append(trusted(step, q, params))
-        elif angles:
-            out.append(shared[step, q, angles])
+            out += (trusted(_SX, q) if i is None else trusted(_RZ, q, (a[i],))
+                    for i in _ROW_GATES[count])
         else:
-            out.append(shared[step, q])
-
-
-class SharedGates(dict):
-    """Gates keyed by their `Gate._trusted` arguments, (kind, qubits) or
-    (kind, qubits, params), each built on its first lookup."""
-
-    def __missing__(self, key):
-        gate = self[key] = Gate._trusted(*key)
-        return gate
+            out.append(trusted(step, q, params if angles is _OWN else angles))
 
 
 # most SU4 payloads one stacked KAK interaction pass takes: a whole QV baseline of 20
@@ -206,7 +191,6 @@ def _lower(c: Circuit, su4_counts, interaction) -> Circuit:
 def _lower_gates(gates: tuple[Gate, ...], rows, interaction) -> tuple[Gate, ...]:
     """The gates of `_lower`'s circuit, from the input gates, the rows it
     kept and the dressings of its interaction-pass rows."""
-    shared = SharedGates()
     out: list[Gate] = []
     rows = iter(rows)
     if interaction is not None:
@@ -218,5 +202,5 @@ def _lower_gates(gates: tuple[Gate, ...], rows, interaction) -> tuple[Gate, ...]
             out.append(g)
         else:
             row = next(su4_rows if k is _SU4 else rows)
-            emit_rule(out, shared, k, g.qubits, g.params, zip(*row))
+            emit_rule(out, k, g.qubits, g.params, zip(*row))
     return tuple(out)

@@ -18,7 +18,7 @@ from typing import Iterable
 from ..circuit import Circuit, Gate, GateKind
 from ..errors import CouplingError
 from .coupling import CouplingMap
-from .decompose import SharedGates, decompose, decompose_all, emit_rule, rule_stream
+from .decompose import decompose, decompose_all, emit_rule, rule_stream
 
 _SWAP = GateKind.SWAP
 
@@ -89,12 +89,10 @@ def _routed_gates(c: Circuit, stream: list[tuple[int, ...]], swap_at: list[int])
     """The gates of `route`'s circuit: c's gates moved to the physical qubits
     of `stream`, with a swap before gate i of c for each i in `swap_at`.
 
-    Every gate is one of c's checked gates moved, or a swap CX, so it is built
-    with `Gate._trusted`. A moved gate with parameters or a payload (RZ, SU4)
-    is built anew; a parameter-free one (SX, X, CX) is the one shared gate of
-    its kind on those qubits.
+    A gate whose qubits did not move is kept as is. Every other gate is one of
+    c's checked gates moved, or a swap CX, so it is built with one
+    `Gate._trusted` call.
     """
-    shared = SharedGates()
     out: list[Gate] = []
     swaps = iter(swap_at)
     next_swap = next(swaps, -1)
@@ -102,15 +100,10 @@ def _routed_gates(c: Circuit, stream: list[tuple[int, ...]], swap_at: list[int])
     # stream[len(out)] holds the qubits of the next gate out: for a swap, its first CX
     for i, g in enumerate(c.gates):
         while next_swap == i:
-            emit_rule(out, shared, _SWAP, stream[len(out)])
+            emit_rule(out, _SWAP, stream[len(out)])
             next_swap = next(swaps, -1)
         physical = stream[len(out)]
-        if physical != g.qubits:  # a gate that stays on its qubits is reused as is
-            if g.params or g.matrix is not None:
-                g = trusted(g.kind, physical, g.params, g.matrix)
-            else:
-                g = shared[g.kind, physical]
-        out.append(g)
+        out.append(g if physical == g.qubits else trusted(g.kind, physical, g.params, g.matrix))
     return tuple(out)
 
 

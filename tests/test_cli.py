@@ -155,7 +155,7 @@ class TestExtrapolateCommand:
              "--clops", "1000,10000", "--out", str(out)],
         )
         assert result.exit_code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 4
         assert {r["N"] for r in rows} == {"100", "200"}
 
@@ -174,7 +174,7 @@ class TestScoreCommand:
         out = tmp_path / "report.csv"
         result = runner.invoke(main, ["score", "--records", str(records), "--out", str(out)])
         assert result.exit_code == 0, result.output
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 5
         by_name = {r["backend"]: r for r in rows}
         rep = by_name["ibm_hanoi"]
@@ -187,7 +187,7 @@ class TestScoreCommand:
         out = tmp_path / "report.csv"
         result = runner.invoke(main, ["score", "--records", str(records), "--out", str(out)])
         assert result.exit_code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert float(rows[0]["L"]) == pytest.approx(68.0 / 25.6 - 1.0, rel=1e-6)
         assert float(rows[1]["L"]) == 0.0
 
@@ -275,7 +275,8 @@ class TestCircuitAndKernelCommands:
         assert info["n"] == 4
         assert info["pairs_evaluated"] == 6
         assert info["positive_semidefinite"] is True
-        matrix = np.array([[float(v) for v in row] for row in list(csv.reader(out.open()))[1:]])
+        rows = list(csv.reader(out.read_text().splitlines()))[1:]
+        matrix = np.array([[float(v) for v in row] for row in rows])
         assert np.allclose(matrix, matrix.T)
         assert np.allclose(np.diag(matrix), 1.0)
 
@@ -306,7 +307,7 @@ class TestSweepAndFit:
              "--kernel-samples", "5", "--qv-samples", "5", "--out", str(out)],
         )
         assert result.exit_code == 0, result.output
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 4
         assert list(rows[0]) == ["backend", "M", "S", "a", "deff", "T_pred", "T_sim", "r", "L"]
 
@@ -341,6 +342,8 @@ PARAMS = ["sweep", "--backend", "ibm_hanoi", "--params", "INPUT", "--M", "1", "-
 FIT_RECORDS = RECORDS + "ibm_hanoi,100,1000,1,6.0,300.0\nibm_hanoi,100,4000,1,6.0,1100.0\n"
 FIX_T_JOB = ["fit", "--records", "INPUT", "--fix-t-job"]
 TIMING = '{"t_job": %s, "t_circ": 0.1, "t_layer_shot": 0.001}'
+BACKEND = '{"name": %s, "num_qubits": %s, "quantum_volume": %s, "clops": %s}'
+ONE_BACKEND = '{"backends": [%s]}' % BACKEND
 HUGE = "1" + "0" * 400
 GEN = ["gen-circuits", "--out", "OUT"]
 BAD_MAP = ("COUPLING_MAP", 6)
@@ -451,7 +454,28 @@ MORE_THAN_KERNEL_GATES = f"more than {MAX_KERNEL_GATES} gates"
         pytest.param(REGISTRY, '{"backends": [', BAD_VALUE, None, id="registry-bad-json"),
         pytest.param(REGISTRY, '{"backends": [{"name": "x", "num_qubits": 5}]}', BAD_VALUE, None,
                      id="registry-missing-key"),
+        pytest.param(REGISTRY, ONE_BACKEND % ('"x"', "27.9", "64", "2300"), BAD_VALUE,
+                     "num_qubits must be an integer, got 27.9", id="registry-float-qubits"),
+        pytest.param(REGISTRY, ONE_BACKEND % ('"x"', "27", '"64"', "2300"), BAD_VALUE,
+                     "quantum_volume must be an integer, got '64'", id="registry-string-qv"),
+        pytest.param(REGISTRY, ONE_BACKEND % ('"x"', "27", "64", '"2300"'), BAD_VALUE,
+                     "clops must be a number, got '2300'", id="registry-string-clops"),
+        pytest.param(REGISTRY, ONE_BACKEND % ('"x"', "true", "2", "2300"), BAD_VALUE,
+                     "num_qubits must be an integer, got True", id="registry-bool-qubits"),
+        pytest.param(REGISTRY, ONE_BACKEND % ('["x"]', "27", "64", "2300"), BAD_VALUE,
+                     "name must be a string", id="registry-list-name"),
+        pytest.param(REGISTRY, '{"backends": [%s, %s]}' % (BACKEND % ('"x"', "27", "64", "2300"),
+                                                          BACKEND % ('"x"', "7", "16", "2400")),
+                     BAD_VALUE, "backend 'x' is listed twice", id="registry-repeated-name"),
+        pytest.param(REGISTRY, ONE_BACKEND % ('"x"', "27", "64", HUGE), BAD_VALUE,
+                     "int too large to convert to float", id="registry-huge-int-clops"),
         pytest.param(PARAMS, '{"t_job": 1.0,', BAD_VALUE, None, id="params-bad-json"),
+        pytest.param(PARAMS, TIMING % "true", BAD_VALUE, "t_job must be a number, got True",
+                     id="params-bool-t-job"),
+        pytest.param(PARAMS, '{"t_job": 1.0, "t_circ": "0.5", "t_layer_shot": 0.001}', BAD_VALUE,
+                     "t_circ must be a number, got '0.5'", id="params-string-t-circ"),
+        pytest.param(PARAMS, TIMING % HUGE, BAD_VALUE, "int too large to convert to float",
+                     id="params-huge-int-t-job"),
         pytest.param(PARAMS, '{"t_job": 1.0}', BAD_VALUE, None, id="params-missing-key"),
         pytest.param(PARAMS + ["--kernel-samples", OVER_CEILING], TIMING % "1.0", BAD_VALUE,
                      "kernel_samples must be <= 10000", id="sweep-kernel-samples-over-ceiling"),

@@ -204,9 +204,8 @@ class TestKernelCircuits:
     def test_volumetric_area_and_metadata(self):
         fam = KernelFamily(4, 2)
         c = kernel_circuit(fam, np.ones(4), np.zeros(4))
-        assert fam.volumetric_area == 16
         assert c.base_layers == 4  # 2*d template repetitions
-        assert c.base_layers * c.width == fam.volumetric_area
+        assert c.base_layers * c.width == 2 * fam.d * fam.n == 16
 
     def test_gate_count_doubles_encoding(self):
         fam = KernelFamily(3, 2, Entanglement.LINEAR)

@@ -75,13 +75,13 @@ class TestScore:
     def test_exact_agreement(self):
         rep = score(10.0, 10.0)
         assert rep.ratio == 1.0 and rep.loss == 0.0
-        assert not rep.under_predicts
+        assert not rep.ratio < 1
 
     def test_reference_under_prediction_rounds_to_published_values(self):
         rep = score(25.6, 68.0)
         assert round(rep.ratio, 1) == 0.4
         assert round(rep.loss, 1) == 1.7
-        assert rep.under_predicts
+        assert rep.ratio < 1
 
     @pytest.mark.parametrize(
         "ratio,loss",
