@@ -21,12 +21,21 @@ import numpy as np
 
 from .circuit import Circuit
 from .errors import CouplingError, InvalidParameterError
-from .generators import KernelFamily, kernel_circuit, qv_circuit, sample_features, seed_stream
+from .generators import (MAX_KERNEL_GATES, KernelFamily, check_kernel_gates, kernel_circuit,
+                         qv_circuit, sample_features, seed_stream)
 from .model import DEFAULT_KERNEL_SAMPLES, DEFAULT_QV_SAMPLES
 from .transpile.coupling import CouplingMap
 from .transpile.route import transpiled_depths
 
 MAX_SAMPLES = 10_000  # ceiling on every sample count, refused before any circuit is built
+# most gates one side's samples may hold together (samples x gates per
+# circuit), refused before any draw: every sample is built before any is
+# lowered. A QV SU4 gate holds about 530 B with its 4x4 payload, so QV samples
+# hold at most about 265 MB. A kernel gate holds 25 to 220 B, less as d grows,
+# since a kernel circuit's d rounds share their gate objects; the kernel
+# ceiling admits the default sample count at `MAX_KERNEL_GATES`, 65 to 550 MB
+MAX_QV_SAMPLE_GATES = 500_000
+MAX_KERNEL_SAMPLE_GATES = DEFAULT_KERNEL_SAMPLES * MAX_KERNEL_GATES
 
 
 def check_sample_count(name: str, count: int) -> None:
@@ -35,6 +44,15 @@ def check_sample_count(name: str, count: int) -> None:
         raise InvalidParameterError(f"{name} must be >= 1, got {count}")
     if count > MAX_SAMPLES:
         raise InvalidParameterError(f"{name} must be <= {MAX_SAMPLES}, got {count}")
+
+
+def check_sample_gates(name: str, count: int, gates: int, ceiling: int) -> None:
+    """Refuse `count` samples of `gates` gates each above `ceiling` gates in all."""
+    if count * gates > ceiling:
+        raise InvalidParameterError(
+            f"{name} {count} x {gates} gates per circuit would hold {count * gates} "
+            f"gates at once, more than {ceiling}"
+        )
 
 
 def equivalent_qv_width(n: int, d: int) -> int:
@@ -102,6 +120,7 @@ def effective_layers(
         if fam.n > cmap.num_qubits:
             raise CouplingError(f"map has {cmap.num_qubits} qubits, job needs {fam.n}")
         check_sample_count("qv_samples", qv_samples)
+        check_sample_gates("qv_samples", qv_samples, fam.d * (fam.n // 2), MAX_QV_SAMPLE_GATES)
         circuits = sample_qv_circuits(fam.n, fam.d, qv_samples, seed)
         mean_depth = mean_transpiled_depth(circuits, cmap)
         return DeffEstimate(
@@ -114,6 +133,9 @@ def effective_layers(
         )
     check_sample_count("kernel_samples", kernel_samples)
     check_sample_count("qv_samples", qv_samples)
+    gates = check_kernel_gates(fam)
+    check_sample_gates("kernel_samples", kernel_samples, gates, MAX_KERNEL_SAMPLE_GATES)
+    check_sample_gates("qv_samples", qv_samples, v * (v // 2), MAX_QV_SAMPLE_GATES)
     kernel_mean = mean_transpiled_depth(sample_kernel_circuits(fam, kernel_samples, seed), cmap)
     qv_mean = mean_transpiled_depth(sample_qv_circuits(v, v, qv_samples, seed), cmap)
     return DeffEstimate(

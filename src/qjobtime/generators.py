@@ -150,17 +150,19 @@ def qv_circuit(q: int, layers: int, seed: "int | np.random.SeedSequence") -> Cir
 MAX_KERNEL_GATES = 100_000
 
 
-def check_kernel_gates(fam: KernelFamily) -> None:
-    """Refuse a family whose overlap circuit has more than `MAX_KERNEL_GATES`
-    gates (H and RZ per qubit and RZZ per pair, in 2d rounds); the count is
-    worked out without building the pairs."""
+def check_kernel_gates(fam: KernelFamily) -> int:
+    """The gate count of the family's overlap circuit (H and RZ per qubit and
+    RZZ per pair, in 2d rounds), worked out without building the pairs; a
+    family above `MAX_KERNEL_GATES` is refused."""
     n = fam.n
     pairs = n - 1 if fam.entanglement is Entanglement.LINEAR else n * (n - 1) // 2
-    if 2 * fam.d * (2 * n + pairs) > MAX_KERNEL_GATES:
+    gates = 2 * fam.d * (2 * n + pairs)
+    if gates > MAX_KERNEL_GATES:
         raise InvalidParameterError(
             f"kernel family {fam.to_dict()} has an overlap circuit of more than "
             f"{MAX_KERNEL_GATES} gates"
         )
+    return gates
 
 
 def _as_features(fam: KernelFamily, x: Sequence[float]) -> np.ndarray:

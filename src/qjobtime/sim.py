@@ -1,12 +1,16 @@
 """Exact statevector simulation and shot-based kernel estimation.
 
-This is the semantic oracle for everything that produces circuits: small
-circuits are simulated densely, gate by gate (default cap 12 qubits), and
-kernel values are either read off the final amplitude or estimated by Born
-sampling. A kernel matrix needs no circuits: it builds its N encoded states
-together in closed form, d rounds of a Walsh-Hadamard transform and a diagonal
-phase, and the gate-by-gate overlap circuit U(x)U(y)^dagger behind
-`exact_kernel` is the single-pair oracle it is checked against.
+This is the semantic oracle for everything that produces circuits: they are
+simulated densely, gate by gate, and kernel values are either read off the
+final amplitude or estimated by Born sampling. A kernel matrix needs no
+circuits: it builds its N encoded states together in closed form, d rounds of a
+Walsh-Hadamard transform and a diagonal phase, and the gate-by-gate overlap
+circuit U(x)U(y)^dagger behind `exact_kernel` is its single-pair oracle.
+
+Any array above `MAX_ENTRIES` = 2^24 entries (256 MiB of complex128) is
+refused before it is allocated: the 2^w state of `simulate`, the 4^w matrix of
+`circuit_unitary`, and `kernel_matrix`'s N x 2^n states, 2^n x n sign tables
+and N x N overlaps (so 16 qubits over 256 vectors, or 12 over 4096, fit).
 
 Basis convention: the state is stored as a rank-n tensor with axis i belonging
 to qubit i; in the flattened vector, qubit 0 is the most significant bit.
@@ -21,7 +25,7 @@ from .circuit import Circuit, Gate, gate_matrix  # gate_matrix is public here to
 from .errors import InvalidParameterError, SimulationCapError
 from .generators import KernelFamily, check_kernel_gates, kernel_circuit, phase_angles, seed_stream
 
-DEFAULT_QUBIT_CAP = 12
+MAX_ENTRIES = 2**24  # most entries in any one array the simulator builds
 MAX_SHOTS = 2**63 - 1  # numpy's int64 limit for a binomial draw
 
 def _apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
@@ -55,18 +59,19 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _check_cap(width: int, max_qubits: int) -> None:
-    """Dense simulation holds 2^width amplitudes; a library caller who accepts
-    that memory passes a larger `max_qubits`."""
-    if width > max_qubits:
+def _check_entries(what: str, count: int, qubits: int = 0) -> None:
+    """Refuse `what`, an array of count * 2^qubits entries, above `MAX_ENTRIES`.
+    2^qubits is never formed past the bound, so an absurd width is refused at once."""
+    if qubits >= MAX_ENTRIES.bit_length() or count << qubits > MAX_ENTRIES:
         raise SimulationCapError(
-            f"circuit width {width} exceeds the dense-simulation cap of {max_qubits} qubits"
+            f"{what} would hold more than the simulator's bound of MAX_ENTRIES = "
+            f"{MAX_ENTRIES} entries ({MAX_ENTRIES >> 16} MiB of complex128)"
         )
 
 
-def simulate(c: Circuit, max_qubits: int = DEFAULT_QUBIT_CAP) -> StateVector:
+def simulate(c: Circuit) -> StateVector:
     """Apply every gate to |0...0> in order; norm preserved to 1e-10."""
-    _check_cap(c.width, max_qubits)
+    _check_entries(f"the 2^{c.width} state of a {c.width}-qubit circuit", 1, c.width)
     state = np.zeros((2,) * c.width, dtype=complex)
     state[(0,) * c.width] = 1.0
     for g in c.gates:
@@ -74,9 +79,9 @@ def simulate(c: Circuit, max_qubits: int = DEFAULT_QUBIT_CAP) -> StateVector:
     return StateVector(state.reshape(-1), c.width)
 
 
-def circuit_unitary(c: Circuit, max_qubits: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+def circuit_unitary(c: Circuit) -> np.ndarray:
     """Full 2^n x 2^n unitary of the circuit."""
-    _check_cap(c.width, max_qubits)
+    _check_entries(f"the 4^{c.width} unitary of a {c.width}-qubit circuit", 1, 2 * c.width)
     dim = 2 ** c.width
     u = np.eye(dim, dtype=complex).reshape((2,) * c.width + (dim,))
     for g in c.gates:
@@ -93,14 +98,9 @@ class KernelEstimate:
     zero_count: int
 
 
-def exact_kernel(
-    fam: KernelFamily,
-    x: Sequence[float],
-    y: Sequence[float],
-    max_qubits: int = DEFAULT_QUBIT_CAP,
-) -> float:
+def exact_kernel(fam: KernelFamily, x: Sequence[float], y: Sequence[float]) -> float:
     """Exact kernel value: squared overlap of U(y)|0> and U(x)|0>."""
-    return simulate(kernel_circuit(fam, x, y), max_qubits).zero_probability()
+    return simulate(kernel_circuit(fam, x, y)).zero_probability()
 
 
 def _check_shots(shots: int) -> None:
@@ -121,7 +121,6 @@ def estimate_kernel(
     y: Sequence[float],
     shots: int,
     seed=0,
-    max_qubits: int = DEFAULT_QUBIT_CAP,
 ) -> KernelEstimate:
     """Sample `shots` bitstrings from the overlap circuit's output distribution
     and return the zero-string frequency: one binomial draw on the stream
@@ -129,7 +128,7 @@ def estimate_kernel(
     _check_shots(shots)
     if any(part < 0 for part in np.atleast_1d(seed).tolist()):
         raise InvalidParameterError(f"seed must be >= 0, got {seed!r}")
-    count = int(_zero_counts(exact_kernel(fam, x, y, max_qubits), shots, seed))
+    count = int(_zero_counts(exact_kernel(fam, x, y), shots, seed))
     return KernelEstimate(count / shots, shots, count)
 
 
@@ -165,7 +164,6 @@ def kernel_matrix(
     dataset: Sequence[Sequence[float]],
     shots: int | None = None,
     seed: int = 0,
-    max_qubits: int = DEFAULT_QUBIT_CAP,
 ) -> np.ndarray:
     """Symmetric N x N kernel matrix over a dataset.
 
@@ -183,11 +181,13 @@ def kernel_matrix(
     n = len(dataset)
     if n == 0:
         return np.zeros((0, 0))
-    # The first vector is checked before the width cap, as building and
+    # The first vector is checked before the sizes, as building and
     # simulating its encoding circuit would be, so every input gets the
     # oracle's error. Angles mod 2*pi keep every sum of them finite.
     angles = [phase_angles(fam, dataset[0])]
-    _check_cap(fam.n, max_qubits)
+    _check_entries(f"the {n} x 2^{fam.n} encoded states", n, fam.n)
+    _check_entries(f"the 2^{fam.n} x {fam.n} sign tables", fam.n, fam.n)
+    _check_entries(f"the {n} x {n} overlaps", n * n)
     angles += [phase_angles(fam, x) for x in dataset[1:]]
     states = _encoded_states(fam, np.remainder(angles, 2.0 * np.pi))
     upper = np.triu_indices(n, 1)

@@ -16,9 +16,11 @@ from refdata import CLOPS_JOB_RUNS
 from qjobtime.circuit import read_circuits
 from qjobtime.cli import main
 from qjobtime.errors import MalformedRecordsError
+from qjobtime.deff import MAX_KERNEL_SAMPLE_GATES, MAX_QV_SAMPLE_GATES
 from qjobtime.generators import MAX_KERNEL_GATES, MAX_QV_GATES
 from qjobtime.model import builtin_backends, registry_to_json
 from qjobtime.records import RECORD_HEADER, load_runtime_records
+from qjobtime.sim import MAX_ENTRIES
 from qjobtime.transpile.coupling import MAX_MAP_QUBITS
 from qjobtime.transpile.route import MAX_ROUTED_GATES
 
@@ -280,6 +282,30 @@ class TestCircuitAndKernelCommands:
         assert np.allclose(matrix, matrix.T)
         assert np.allclose(np.diag(matrix), 1.0)
 
+    def test_simulate_kernel_at_sixteen_qubits(self, runner, tmp_path):
+        """n = 16 over 50 vectors runs from the CLI: its 50 x 2^16 states are
+        within the simulator's bound, and sampled entries match the
+        gate-by-gate `exact_kernel`."""
+        from qjobtime.generators import KernelFamily
+        from qjobtime.sim import exact_kernel
+
+        family = {"n": 16, "d": 2, "entanglement": "full"}
+        rng = np.random.default_rng(16)
+        centre = rng.uniform(0, 2 * np.pi, 16)
+        vectors = centre + rng.normal(0.0, 0.05, (50, 16))  # entries far from 0
+        data, out = tmp_path / "data.csv", tmp_path / "kernel.csv"
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows(vectors.tolist())
+        result = runner.invoke(main, ["simulate-kernel", "--family", json.dumps(family),
+                                      "--data", str(data), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["n"] == 50
+        rows = list(csv.reader(out.read_text().splitlines()))[1:]
+        matrix = np.array([[float(v) for v in row] for row in rows])
+        fam = KernelFamily.from_dict(family)
+        for i, j in ((0, 1), (7, 30), (48, 49)):
+            assert abs(matrix[i, j] - exact_kernel(fam, vectors[i], vectors[j])) <= 1e-12
+
     def test_simulate_kernel_bad_shots_value(self, runner, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text("0.1,0.2\n0.3,0.4\n")
@@ -368,6 +394,8 @@ OVER_KERNEL = '{"n":2,"d":%d}' % (MAX_KERNEL_GATES // 10 + 1)
 WIDE_FULL = next(n for n in range(2, MAX_KERNEL_GATES) if n * (n + 3) > MAX_KERNEL_GATES)
 OVER_KERNEL_FULL = '{"n":%d,"d":1,"entanglement":"full"}' % WIDE_FULL
 MORE_THAN_KERNEL_GATES = f"more than {MAX_KERNEL_GATES} gates"
+OVER_ENTRIES = f"would hold more than the simulator's bound of MAX_ENTRIES = {MAX_ENTRIES} entries"
+WIDTH_OVER_CAP = ("WIDTH_OVER_CAP", 7)
 
 
 @pytest.mark.parametrize(
@@ -390,9 +418,11 @@ MORE_THAN_KERNEL_GATES = f"more than {MAX_KERNEL_GATES} gates"
                      id="fit-overflowing-m"),
         pytest.param(KERNEL, "0.1,0.2\n0.3,nan\n", BAD_CSV, 2, id="dataset-nan"),
         pytest.param(KERNEL, "0.1,0.2\n\ninf,0.4\n", BAD_CSV, 3, id="dataset-inf-after-blank"),
-        pytest.param(["simulate-kernel", "--family", '{"n":13,"d":1}'] + KERNEL[3:],
-                     ",".join(["0.1"] * 13) + "\n", ("WIDTH_OVER_CAP", 7), "cap of 12 qubits",
-                     id="kernel-width-over-cap"),
+        pytest.param(["simulate-kernel", "--family", '{"n":24,"d":1}'] + KERNEL[3:],
+                     ",".join(["0.1"] * 24) + "\n" + ",".join(["0.2"] * 24) + "\n", WIDTH_OVER_CAP,
+                     f"the 2 x 2^24 encoded states {OVER_ENTRIES}", id="kernel-width-over-cap"),
+        pytest.param(KERNEL, "0.1,0.2\n" * 4097, WIDTH_OVER_CAP,
+                     f"the 4097 x 4097 overlaps {OVER_ENTRIES}", id="kernel-vectors-over-bound"),
         pytest.param(KERNEL + ["--shots", "0"], "0.1,0.2\n", BAD_VALUE, None,
                      id="kernel-zero-shots"),
         pytest.param(KERNEL, "1e200,1e200\n0.2,0.3\n", BAD_GATE, "non-finite",
@@ -443,6 +473,16 @@ MORE_THAN_KERNEL_GATES = f"more than {MAX_KERNEL_GATES} gates"
                      "qv_samples must be <= 10000", id="deff-qv-job-samples-over-ceiling"),
         pytest.param(DEFF + ["--seed", "-1"], None, BAD_VALUE, "seed must be >= 0",
                      id="deff-negative-seed"),
+        pytest.param(["deff", "--qv-job", "--family", '{"n":40,"d":40}', "--map", "line:40",
+                      "--qv-samples", "10000"], None, BAD_VALUE,
+                     f"qv_samples 10000 x 800 gates per circuit would hold 8000000 gates at once, "
+                     f"more than {MAX_QV_SAMPLE_GATES}",
+                     id="deff-qv-job-sample-gates-over-ceiling"),
+        pytest.param(["deff", "--family", '{"n":100,"d":10}', "--map", "line:100",
+                      "--kernel-samples", "10000", "--qv-samples", "1"], None, BAD_VALUE,
+                     f"kernel_samples 10000 x 5980 gates per circuit would hold 59800000 gates "
+                     f"at once, more than {MAX_KERNEL_SAMPLE_GATES}",
+                     id="deff-kernel-sample-gates-over-ceiling"),
         pytest.param(DEFF + ["--qv-job", "--seed", "-1"], None, BAD_VALUE, "seed must be >= 0",
                      id="deff-qv-job-negative-seed"),
         pytest.param(GEN + ["--family", '{"n":2,"d":1}', "--seed", "-1"], None, BAD_VALUE,

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 import qjobtime.deff as deff_mod
 from qjobtime.circuit import Gate
 from qjobtime.deff import (
+    MAX_KERNEL_SAMPLE_GATES,
+    MAX_QV_SAMPLE_GATES,
     MAX_SAMPLES,
     DeffEstimate,
+    check_sample_gates,
     effective_layers,
     equivalent_qv_width,
     kernel_features,
@@ -19,7 +22,15 @@ from qjobtime.deff import (
     sample_qv_circuits,
 )
 from qjobtime.errors import CouplingError, InvalidParameterError
-from qjobtime.generators import Entanglement, KernelFamily, kernel_circuit, qv_circuit
+from qjobtime.generators import (
+    MAX_KERNEL_GATES,
+    MAX_QV_GATES,
+    Entanglement,
+    KernelFamily,
+    kernel_circuit,
+    qv_circuit,
+)
+from qjobtime.model import DEFAULT_KERNEL_SAMPLES, DEFAULT_QV_SAMPLES
 from qjobtime.transpile import kak
 from qjobtime.transpile import (
     all_to_all_map,
@@ -131,6 +142,35 @@ class TestEffectiveLayers:
         for counts in ({"kernel_samples": MAX_SAMPLES + 1}, {"qv_samples": MAX_SAMPLES + 1}):
             with pytest.raises(InvalidParameterError, match=f"<= {MAX_SAMPLES}"):
                 effective_layers(KernelFamily(2, 1), line_map(2), **counts)
+
+    def test_sample_gate_ceilings_admit_the_defaults_at_the_circuit_ceilings(self):
+        """The default sample counts of circuits at the per-circuit gate
+        ceilings, and 10 000 QV samples at v = 8, stay within the ceilings on
+        gates held at once; one gate more is refused."""
+        cases = [(DEFAULT_KERNEL_SAMPLES, MAX_KERNEL_GATES, MAX_KERNEL_SAMPLE_GATES),
+                 (DEFAULT_QV_SAMPLES, MAX_QV_GATES, MAX_QV_SAMPLE_GATES),
+                 (MAX_SAMPLES, 8 * 4, MAX_QV_SAMPLE_GATES)]
+        for count, gates, ceiling in cases:
+            check_sample_gates("samples", count, gates, ceiling)
+        for ceiling in (MAX_KERNEL_SAMPLE_GATES, MAX_QV_SAMPLE_GATES):
+            with pytest.raises(InvalidParameterError, match=f"{ceiling + 1} gates at once"):
+                check_sample_gates("samples", 1, ceiling + 1, ceiling)
+
+    @pytest.mark.parametrize("fam, counts, name", [
+        (KernelFamily(40, 40), {"qv_samples": 10_000, "as_qv_job": True}, "qv_samples 10000 x 800"),
+        (KernelFamily(100, 10), {"kernel_samples": 10_000, "qv_samples": 1},
+         "kernel_samples 10000 x 5980"),
+        (KernelFamily(100, 10), {"kernel_samples": 1, "qv_samples": 10_000},
+         "qv_samples 10000 x 990"),
+    ])
+    def test_sample_gates_over_the_ceiling_are_refused_before_any_draw(
+        self, monkeypatch, fam, counts, name
+    ):
+        """samples x gates per circuit is worked out before a sample is drawn."""
+        for sampler in ("sample_kernel_circuits", "sample_qv_circuits"):
+            monkeypatch.setattr(deff_mod, sampler, lambda *args: pytest.fail("drew a sample"))
+        with pytest.raises(InvalidParameterError, match=name):
+            effective_layers(fam, line_map(100), seed=0, **counts)
 
 
 SMALL_MAPS = [named_map(name, 6) for name in ("line", "ring", "all-to-all", "heavy-hex-like")]

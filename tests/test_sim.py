@@ -12,8 +12,11 @@ from qjobtime.generators import (
     encoding_circuit,
     sample_features,
 )
+from qjobtime import sim
 from qjobtime.sim import (
+    MAX_ENTRIES,
     MAX_SHOTS,
+    circuit_unitary,
     estimate_kernel,
     exact_kernel,
     kernel_matrix,
@@ -43,10 +46,26 @@ class TestSimulate:
             sv = simulate(c.compose(c.inverse()))
             assert abs(sv.amplitudes[0] - 1.0) < 1e-10
 
-    def test_width_cap(self):
-        with pytest.raises(SimulationCapError):
-            simulate(Circuit(13))
-        assert simulate(Circuit(13), max_qubits=13).n == 13
+    def test_width_cap(self, monkeypatch):
+        """A state or unitary of up to MAX_ENTRIES = 2^24 entries is built, and
+        one of more is refused, an absurd width at once; the message names the
+        bound. A 24-qubit zero state touches few pages; the unitary's accepted
+        edge, 12 qubits, would fill 256 MiB and is shown on a smaller bound."""
+        bound = f"would hold more than the simulator's bound of MAX_ENTRIES = {MAX_ENTRIES}"
+        assert simulate(Circuit(24)).n == 24
+        for width in (25, 10**9):
+            with pytest.raises(SimulationCapError, match=re.escape(f"2^{width} state of a")):
+                simulate(Circuit(width))
+        message = f"the 4^13 unitary of a 13-qubit circuit {bound}"
+        with pytest.raises(SimulationCapError, match=re.escape(message)):
+            circuit_unitary(Circuit(13))
+        monkeypatch.setattr(sim, "MAX_ENTRIES", 2**10)
+        assert simulate(Circuit(10)).n == 10
+        assert circuit_unitary(Circuit(5)).shape == (32, 32)
+        with pytest.raises(SimulationCapError, match=re.escape("2^11 state")):
+            simulate(Circuit(11))
+        with pytest.raises(SimulationCapError, match=re.escape("4^6 unitary")):
+            circuit_unitary(Circuit(6))
 
 
 class TestExactKernel:
@@ -160,10 +179,31 @@ class TestKernelMatrix:
         fam = KernelFamily(16, 2, Entanglement.FULL)
         centre = sample_features(fam, rng)
         data = [centre + rng.normal(0.0, 0.02, fam.n) for _ in range(3)]  # entries far from 0
-        k = kernel_matrix(fam, data, max_qubits=16)
-        states = [simulate(encoding_circuit(fam, x), max_qubits=16).amplitudes for x in data]
+        k = kernel_matrix(fam, data)
+        states = [simulate(encoding_circuit(fam, x)).amplitudes for x in data]
         for i, j in ((0, 1), (0, 2), (1, 2)):
             assert abs(k[i, j] - abs(np.vdot(states[j], states[i])) ** 2) <= 1e-12
+        # 256 states of 2^16 amplitudes fill MAX_ENTRIES; one more is refused
+        assert MAX_ENTRIES >> fam.n == 256
+        with pytest.raises(SimulationCapError, match=re.escape("257 x 2^16 encoded states")):
+            kernel_matrix(fam, data * 85 + data[:2])
+
+    def test_kernel_arrays_at_the_bound(self, monkeypatch):
+        """On a bound of 2^10 entries: 7 qubits over 8 vectors (8 x 2^7 states,
+        2^7 x 7 sign tables) and 32 vectors (32 x 32 overlaps) are built; one
+        vector more, or an eighth qubit's 2^8 x 8 sign tables, is refused."""
+        monkeypatch.setattr(sim, "MAX_ENTRIES", 2**10)
+        fam, rng = KernelFamily(7, 1), np.random.default_rng(3)
+        data = [sample_features(fam, rng) for _ in range(8)]
+        assert kernel_matrix(fam, data).shape == (8, 8)
+        with pytest.raises(SimulationCapError, match=re.escape("9 x 2^7 encoded states")):
+            kernel_matrix(fam, data + data[:1])
+        with pytest.raises(SimulationCapError, match=re.escape("2^8 x 8 sign tables")):
+            kernel_matrix(KernelFamily(8, 1), [[0.1] * 8])
+        pairs = [[0.1, 0.2]] * 32
+        assert kernel_matrix(KernelFamily(2, 1), pairs, shots=10).shape == (32, 32)
+        with pytest.raises(SimulationCapError, match=re.escape("33 x 33 overlaps")):
+            kernel_matrix(KernelFamily(2, 1), pairs + pairs[:1], shots=10)
 
     @pytest.mark.parametrize("seed", [0, 5, 99])
     def test_shot_counts_are_one_binomial_draw_on_stream_3(self, seed):
@@ -275,8 +315,13 @@ class TestKernelMatrix:
             assert np.isfinite(k).all() and 0.0 <= k.min() and k.max() <= 1.0 + 1e-12
 
     def test_first_vector_is_checked_before_the_width_cap(self):
-        fam = KernelFamily(13, 1)
-        with pytest.raises(InvalidParameterError, match="13"):
+        """At 24 qubits one state fits MAX_ENTRIES but its sign tables do not:
+        a bad first vector gets the oracle's error, a good one the bound's,
+        before any later vector is read."""
+        fam = KernelFamily(24, 1)
+        with pytest.raises(InvalidParameterError, match="24"):
             kernel_matrix(fam, [[0.1] * 2])
-        with pytest.raises(SimulationCapError, match="cap of 12 qubits"):
-            kernel_matrix(fam, [[0.1] * 13, [0.1] * 2])
+        with pytest.raises(SimulationCapError, match=re.escape("2^24 x 24 sign tables")):
+            kernel_matrix(fam, [[0.1] * 24])
+        with pytest.raises(SimulationCapError, match=re.escape("2 x 2^24 encoded states")):
+            kernel_matrix(fam, [[0.1] * 24, [0.1] * 2])

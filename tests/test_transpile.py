@@ -802,3 +802,77 @@ def test_pinned_deff_and_checked_transpiler_output(rng):
         lowered = decompose(c)
         assert_passes_checks(lowered)
         assert_passes_checks(route(lowered, heavy_hex_like_map(7)).circuit)
+
+
+def _reference_route(c: Circuit, cmap: CouplingMap):
+    """Slow reference for `route(decompose(c), cmap)`, gate by gate over the
+    lowered gates by the rule in `route.py`'s docstring: while a two-qubit
+    gate's physical endpoints are not adjacent, the lower-index one moves one
+    step along `_bfs_path` toward the other, by SWAP = CX CX(reversed) CX.
+    Returns the routed gates, the final layout, the swap count and the ASAP
+    depth counted from the gates."""
+    l2p = list(range(c.width))
+    gates, swaps = [], 0
+    for g in decompose(c).gates:
+        while len(g.qubits) == 2:
+            mover, target = sorted(l2p[q] for q in g.qubits)
+            path = _bfs_path(cmap, mover, target)
+            if len(path) == 2:
+                break
+            step = path[1]
+            gates += [Gate.cx(mover, step), Gate.cx(step, mover), Gate.cx(mover, step)]
+            swaps += 1
+            l2p = [step if p == mover else mover if p == step else p for p in l2p]
+        gates.append(Gate(g.kind, [l2p[q] for q in g.qubits], g.params, g.matrix))
+    ready = [0] * cmap.num_qubits
+    for g in gates:
+        layer = 1 + max(ready[q] for q in g.qubits)
+        for q in g.qubits:
+            ready[q] = layer
+    return gates, tuple(l2p), swaps, max(ready)
+
+
+@st.composite
+def connected_maps(draw, min_qubits: int) -> CouplingMap:
+    """A named map, a random tree or a random connected graph, on
+    `min_qubits` to `min_qubits + 3` qubits with shuffled labels."""
+    n = draw(st.integers(min_qubits, min_qubits + 3))
+    kind = draw(st.sampled_from(["line", "ring", "all-to-all", "heavy-hex-like", "tree", "graph"]))
+    if kind in ("line", "all-to-all", "heavy-hex-like") or (kind == "ring" and n >= 3):
+        return named_map(kind, n)
+    label = draw(st.permutations(range(n)))
+    edges = [(label[draw(st.integers(0, i - 1))], label[i]) for i in range(1, n)]
+    if kind == "graph":
+        qubit = st.integers(0, n - 1)
+        pairs = st.tuples(qubit, qubit).filter(lambda e: e[0] != e[1])
+        edges += draw(st.lists(pairs, max_size=n))
+    return CouplingMap(n, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(width=st.integers(2, 8), size=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_route_matches_the_reference_router(width, size, seed, data):
+    """Random circuits over every gate kind on random connected maps: routed
+    gates, qubit stream, final layout, swap count, depth and length equal the
+    reference's."""
+    c = random_circuit(width, size, np.random.default_rng(seed))
+    cmap = data.draw(connected_maps(width))
+    routed = route(decompose(c), cmap)
+    gates, layout, swaps, depth = _reference_route(c, cmap)
+    assert list(routed.circuit._stream) == [g.qubits for g in gates]
+    assert list(routed.circuit.gates) == gates
+    assert (routed.final_layout, routed.swap_count) == (layout, swaps)
+    assert (routed.circuit.depth(), len(routed.circuit)) == (depth, len(gates))
+
+
+def test_effective_layers_matches_reference_depths():
+    """d_eff on a small grid equals the one computed from reference depths of
+    the same samples."""
+    for fam in (KernelFamily(3, 2, Entanglement.FULL), KernelFamily(4, 1)):
+        for cmap in (line_map(5), heavy_hex_like_map(6), ring_map(5)):
+            est = effective_layers(fam, cmap, kernel_samples=3, qv_samples=3, seed=4)
+            kernel = sample_kernel_circuits(fam, 3, 4)
+            qv = sample_qv_circuits(est.v, est.v, 3, 4)
+            depth = lambda circuits: np.mean([_reference_route(c, cmap)[3] for c in circuits])
+            assert est.d_eff == depth(kernel) / depth(qv) * est.v
