@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import InvalidCircuitError, InvalidGateError, WidthMismatchError
+from .errors import InvalidCircuitError, InvalidGateError, InvalidParameterError, WidthMismatchError
 
 
 class GateKind(Enum):
@@ -35,6 +35,26 @@ class GateKind(Enum):
     # the name, since the lowering hashes a kind on every input gate (the
     # `_RULES` table, the `_PASS_THROUGH` set and `rule_stream`'s cache)
     __hash__ = object.__hash__
+
+
+# Size bounds of the d_eff path, in basis gates: the entries that lowering
+# emits and that routing and depth walk. MAX_GATES bounds one circuit, before
+# its draw and as it is routed; lowering and routing peak at 19 to 32 B per
+# routed gate, about 75 MB at the bound (tracemalloc, 40-qubit map).
+# MAX_SAMPLE_GATES bounds one `deff` side, samples x gates per circuit before
+# any draw and the routed total: it admits 10 000 QV samples at v = 8 (13.8
+# million) and n = 60, d = 2, full on heavy-hex-like:127 (7.3 million routed).
+# Held QV samples cost 12 B per basis gate (250 MB at the bound); kernel
+# samples, whose d rounds share their gates, are bounded in what they hold.
+MAX_GATES = 2_000_000
+MAX_SAMPLE_GATES = 20_000_000
+
+
+def check_gates(what: str, gates: int, bound: int, error=InvalidParameterError, unit="basis gates") -> int:
+    """Refuse `what`, of `gates` `unit`, above `bound` with `error`; return `gates`."""
+    if gates > bound:
+        raise error(f"{what} would hold {gates} {unit}, more than {bound}")
+    return gates
 
 
 # the one kind the constructor, the text reader and the writer test, bound once

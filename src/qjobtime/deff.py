@@ -19,23 +19,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import MAX_SAMPLE_GATES, Circuit, check_gates
 from .errors import CouplingError, InvalidParameterError
-from .generators import (MAX_KERNEL_GATES, KernelFamily, check_kernel_gates, kernel_circuit,
+from .generators import (KernelFamily, kernel_basis_gates, kernel_circuit, qv_basis_gates,
                          qv_circuit, sample_features, seed_stream)
 from .model import DEFAULT_KERNEL_SAMPLES, DEFAULT_QV_SAMPLES
 from .transpile.coupling import CouplingMap
 from .transpile.route import transpiled_depths
 
 MAX_SAMPLES = 10_000  # ceiling on every sample count, refused before any circuit is built
-# most gates one side's samples may hold together (samples x gates per
-# circuit), refused before any draw: every sample is built before any is
-# lowered. A QV SU4 gate holds about 530 B with its 4x4 payload, so QV samples
-# hold at most about 265 MB. A kernel gate holds 25 to 220 B, less as d grows,
-# since a kernel circuit's d rounds share their gate objects; the kernel
-# ceiling admits the default sample count at `MAX_KERNEL_GATES`, 65 to 550 MB
-MAX_QV_SAMPLE_GATES = 500_000
-MAX_KERNEL_SAMPLE_GATES = DEFAULT_KERNEL_SAMPLES * MAX_KERNEL_GATES
 
 
 def check_sample_count(name: str, count: int) -> None:
@@ -46,13 +38,9 @@ def check_sample_count(name: str, count: int) -> None:
         raise InvalidParameterError(f"{name} must be <= {MAX_SAMPLES}, got {count}")
 
 
-def check_sample_gates(name: str, count: int, gates: int, ceiling: int) -> None:
-    """Refuse `count` samples of `gates` gates each above `ceiling` gates in all."""
-    if count * gates > ceiling:
-        raise InvalidParameterError(
-            f"{name} {count} x {gates} gates per circuit would hold {count * gates} "
-            f"gates at once, more than {ceiling}"
-        )
+def _check_side(name: str, count: int, each: int, bound: int, unit: str = "basis gates") -> None:
+    """Refuse `count` samples of `each` `unit` per circuit above `bound` in all."""
+    check_gates(f"{name} {count} x {each} {unit} per circuit", count * each, bound, unit=unit)
 
 
 def equivalent_qv_width(n: int, d: int) -> int:
@@ -120,7 +108,7 @@ def effective_layers(
         if fam.n > cmap.num_qubits:
             raise CouplingError(f"map has {cmap.num_qubits} qubits, job needs {fam.n}")
         check_sample_count("qv_samples", qv_samples)
-        check_sample_gates("qv_samples", qv_samples, fam.d * (fam.n // 2), MAX_QV_SAMPLE_GATES)
+        _check_side("qv_samples", qv_samples, qv_basis_gates(fam.n, fam.d), MAX_SAMPLE_GATES)
         circuits = sample_qv_circuits(fam.n, fam.d, qv_samples, seed)
         mean_depth = mean_transpiled_depth(circuits, cmap)
         return DeffEstimate(
@@ -133,9 +121,14 @@ def effective_layers(
         )
     check_sample_count("kernel_samples", kernel_samples)
     check_sample_count("qv_samples", qv_samples)
-    gates = check_kernel_gates(fam)
-    check_sample_gates("kernel_samples", kernel_samples, gates, MAX_KERNEL_SAMPLE_GATES)
-    check_sample_gates("qv_samples", qv_samples, v * (v // 2), MAX_QV_SAMPLE_GATES)
+    kernel_basis_gates(fam)
+    # kernel samples are all built before any is lowered; each holds 2(2n + |pairs|) gates
+    # of up to 210 B, shared by its d rounds, and d times as many 8 B references (tracemalloc):
+    # MAX_SAMPLE_GATES / 4 of both hold at most about 540 MB, and 4 times their count passes
+    # the side's basis gates
+    held = 2 * (2 * fam.n + fam.entanglement.pair_count(fam.n)) * (fam.d + 1)
+    _check_side("kernel_samples", kernel_samples, held, MAX_SAMPLE_GATES // 4, "gates and references")
+    _check_side("qv_samples", qv_samples, qv_basis_gates(v, v), MAX_SAMPLE_GATES)
     kernel_mean = mean_transpiled_depth(sample_kernel_circuits(fam, kernel_samples, seed), cmap)
     qv_mean = mean_transpiled_depth(sample_qv_circuits(v, v, qv_samples, seed), cmap)
     return DeffEstimate(

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind, check_su4_payloads
+from .circuit import MAX_GATES, Circuit, Gate, GateKind, check_gates, check_su4_payloads
 from .errors import InvalidGateError, InvalidParameterError
 from .model import json_typed
 
@@ -29,6 +29,9 @@ class Entanglement(Enum):
         if self is Entanglement.LINEAR:
             return tuple((j, j + 1) for j in range(n - 1))
         return tuple((j, k) for j in range(n) for k in range(j + 1, n))
+
+    def pair_count(self, n: int) -> int:
+        return n - 1 if self is Entanglement.LINEAR else n * (n - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -79,12 +82,6 @@ def aspect_label(ratio) -> str:
     return "narrow-deep"
 
 
-# most SU4 gates one QV circuit may hold (layers * floor(q/2)), refused before
-# any draw: lowering and routing peak at about 8 kB per SU4 gate (40-qubit
-# heavy-hex-like map), so about 80 MB for a circuit at the ceiling
-MAX_QV_GATES = 10_000
-
-
 def _haar_su4(g: np.ndarray) -> np.ndarray:
     """Haar-random SU(4) matrices from normals g (k, 2, 4, 4): per row, QR of
     the complex Ginibre matrix (g[0] + i g[1]) / sqrt(2), phase fix, and
@@ -122,10 +119,7 @@ def qv_circuit(q: int, layers: int, seed: "int | np.random.SeedSequence") -> Cir
         raise InvalidParameterError("qv_circuit needs q >= 2")
     if layers < 1:
         raise InvalidParameterError("qv_circuit needs layers >= 1")
-    if layers * (q // 2) > MAX_QV_GATES:
-        raise InvalidParameterError(
-            f"qv_circuit of width {q} and {layers} layers has more than {MAX_QV_GATES} SU4 gates"
-        )
+    qv_basis_gates(q, layers)
     rng = np.random.default_rng(seed)
     pairs, normals = [], np.empty((layers, q // 2, 2, 4, 4))
     for layer in normals:
@@ -139,30 +133,23 @@ def qv_circuit(q: int, layers: int, seed: "int | np.random.SeedSequence") -> Cir
     return Circuit._trusted(q, gates, layers)
 
 
-# most gates one overlap circuit U(x) U(y)^dagger may hold, 2*d*(2n + |pairs|),
-# refused before any gate or state is built; the families the tests, the README
-# and the benchmark use hold at most about a thousand gates. Lowering and
-# routing peak at about 0.1 kB per gate for linear entanglement on a 40-qubit
-# heavy-hex-like map, so about 10 MB at the ceiling. The swaps routing adds
-# grow with the map's distances and are bounded separately, by the router's
-# `MAX_ROUTED_GATES`: full entanglement at this ceiling on that map would
-# route to about 2.7 million gates and is refused there
-MAX_KERNEL_GATES = 100_000
+# Basis-gate counts, stated here rather than read from the lowering so that the
+# generators load no transpiler: H and RZZ lower to 3 gates, RZ to 1, and SU4
+# to 3 CX and eight 1q dressings of at most 5 (all 5 for a Haar draw).
+def qv_basis_gates(q: int, layers: int) -> int:
+    """At most how many basis gates a QV circuit of width q lowers to,
+    43*layers*floor(q/2); a circuit above `MAX_GATES` is refused."""
+    return check_gates(f"a QV circuit of width {q} and {layers} layers",
+                       43 * layers * (q // 2), MAX_GATES)
 
 
-def check_kernel_gates(fam: KernelFamily) -> int:
-    """The gate count of the family's overlap circuit (H and RZ per qubit and
-    RZZ per pair, in 2d rounds), worked out without building the pairs; a
-    family above `MAX_KERNEL_GATES` is refused."""
-    n = fam.n
-    pairs = n - 1 if fam.entanglement is Entanglement.LINEAR else n * (n - 1) // 2
-    gates = 2 * fam.d * (2 * n + pairs)
-    if gates > MAX_KERNEL_GATES:
-        raise InvalidParameterError(
-            f"kernel family {fam.to_dict()} has an overlap circuit of more than "
-            f"{MAX_KERNEL_GATES} gates"
-        )
-    return gates
+def kernel_basis_gates(fam: KernelFamily) -> int:
+    """The basis gates of the family's overlap circuit, 2d(4n + 3|pairs|)
+    exactly, worked out without building the pairs; a family above
+    `MAX_GATES` is refused."""
+    return check_gates(f"the overlap circuit of kernel family {fam.to_dict()}",
+                       2 * fam.d * (4 * fam.n + 3 * fam.entanglement.pair_count(fam.n)),
+                       MAX_GATES)
 
 
 def _as_features(fam: KernelFamily, x: Sequence[float]) -> np.ndarray:
@@ -212,7 +199,7 @@ def encoding_circuit(fam: KernelFamily, x: Sequence[float]) -> Circuit:
     (angles from `phase_angles`). Global phase is dropped throughout; kernel
     values are insensitive to it.
     """
-    check_kernel_gates(fam)
+    kernel_basis_gates(fam)
     return Circuit._trusted(fam.n, tuple(_encoding_layer(fam, x, 1.0)) * fam.d, fam.d)
 
 
@@ -223,7 +210,7 @@ def kernel_circuit(fam: KernelFamily, x: Sequence[float], y: Sequence[float]) ->
     negated angles: H is its own inverse and RZ, RZZ invert by negation, as
     `Circuit.inverse` would give.
     """
-    check_kernel_gates(fam)
+    kernel_basis_gates(fam)
     forward = tuple(_encoding_layer(fam, x, 1.0))
     back = tuple(reversed(_encoding_layer(fam, y, -1.0)))
     return Circuit._trusted(fam.n, forward * fam.d + back * fam.d, 2 * fam.d)

@@ -15,20 +15,12 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable
 
-from ..circuit import Circuit, Gate, GateKind
+from ..circuit import MAX_GATES, MAX_SAMPLE_GATES, Circuit, Gate, GateKind, check_gates
 from ..errors import CouplingError
 from .coupling import CouplingMap
 from .decompose import decompose, decompose_all, emit_rule, rule_stream
 
 _SWAP = GateKind.SWAP
-
-# most gates a routed circuit may hold, checked where a swap is appended (a
-# route without swaps is no longer than its lowered input, which the
-# generators' gate ceilings bound). The qubit stream and the swap positions
-# cost about 14 bytes per routed gate, so about 28 MB here. The families the
-# tests, the README and the benchmark use route to under 20 000 gates; a full
-# family of n = 200, d = 1 on line:200 would route to 8.06 million.
-MAX_ROUTED_GATES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -55,6 +47,8 @@ def route(c: Circuit, cmap: CouplingMap) -> RoutedCircuit:
     # the map's distance and first-hop tables, read directly per gate
     dist, hop = cmap._dist, cmap._hop
     append = stream.append
+    # checked where a swap is appended: without swaps a route is as long as its input
+    what = f"the route of a {c.width}-qubit circuit onto a {cmap.num_qubits}-qubit map"
     for i, qubits in enumerate(c._stream):
         if len(qubits) == 1:
             append(singles[l2p[qubits[0]]])
@@ -65,11 +59,7 @@ def route(c: Circuit, cmap: CouplingMap) -> RoutedCircuit:
             mover, target = (pa, pb) if pa < pb else (pb, pa)
             step = hop[mover][target]
             stream += rule_stream(_SWAP, (mover, step), ())
-            if len(stream) > MAX_ROUTED_GATES:
-                raise CouplingError(
-                    f"routing a {c.width}-qubit circuit onto a {cmap.num_qubits}-qubit "
-                    f"map needs more than {MAX_ROUTED_GATES} gates"
-                )
+            check_gates(what, len(stream), MAX_GATES, CouplingError)
             swap_at.append(i)
             lm, ls = p2l[mover], p2l[step]
             p2l[mover], p2l[step] = ls, lm
@@ -119,5 +109,13 @@ def transpiled_depth(c: Circuit, cmap: CouplingMap) -> int:
 
 def transpiled_depths(circuits: Iterable[Circuit], cmap: CouplingMap) -> list[int]:
     """`transpiled_depth` of each circuit, with the SU4 payloads of all of
-    them factored together by `decompose_all`."""
-    return [route(d, cmap).circuit.depth() for d in decompose_all(circuits)]
+    them factored together by `decompose_all`. Refused with `CouplingError`
+    once the routed circuits pass `MAX_SAMPLE_GATES` basis gates in all."""
+    depths, total = [], 0
+    for lowered in decompose_all(circuits):
+        routed = route(lowered, cmap).circuit
+        total += len(routed)
+        check_gates(f"the first {len(depths) + 1} routed circuits", total, MAX_SAMPLE_GATES,
+                    CouplingError)
+        depths.append(routed.depth())
+    return depths

@@ -1,6 +1,7 @@
 import csv
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,18 +12,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from refdata import CLOPS_JOB_RUNS
-from qjobtime.circuit import read_circuits
+from qjobtime.circuit import MAX_GATES, MAX_SAMPLE_GATES, read_circuits
 from qjobtime.cli import main
 from qjobtime.errors import MalformedRecordsError
-from qjobtime.deff import MAX_KERNEL_SAMPLE_GATES, MAX_QV_SAMPLE_GATES
-from qjobtime.generators import MAX_KERNEL_GATES, MAX_QV_GATES
 from qjobtime.model import builtin_backends, registry_to_json
 from qjobtime.records import RECORD_HEADER, load_runtime_records
 from qjobtime.sim import MAX_ENTRIES
 from qjobtime.transpile.coupling import MAX_MAP_QUBITS
-from qjobtime.transpile.route import MAX_ROUTED_GATES
 
 
 @pytest.fixture
@@ -387,13 +387,19 @@ BAD_FAMILIES = [("[]", NOT_AN_OBJECT, "list"), ("3", NOT_AN_OBJECT, "number"),
                 ('{"n":4,"d":1.9}', NOT_AN_INTEGER, "float-d"),
                 ('{"n":true,"d":1}', NOT_AN_INTEGER, "bool-n")]
 OVER_MAP = str(MAX_MAP_QUBITS + 1)
-OVER_QV = str(MAX_QV_GATES + 1)  # layers of width 2, one SU4 gate each
-# kernel families whose overlap circuit is just over the gate ceiling: n = 2
-# linear has 2*d*5 gates, and full entanglement on n qubits n*(n + 3) per d
-OVER_KERNEL = '{"n":2,"d":%d}' % (MAX_KERNEL_GATES // 10 + 1)
-WIDE_FULL = next(n for n in range(2, MAX_KERNEL_GATES) if n * (n + 3) > MAX_KERNEL_GATES)
+OVER_QV = str(MAX_GATES // 43 + 1)  # layers of width 2, one SU4 gate of 43 basis gates each
+MORE_THAN_QV_GATES = f"2 and {OVER_QV} layers would hold 2000016 basis gates, more than {MAX_GATES}"
+# kernel families whose overlap circuit is just over the gate bound: n = 2
+# lowers to 22 basis gates per d, and full entanglement on n qubits to
+# 3n^2 + 5n at d = 1
+OVER_D = MAX_GATES // 22 + 1
+OVER_KERNEL = '{"n":2,"d":%d}' % OVER_D
+MORE_THAN_KERNEL_GATES = (f"kernel family {{'n': 2, 'd': {OVER_D}, 'entanglement': 'linear'}} "
+                          f"would hold {22 * OVER_D} basis gates, more than {MAX_GATES}")
+WIDE_FULL = next(n for n in range(2, MAX_GATES) if 3 * n * n + 5 * n > MAX_GATES)
 OVER_KERNEL_FULL = '{"n":%d,"d":1,"entanglement":"full"}' % WIDE_FULL
-MORE_THAN_KERNEL_GATES = f"more than {MAX_KERNEL_GATES} gates"
+MORE_THAN_FULL_GATES = (f"would hold {3 * WIDE_FULL**2 + 5 * WIDE_FULL} basis gates, "
+                        f"more than {MAX_GATES}")
 OVER_ENTRIES = f"would hold more than the simulator's bound of MAX_ENTRIES = {MAX_ENTRIES} entries"
 WIDTH_OVER_CAP = ("WIDTH_OVER_CAP", 7)
 
@@ -475,14 +481,19 @@ WIDTH_OVER_CAP = ("WIDTH_OVER_CAP", 7)
                      id="deff-negative-seed"),
         pytest.param(["deff", "--qv-job", "--family", '{"n":40,"d":40}', "--map", "line:40",
                       "--qv-samples", "10000"], None, BAD_VALUE,
-                     f"qv_samples 10000 x 800 gates per circuit would hold 8000000 gates at once, "
-                     f"more than {MAX_QV_SAMPLE_GATES}",
+                     f"qv_samples 10000 x 34400 basis gates per circuit would hold 344000000 "
+                     f"basis gates, more than {MAX_SAMPLE_GATES}",
                      id="deff-qv-job-sample-gates-over-ceiling"),
         pytest.param(["deff", "--family", '{"n":100,"d":10}', "--map", "line:100",
                       "--kernel-samples", "10000", "--qv-samples", "1"], None, BAD_VALUE,
-                     f"kernel_samples 10000 x 5980 gates per circuit would hold 59800000 gates "
-                     f"at once, more than {MAX_KERNEL_SAMPLE_GATES}",
+                     f"kernel_samples 10000 x 6578 gates and references per circuit would hold "
+                     f"65780000 gates and references, more than {MAX_SAMPLE_GATES // 4}",
                      id="deff-kernel-sample-gates-over-ceiling"),
+        pytest.param(["deff", "--family", '{"n":1200,"d":1}', "--map", "line:1200",
+                      "--kernel-samples", "1190"], None, BAD_VALUE,
+                     f"kernel_samples 1190 x 14396 gates and references per circuit would hold "
+                     f"17131240 gates and references, more than {MAX_SAMPLE_GATES // 4}",
+                     id="deff-kernel-samples-held-over-ceiling"),
         pytest.param(DEFF + ["--qv-job", "--seed", "-1"], None, BAD_VALUE, "seed must be >= 0",
                      id="deff-qv-job-negative-seed"),
         pytest.param(GEN + ["--family", '{"n":2,"d":1}', "--seed", "-1"], None, BAD_VALUE,
@@ -563,16 +574,17 @@ WIDTH_OVER_CAP = ("WIDTH_OVER_CAP", 7)
                      f"above {MAX_MAP_QUBITS}", id="map-file-over-ceiling"),
         pytest.param(["deff", "--family", '{"n":200,"d":1,"entanglement":"full"}', "--map",
                       "line:200", "--kernel-samples", "1", "--qv-samples", "1"], None, BAD_MAP,
-                     f"more than {MAX_ROUTED_GATES} gates", id="deff-route-over-ceiling"),
+                     "the route of a 200-qubit circuit onto a 200-qubit map would hold",
+                     id="deff-route-over-ceiling"),
         pytest.param(["deff", "--qv-job", "--family", '{"n":2,"d":%s}' % OVER_QV, "--map", "line:4",
-                      "--qv-samples", "1"], None, BAD_VALUE, f"more than {MAX_QV_GATES} SU4 gates",
+                      "--qv-samples", "1"], None, BAD_VALUE, MORE_THAN_QV_GATES,
                      id="deff-qv-job-over-gate-ceiling"),
         pytest.param(GEN + ["--qv-width", "2", "--qv-layers", OVER_QV], None, BAD_VALUE,
-                     f"more than {MAX_QV_GATES} SU4 gates", id="gen-qv-over-gate-ceiling"),
+                     MORE_THAN_QV_GATES, id="gen-qv-over-gate-ceiling"),
         pytest.param(GEN + ["--family", OVER_KERNEL], None, BAD_VALUE, MORE_THAN_KERNEL_GATES,
                      id="gen-kernel-over-gate-ceiling"),
         pytest.param(GEN + ["--family", OVER_KERNEL_FULL], None, BAD_VALUE,
-                     MORE_THAN_KERNEL_GATES, id="gen-kernel-full-over-gate-ceiling"),
+                     MORE_THAN_FULL_GATES, id="gen-kernel-full-over-gate-ceiling"),
         pytest.param(["simulate-kernel", "--family", OVER_KERNEL] + KERNEL[3:], "0.1,0.2\n",
                      BAD_VALUE, MORE_THAN_KERNEL_GATES, id="kernel-over-gate-ceiling"),
         pytest.param(MAP_FILE, '{"n": 2.5, "edges": [[0, 1]]}', BAD_MAP,
@@ -614,6 +626,109 @@ def test_malformed_input_is_a_coded_error(runner, tmp_path, command, text, error
         assert names.get(detail, detail) in payload["message"]
     assert result.stdout == ""
     assert list(tmp_path.iterdir()) == ([path] if text is not None else [])
+
+
+def set_gate_bounds(monkeypatch, gates: int, sample_gates: int) -> None:
+    """Set `MAX_GATES` and `MAX_SAMPLE_GATES` in every module that binds them."""
+    for name in ("circuit", "generators", "deff", "transpile.route"):
+        module = importlib.import_module(f"qjobtime.{name}")
+        for bound, value in (("MAX_GATES", gates), ("MAX_SAMPLE_GATES", sample_gates)):
+            if hasattr(module, bound):
+                monkeypatch.setattr(module, bound, value)
+
+
+def bound_near(draw, count: int) -> int:
+    """A bound one under, at or one over `count`, or well over it. At the
+    bound a count passes, and swaps may take the routed count past it."""
+    return max(1, draw(st.sampled_from([count - 1, count, count + 1, 2 * count, 10 * count])))
+
+
+@st.composite
+def sized_runs(draw):
+    """(argv with INPUT and OUT for the data and output paths, a small
+    MAX_GATES and MAX_SAMPLE_GATES near the run's counts, whether a count
+    worked out before any draw passes its bound, and whether the map is too
+    small). Counts are in basis gates: 43 per QV SU4 gate, 2d(4n + 3|pairs|)
+    per kernel circuit; a kernel side counts its gates and gate references,
+    2(2n + |pairs|)(d + 1) per sample, against a quarter of the side bound,
+    so four times that count is drawn against it."""
+    command = draw(st.sampled_from(["deff", "deff-qv-job", "gen-kernel", "gen-qv", "simulate"]))
+    if command in ("deff-qv-job", "gen-qv"):
+        q, layers = draw(st.integers(2, 9)), draw(st.integers(1, 6))
+        circuits, widths = [43 * layers * (q // 2)], [q]
+        family = {"n": q, "d": layers}
+    else:
+        n, d = draw(st.integers(1 if command == "simulate" else 2, 6)), draw(st.integers(1, 4))
+        entanglement = draw(st.sampled_from(["linear", "full"]))
+        pairs = n - 1 if entanglement == "linear" else n * (n - 1) // 2
+        v = math.isqrt(2 * d * n - 1) + 1
+        circuits, widths = [2 * d * (4 * n + 3 * pairs), 43 * v * (v // 2)], [n, v]
+        held = [4 * 2 * (2 * n + pairs) * (d + 1), circuits[1]]
+        family = {"n": n, "d": d, "entanglement": entanglement}
+    argv, sides, map_too_small = [json.dumps(family)], [], False
+    if command == "simulate":
+        argv = ["simulate-kernel", "--family", *argv, "--data", "INPUT"]
+        circuits = circuits[:1]
+    elif command.startswith("gen"):
+        kind = (["--family", *argv] if command == "gen-kernel"
+                else ["--qv-width", str(q), "--qv-layers", str(layers)])
+        argv = ["gen-circuits", *kind, "--count", str(draw(st.integers(1, 3)))]
+        circuits = circuits[:1]
+    else:
+        kind = draw(st.sampled_from(["line", "ring", "heavy-hex-like", "all-to-all"]))
+        size = draw(st.integers(max(3 if kind == "ring" else 2, max(widths) - 1), max(widths) + 2))
+        argv = ["deff", "--family", *argv, "--map", f"{kind}:{size}"]
+        map_too_small = size < max(widths)
+        samples = draw(st.lists(st.integers(1, 6), min_size=len(circuits), max_size=2))
+        for flag, count, gates in zip(["--kernel-samples", "--qv-samples"][-len(circuits):],
+                                      samples, circuits if command == "deff-qv-job" else held):
+            argv += [flag, str(count)]
+            sides.append(count * gates)
+        argv += ["--qv-job"] if command == "deff-qv-job" else []
+    gates, sample_gates = bound_near(draw, max(circuits)), bound_near(draw, max(sides, default=1))
+    over = max(circuits) > gates or max(sides, default=0) > sample_gates
+    return argv + ["--out", "OUT"], gates, sample_gates, over, map_too_small
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(run=sized_runs(), rows=st.integers(1, 3))
+def test_sizes_around_the_gate_bounds_give_a_result_or_a_coded_error(tmp_path_factory, run, rows):
+    """`deff` (with and without `--qv-job`), both `gen-circuits` modes and
+    `simulate-kernel` at sizes around both gate bounds, set small, either
+    exit 0 with finite numbers and their file, or print the error JSON with
+    its exit status, nothing on stdout and no file. A count over a bound
+    before any draw is `INVALID_PARAMETER`; with every count under, only
+    routing may refuse (`COUPLING_MAP`), on one circuit or a side's total."""
+    argv, gates, sample_gates, over, map_too_small = run
+    tmp = tmp_path_factory.mktemp("run")
+    data, out = tmp / "data.csv", tmp / "out"
+    if argv[0] == "simulate-kernel":
+        n = json.loads(argv[2])["n"]
+        data.write_text("".join(",".join([str(0.5 + r)] * n) + "\n" for r in range(rows)))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        set_gate_bounds(monkeypatch, gates, sample_gates)
+        result = CliRunner().invoke(main, [{"INPUT": str(data), "OUT": str(out)}.get(a, a)
+                                           for a in argv])
+    if result.exit_code == 0:
+        assert not over and not map_too_small, argv
+        if argv[0] == "gen-circuits":
+            assert len(read_circuits(out)) == int(argv[argv.index("--count") + 1])
+        else:
+            assert out.exists()
+            values = json.loads(result.stdout).values()
+            assert all(np.isfinite(v) for v in values if isinstance(v, (int, float)))
+        return
+    assert isinstance(result.exception, SystemExit), (argv, result.exception)
+    error = json.loads(result.stderr)["error"]
+    if map_too_small:
+        assert (error["code"], result.exit_code) == BAD_MAP
+    else:
+        assert (error["code"], result.exit_code) == (BAD_VALUE if over else BAD_MAP), (argv, error)
+        assert error["message"].endswith((f"basis gates, more than {gates}",
+                                          f"basis gates, more than {sample_gates}",
+                                          f"references, more than {sample_gates // 4}")), error
+    assert result.stdout == ""
+    assert not out.exists()
 
 
 def run_fresh(*argv: str, cwd=None) -> str:

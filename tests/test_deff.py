@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qjobtime.deff as deff_mod
-from qjobtime.circuit import Gate
+from qjobtime.circuit import MAX_SAMPLE_GATES, Gate
 from qjobtime.deff import (
-    MAX_KERNEL_SAMPLE_GATES,
-    MAX_QV_SAMPLE_GATES,
     MAX_SAMPLES,
     DeffEstimate,
-    check_sample_gates,
     effective_layers,
     equivalent_qv_width,
     kernel_features,
@@ -23,10 +21,9 @@ from qjobtime.deff import (
 )
 from qjobtime.errors import CouplingError, InvalidParameterError
 from qjobtime.generators import (
-    MAX_KERNEL_GATES,
-    MAX_QV_GATES,
     Entanglement,
     KernelFamily,
+    kernel_basis_gates,
     kernel_circuit,
     qv_circuit,
 )
@@ -143,25 +140,55 @@ class TestEffectiveLayers:
             with pytest.raises(InvalidParameterError, match=f"<= {MAX_SAMPLES}"):
                 effective_layers(KernelFamily(2, 1), line_map(2), **counts)
 
-    def test_sample_gate_ceilings_admit_the_defaults_at_the_circuit_ceilings(self):
-        """The default sample counts of circuits at the per-circuit gate
-        ceilings, and 10 000 QV samples at v = 8, stay within the ceilings on
-        gates held at once; one gate more is refused."""
-        cases = [(DEFAULT_KERNEL_SAMPLES, MAX_KERNEL_GATES, MAX_KERNEL_SAMPLE_GATES),
-                 (DEFAULT_QV_SAMPLES, MAX_QV_GATES, MAX_QV_SAMPLE_GATES),
-                 (MAX_SAMPLES, 8 * 4, MAX_QV_SAMPLE_GATES)]
-        for count, gates, ceiling in cases:
-            check_sample_gates("samples", count, gates, ceiling)
-        for ceiling in (MAX_KERNEL_SAMPLE_GATES, MAX_QV_SAMPLE_GATES):
-            with pytest.raises(InvalidParameterError, match=f"{ceiling + 1} gates at once"):
-                check_sample_gates("samples", 1, ceiling + 1, ceiling)
+    KERNEL_BOUND = MAX_SAMPLE_GATES // 4
+
+    @pytest.mark.parametrize("fam, name, gates, at_bound, bound, unit", [
+        (KernelFamily(2, 47), "qv_samples", 43 * 47, {"as_qv_job": True},
+         MAX_SAMPLE_GATES, "basis gates"),
+        (KernelFamily(100, 10), "kernel_samples", 2 * (2 * 100 + 99) * 11, {"qv_samples": 1},
+         KERNEL_BOUND, "gates and references"),
+        (KernelFamily(100, 1, Entanglement.FULL), "kernel_samples", 2 * (2 * 100 + 4950) * 2,
+         {"qv_samples": 1}, KERNEL_BOUND, "gates and references"),
+        (KernelFamily(10, 5), "qv_samples", 43 * 10 * 5, {"kernel_samples": 1},  # v = 10
+         MAX_SAMPLE_GATES, "basis gates"),
+        (KernelFamily(8, 4), "qv_samples", 43 * 8 * 4, {"kernel_samples": 1},  # v = 8
+         MAX_SAMPLE_GATES, "basis gates"),
+    ])
+    def test_side_bound_is_checked_before_any_draw(self, monkeypatch, fam, name, gates, at_bound,
+                                                   bound, unit):
+        """samples x count per circuit is worked out before a sample is drawn:
+        the most samples under the side's bound reach the sampler, one more is
+        refused. QV samples count basis gates against `MAX_SAMPLE_GATES`: they
+        may hold 9896 x 47 = 465 112 SU4 gates here (the bound is 465 116 SU4
+        gates of 43 basis gates each), and `MAX_SAMPLES` QV samples at v = 8
+        (13.76 million) fit. Kernel samples count the gates and gate
+        references they hold, 2(2n + |pairs|)(d + 1), against a quarter of it:
+        760 samples of n = 100, d = 10 and 242 of the full n = 100, d = 1."""
+        class Drawn(Exception):
+            pass
+
+        def drawn(*args):
+            raise Drawn
+
+        for sampler in ("sample_kernel_circuits", "sample_qv_circuits"):
+            monkeypatch.setattr(deff_mod, sampler, drawn)
+        most = min(bound // gates, MAX_SAMPLES)
+        with pytest.raises(Drawn):
+            effective_layers(fam, line_map(100), **{**at_bound, name: most})
+        if most == MAX_SAMPLES:
+            return
+        refusal = (f"{name} {most + 1} x {gates} {unit} per circuit would hold "
+                   f"{(most + 1) * gates} {unit}, more than {bound}")
+        with pytest.raises(InvalidParameterError, match=refusal):
+            effective_layers(fam, line_map(100), **{**at_bound, name: most + 1})
 
     @pytest.mark.parametrize("fam, counts, name", [
-        (KernelFamily(40, 40), {"qv_samples": 10_000, "as_qv_job": True}, "qv_samples 10000 x 800"),
+        (KernelFamily(40, 40), {"qv_samples": 10_000, "as_qv_job": True},
+         "qv_samples 10000 x 34400"),
         (KernelFamily(100, 10), {"kernel_samples": 10_000, "qv_samples": 1},
-         "kernel_samples 10000 x 5980"),
+         "kernel_samples 10000 x 6578 gates and references"),
         (KernelFamily(100, 10), {"kernel_samples": 1, "qv_samples": 10_000},
-         "qv_samples 10000 x 990"),
+         "qv_samples 10000 x 42570"),
     ])
     def test_sample_gates_over_the_ceiling_are_refused_before_any_draw(
         self, monkeypatch, fam, counts, name
@@ -171,6 +198,42 @@ class TestEffectiveLayers:
             monkeypatch.setattr(deff_mod, sampler, lambda *args: pytest.fail("drew a sample"))
         with pytest.raises(InvalidParameterError, match=name):
             effective_layers(fam, line_map(100), seed=0, **counts)
+
+    @pytest.mark.parametrize("fam", [KernelFamily(2, 1), KernelFamily(40, 1, Entanglement.FULL),
+                                     KernelFamily(12, 6), KernelFamily(12, 40, Entanglement.FULL)])
+    def test_kernel_samples_hold_at_most_110_bytes_per_counted_entry(self, fam):
+        """What a kernel side's bound counts, gates plus gate references, is
+        what its samples hold: at most 110 B each (about 100 at d = 1, where
+        the gates dominate), so a side at the bound holds at most 550 MB."""
+        held = 2 * (2 * fam.n + fam.entanglement.pair_count(fam.n)) * (fam.d + 1)
+        sample_kernel_circuits(fam, 1, seed=0)  # fill any first-call cache outside the count
+        tracemalloc.start()
+        try:
+            circuits = sample_kernel_circuits(fam, 20, seed=0)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(circuits) == 20 and size <= 110 * 20 * held, size / (20 * held)
+
+    def test_routed_total_over_the_bound_is_refused_after_one_more_circuit(self, monkeypatch):
+        """Each side's routed circuits are summed as they are routed; once the
+        sum passes `MAX_SAMPLE_GATES` the side is refused with `COUPLING_MAP`,
+        so no circuit is routed past the one that crossed it."""
+        fam, cmap = KernelFamily(5, 1, Entanglement.FULL), line_map(5)
+        first = kernel_circuit(fam, *kernel_features(fam, 0, 0))
+        routed = len(route(decompose(first), cmap).circuit)
+        assert routed > kernel_basis_gates(fam)  # swaps were added
+        route_module = sys.modules["qjobtime.transpile.route"]
+        calls = []
+        real_route = route_module.route
+        monkeypatch.setattr(route_module, "route", lambda *a: calls.append(1) or real_route(*a))
+        monkeypatch.setattr(route_module, "MAX_SAMPLE_GATES", 3 * routed)
+        effective_layers(fam, cmap, kernel_samples=3, qv_samples=1, seed=0)  # at the bound
+        calls.clear()
+        refusal = f"the first 4 routed circuits would hold {4 * routed} basis gates, more than"
+        with pytest.raises(CouplingError, match=f"{refusal} {3 * routed}"):
+            effective_layers(fam, cmap, kernel_samples=10, qv_samples=1, seed=0)
+        assert len(calls) == 4
 
 
 SMALL_MAPS = [named_map(name, 6) for name in ("line", "ring", "all-to-all", "heavy-hex-like")]

@@ -4,25 +4,26 @@ import numpy as np
 import pytest
 
 from qjobtime import generators, sim
-from qjobtime.circuit import Circuit, Gate, GateKind
+from qjobtime.circuit import MAX_GATES, Circuit, Gate, GateKind, gate_matrix
 from qjobtime.errors import InvalidParameterError
 from qjobtime.generators import (
-    MAX_KERNEL_GATES,
-    MAX_QV_GATES,
     Entanglement,
     KernelFamily,
     aspect_label,
     encoding_circuit,
     haar_su4,
     haar_su4_stack,
+    kernel_basis_gates,
     kernel_circuit,
     phase_angles,
+    qv_basis_gates,
     qv_circuit,
     sample_features,
     seed_stream,
 )
 from qjobtime.model import BackendSpec
 from qjobtime.sim import exact_kernel, kernel_matrix, simulate
+from qjobtime.transpile import decompose
 
 
 def assert_built_as_checked(c: Circuit, reference: Circuit) -> None:
@@ -121,11 +122,20 @@ class TestQuantumVolumeCircuits:
                 assert_built_as_checked(qv_circuit(q, layers, seed),
                                         reference_qv_layers(q, layers, seed))
 
-    @pytest.mark.parametrize("q, layers", [(2, MAX_QV_GATES + 1), (9, MAX_QV_GATES // 4 + 1),
+    # the most SU4 gates a QV circuit may hold: each counts 43 basis gates
+    SU4_BOUND = MAX_GATES // 43
+
+    def test_circuit_at_the_gate_bound_builds(self):
+        assert self.SU4_BOUND == 46_511
+        assert qv_basis_gates(2, self.SU4_BOUND) == 1_999_973
+        assert len(qv_circuit(2, self.SU4_BOUND, seed=0)) == self.SU4_BOUND
+
+    @pytest.mark.parametrize("q, layers", [(2, SU4_BOUND + 1), (9, SU4_BOUND // 4 + 1),
                                            (10**6, 1), (3, 10**11)])
     def test_gate_ceiling_is_refused_before_any_draw(self, q, layers, monkeypatch):
         monkeypatch.setattr(np.random, "default_rng", None)  # a draw would fail otherwise
-        with pytest.raises(InvalidParameterError, match=f"more than {MAX_QV_GATES} SU4 gates"):
+        refusal = f"width {q} and {layers} layers would hold .* more than {MAX_GATES}"
+        with pytest.raises(InvalidParameterError, match=refusal):
             qv_circuit(q, layers, seed=0)
 
     def test_payloads_are_read_only(self):
@@ -218,28 +228,67 @@ class TestKernelCircuits:
             val = exact_kernel(fam, sample_features(fam, rng), sample_features(fam, rng))
             assert 0.0 <= val <= 1.0
 
-    # the widest full family one layer of which fits under the gate ceiling:
-    # its overlap circuit has n * (n + 3) gates
-    WIDE_FULL = max(n for n in range(2, MAX_KERNEL_GATES) if n * (n + 3) <= MAX_KERNEL_GATES)
+    # the widest full family whose d = 1 overlap circuit fits under the gate
+    # bound: it lowers to 2(4n + 3n(n-1)/2) = 3n^2 + 5n basis gates
+    WIDE_FULL = max(n for n in range(2, 1000) if 3 * n * n + 5 * n <= MAX_GATES)
 
-    @pytest.mark.parametrize("fam", [KernelFamily(2, MAX_KERNEL_GATES // 10),
-                                     KernelFamily(WIDE_FULL, 1, Entanglement.FULL)])
-    def test_family_at_the_gate_ceiling_builds(self, fam):
-        c = kernel_circuit(fam, np.zeros(fam.n), np.ones(fam.n))
-        assert len(c) == 2 * fam.d * (2 * fam.n + len(fam.entanglement.pairs(fam.n)))
-        assert len(c) <= MAX_KERNEL_GATES
+    def test_family_at_the_gate_ceiling_builds(self, monkeypatch):
+        """n = 2 lowers to 22 basis gates per d, so d = 90 909 is the deepest
+        family under the bound; its rounds share their gates, so it builds
+        and lowers in well under a second. The widest full family, n = 815
+        at d = 1 (3n² + 5n basis gates), is counted at the bound; building and
+        lowering it peaks at 340 MB, so it is built and lowered to exactly its count under a
+        bound of 20 000, where n = 80 is the widest that fits and 81 is
+        refused."""
+        fam = KernelFamily(2, 90_909)
+        c = kernel_circuit(fam, np.zeros(2), np.ones(2))
+        assert len(decompose(c)) == kernel_basis_gates(fam) == 1_999_998
+        wide = KernelFamily(self.WIDE_FULL, 1, Entanglement.FULL)
+        assert self.WIDE_FULL == 815 and kernel_basis_gates(wide) == 1_996_750
+        monkeypatch.setattr(generators, "MAX_GATES", 20_000)
+        n = max(n for n in range(2, 1000) if 3 * n * n + 5 * n <= 20_000)
+        wide = KernelFamily(n, 1, Entanglement.FULL)
+        c = kernel_circuit(wide, np.zeros(n), np.ones(n))
+        assert n == 80 and len(decompose(c)) == kernel_basis_gates(wide) == 19_600
+        with pytest.raises(InvalidParameterError, match="would hold 20088 basis gates, more than 20000"):
+            kernel_circuit(KernelFamily(n + 1, 1, Entanglement.FULL), np.zeros(n + 1), np.ones(n + 1))
 
-    @pytest.mark.parametrize("fam", [KernelFamily(2, MAX_KERNEL_GATES // 10 + 1),
+    @pytest.mark.parametrize("fam", [KernelFamily(2, 90_910),
                                      KernelFamily(WIDE_FULL + 1, 1, Entanglement.FULL),
                                      KernelFamily(10**9, 1), KernelFamily(3, 10**12)])
     def test_gate_ceiling_is_refused_before_any_gate_or_state(self, fam, monkeypatch):
         for module in (generators, sim):  # building a gate or a state would fail otherwise
             monkeypatch.setattr(module, "phase_angles", None)
         x = [0.0]
+        refusal = rf"kernel family .* would hold \d+ basis gates, more than {MAX_GATES}"
         for build in (lambda: encoding_circuit(fam, x), lambda: kernel_circuit(fam, x, x),
                       lambda: kernel_matrix(fam, [x, x]), lambda: kernel_matrix(fam, [x], 10)):
-            with pytest.raises(InvalidParameterError, match=f"more than {MAX_KERNEL_GATES} gates"):
+            with pytest.raises(InvalidParameterError, match=refusal):
                 build()
+
+
+class TestBasisGateCounts:
+    """The generators' basis-gate counts against the lowering's output."""
+
+    @pytest.mark.parametrize("entanglement", list(Entanglement))
+    def test_kernel_count_is_the_lowered_length(self, entanglement, rng):
+        for n in range(1, 7):
+            for d in range(1, 4):
+                fam = KernelFamily(n, d, entanglement)
+                c = kernel_circuit(fam, sample_features(fam, rng), sample_features(fam, rng))
+                assert len(decompose(c)) == kernel_basis_gates(fam), fam
+
+    @pytest.mark.parametrize("q", range(2, 8))
+    def test_qv_count_is_the_lowered_length_of_haar_draws(self, q):
+        for layers in (1, 2, 5):
+            for seed in range(3):
+                assert len(decompose(qv_circuit(q, layers, seed))) == qv_basis_gates(q, layers)
+
+    def test_qv_count_bounds_a_degenerate_payload_strictly(self):
+        """A CX payload's dressings are partly trivial, so it lowers to fewer
+        than the 43 basis gates counted per SU4."""
+        cx = Circuit(2, (Gate.su4(0, 1, gate_matrix(Gate.cx(0, 1))),))
+        assert len(decompose(cx)) < qv_basis_gates(2, 1) == 43
 
 
 class TestAspectRatio:

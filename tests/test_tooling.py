@@ -1,0 +1,46 @@
+"""Checks on the source tree as a whole: where its size bounds are defined
+and documented, and what its modules import."""
+
+import ast
+import os
+import subprocess
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+# every size bound in the program, each defined once
+BOUNDS = {"MAX_SAMPLES", "MAX_GATES", "MAX_SAMPLE_GATES", "MAX_MAP_QUBITS", "MAX_ENTRIES",
+          "MAX_SHOTS"}
+
+
+def module_level_bounds() -> dict[str, list[str]]:
+    """MAX_* name -> the src/ files whose module level assigns it."""
+    found = defaultdict(list)
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if isinstance(target, ast.Name) and target.id.startswith("MAX_"):
+                    found[target.id].append(str(path.relative_to(SRC)))
+    return found
+
+
+def test_size_bounds_are_defined_once_and_documented():
+    found = module_level_bounds()
+    assert set(found) == BOUNDS
+    assert all(len(files) == 1 for files in found.values()), dict(found)
+    assert found["MAX_GATES"] == found["MAX_SAMPLE_GATES"] == ["qjobtime/circuit.py"]
+    readme = (ROOT / "README.md").read_text()
+    assert [name for name in sorted(BOUNDS) if f"`{name}`" not in readme] == []
+
+
+def test_simulator_import_leaves_the_transpiler_unloaded():
+    """The simulator and the generators it uses load no transpiler module,
+    so `simulate-kernel` compiles none of it."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    probe = "import sys, qjobtime.sim; print(sorted(m for m in sys.modules if 'transpile' in m))"
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

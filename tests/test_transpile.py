@@ -473,12 +473,12 @@ class TestRoute:
             route(Circuit(5), line_map(3))
 
     def test_routed_size_over_the_ceiling_is_refused(self, monkeypatch):
-        """A route whose stream passes `MAX_ROUTED_GATES` is refused. The check
-        runs where a swap is appended, so a longer circuit that needs no swap
-        still routes."""
+        """A route whose stream passes `MAX_GATES` is refused. The check runs
+        where a swap is appended, so a longer circuit that needs no swap still
+        routes."""
         route_module = importlib.import_module("qjobtime.transpile.route")
-        monkeypatch.setattr(route_module, "MAX_ROUTED_GATES", 10)
-        with pytest.raises(CouplingError, match="more than 10 gates"):
+        monkeypatch.setattr(route_module, "MAX_GATES", 10)
+        with pytest.raises(CouplingError, match="would hold 12 basis gates, more than 10"):
             route(Circuit(8, (Gate.cx(0, 7),)), line_map(8))  # six swaps, 19 gates
         assert len(route(Circuit(2, (Gate.cx(0, 1),) * 20), line_map(2)).circuit) == 20
 
