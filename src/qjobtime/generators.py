@@ -6,14 +6,16 @@ safe when each task derives its own seed.
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .circuit import MAX_GATES, Circuit, Gate, GateKind, check_gates, check_su4_payloads
 from .errors import InvalidGateError, InvalidParameterError
 from .model import json_typed
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # the kinds the generators emit, bound once outside their per-gate loops
 _H, _RZ, _RZZ, _SU4 = GateKind.H, GateKind.RZ, GateKind.RZZ, GateKind.SU4
@@ -53,8 +55,10 @@ class KernelFamily:
             raise InvalidParameterError("KernelFamily needs d >= 1")
 
     @property
-    def aspect_ratio(self) -> Fraction:
+    def aspect_ratio(self) -> "Fraction":
         """Exact 2d/n: <1 wide and shallow, 1 square, >1 narrow and deep."""
+        from fractions import Fraction  # here, not at the top: it loads decimal
+
         return Fraction(2 * self.d, self.n)
 
     @classmethod

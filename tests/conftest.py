@@ -1,4 +1,7 @@
+import io
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,39 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from qjobtime.circuit import Circuit, Gate
 from qjobtime.generators import haar_su4
+
+
+@dataclass
+class Result:
+    """What one CLI run printed, and how it ended."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: BaseException | None  # what ended a failed run: SystemExit unless it crashed
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+class CliRunner:
+    """Runs a CLI entry point in this process as its console script would,
+    with stdout and stderr captured."""
+
+    def invoke(self, cli, args: list[str]) -> Result:
+        out, err = io.StringIO(), io.StringIO()
+        exception = None
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                cli(args)
+                code = 0
+            except SystemExit as exc:
+                code = exc.code or 0
+                exception = exc if code else None
+            except Exception as exc:  # a traceback, which the test reports
+                code, exception = 1, exc
+        return Result(code, out.getvalue(), err.getvalue(), exception)
 
 
 def up_to_phase(a: np.ndarray, b: np.ndarray) -> float:

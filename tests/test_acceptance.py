@@ -11,9 +11,8 @@ import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from conftest import random_circuit
+from conftest import CliRunner, random_circuit
 from refdata import (
     CLOPS_JOB_RUNS,
     SHOT_SWEEP_RUNS,

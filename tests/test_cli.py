@@ -11,13 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import CliRunner
 from refdata import CLOPS_JOB_RUNS
 from qjobtime.circuit import MAX_GATES, MAX_SAMPLE_GATES, read_circuits
-from qjobtime.cli import main
+from qjobtime.cli import COMMANDS, main
 from qjobtime.errors import MalformedRecordsError
 from qjobtime.model import builtin_backends, registry_to_json
 from qjobtime.records import RECORD_HEADER, load_runtime_records
@@ -138,6 +138,23 @@ class TestPredict:
         assert result.exit_code == 0, result.output
         seconds = float(re.search(r"predicted_seconds=([\d.e+-]+)", result.output)[1])
         assert seconds == pytest.approx(2 * 26.087, rel=1e-3)
+
+    def test_config_values_go_through_the_flag_type(self, runner, tmp_path):
+        """String values convert as the same words on the command line would,
+        and a group's commands take theirs from its nested object."""
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps({"backends": [
+            {"name": "pow2", "num_qubits": 7, "quantum_volume": 16, "clops": 2048.0}]}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"predict": {"m": "100", "s": "100", "deff": "6"},
+                                   "backends": {"list": {"registry": str(registry)}}}))
+        result = runner.invoke(main, ["--config", str(cfg), "predict", "--backend", "ibm_hanoi"])
+        assert result.exit_code == 0, result.output
+        seconds = float(re.search(r"predicted_seconds=([\d.e+-]+)", result.output)[1])
+        assert seconds == pytest.approx(26.087, rel=1e-3)
+        listed = runner.invoke(main, ["--config", str(cfg), "backends", "list"])
+        assert listed.exit_code == 0, listed.output
+        assert [line.split()[0] for line in listed.stdout.splitlines()[1:]] == ["pow2"]
 
 
 class TestExtrapolateCommand:
@@ -442,6 +459,10 @@ WIDTH_OVER_CAP = ("WIDTH_OVER_CAP", 7)
         pytest.param(KERNEL + ["--shots", "10", "--seed", "-1"], "0.1,0.2\n0.3,0.4\n", BAD_VALUE,
                      "seed must be >= 0", id="kernel-negative-seed"),
         pytest.param(PREDICT + ["nan"], None, BAD_VALUE, None, id="predict-nan-deff"),
+        pytest.param(PREDICT + ["-inf"], None, BAD_VALUE, "d_eff must be finite",
+                     id="predict-minus-inf-deff"),
+        pytest.param(PREDICT[:2] + ["-x"] + PREDICT[3:] + ["2"], None, ("BACKEND_NOT_FOUND", 3),
+                     "'-x'", id="predict-backend-starting-with-a-dash"),
         pytest.param(PREDICT + ["inf"], None, BAD_VALUE, None, id="predict-inf-deff"),
         pytest.param(EXTRAPOLATE + ["nan"], None, BAD_VALUE, None, id="extrapolate-nan-clops"),
         pytest.param(EXTRAPOLATE + ["inf"], None, BAD_VALUE, None, id="extrapolate-inf-clops"),
@@ -600,12 +621,48 @@ WIDTH_OVER_CAP = ("WIDTH_OVER_CAP", 7)
         pytest.param(EXPORT + ["DIR"], None, BAD_VALUE, "DIR", id="export-out-directory"),
         pytest.param(EXPORT + ["NO_PARENT"], None, BAD_VALUE, "NO_PARENT",
                      id="export-out-missing-parent"),
+        pytest.param(SCORE[:2] + ["MISSING"] + SCORE[3:], None, BAD_VALUE, "cannot open MISSING",
+                     id="records-missing"),
+        pytest.param(PREDICT + ["2", "--registry", "MISSING"], None, BAD_VALUE,
+                     "cannot open MISSING", id="registry-missing"),
+        pytest.param([{"INPUT": "MISSING"}.get(a, a) for a in PARAMS], None, BAD_VALUE,
+                     "cannot open MISSING", id="params-missing"),
+        pytest.param(KERNEL[:4] + ["MISSING"] + KERNEL[5:], None, BAD_VALUE,
+                     "cannot open MISSING", id="data-missing"),
+        pytest.param(["--config", "MISSING"] + PREDICT + ["2"], None, BAD_VALUE,
+                     "cannot open MISSING", id="config-missing"),
+        pytest.param(PREDICT[:5] + PREDICT[7:] + ["2"], None, BAD_VALUE, "--S",
+                     id="usage-missing-option"),
+        pytest.param(PREDICT, None, BAD_VALUE, "--deff", id="usage-missing-value"),
+        pytest.param(PREDICT + ["2", "--bogus"], None, BAD_VALUE, "--bogus",
+                     id="usage-unknown-option"),
+        pytest.param(PREDICT[:1] + ["--back"] + PREDICT[2:] + ["2"], None, BAD_VALUE, "--back",
+                     id="usage-abbreviated-option"),
+        pytest.param(PREDICT + ["2", "-h"], None, BAD_VALUE, "-h", id="usage-short-help"),
+        pytest.param(["predikt"], None, BAD_VALUE, "'predikt'", id="usage-unknown-command"),
+        pytest.param(["backends", "show"], None, BAD_VALUE, "'show'",
+                     id="usage-unknown-group-command"),
+        pytest.param([], None, BAD_VALUE, "missing command", id="usage-no-command"),
+        pytest.param(["backends"], None, BAD_VALUE, "missing command",
+                     id="usage-no-group-command"),
+        pytest.param(PREDICT[:4] + ["ten"] + PREDICT[5:] + ["2"], None, BAD_VALUE, "'ten'",
+                     id="usage-non-integer"),
+        pytest.param(PREDICT + ["two"], None, BAD_VALUE, "'two'", id="usage-non-number"),
+        pytest.param(GEN_QV + ["OUT", "--count", "1.5"], None, BAD_VALUE, "'1.5'",
+                     id="usage-float-for-integer"),
+        pytest.param(CONFIG, '{"predict": {"k": "ten"}}', BAD_VALUE, "'ten'",
+                     id="config-non-integer"),
+        pytest.param(["--config", "INPUT"] + DEFF, '{"deff": {"qv_job": "maybe"}}', BAD_VALUE,
+                     "'maybe'", id="config-non-boolean-flag"),
+        pytest.param(["--config", "INPUT", "backends", "list"], '{"backends": {"list": 5}}',
+                     BAD_VALUE, "must map subcommand names", id="config-group-not-flag-defaults"),
     ],
 )
 def test_malformed_input_is_a_coded_error(runner, tmp_path, command, text, error, detail):
     """Bad cells, short rows, non-finite numbers, out-of-range values,
-    overflowing results, malformed JSON inputs and paths that cannot be read
-    or written (DIR is a directory, NO_PARENT a file in a missing one) give
+    overflowing results, malformed JSON inputs, usage errors and paths that
+    cannot be read or written (DIR is a directory, NO_PARENT a file in a
+    missing one, MISSING a file that does not exist) give
     the error JSON and its exit status, never a traceback or a NaN result.
     A refused command prints nothing on stdout and leaves no file behind.
     `detail` is the CSV row the message must name, or a phrase or path it
@@ -614,7 +671,8 @@ def test_malformed_input_is_a_coded_error(runner, tmp_path, command, text, error
     if text is not None:
         path.write_text(text)
     names = {"INPUT": str(path), "OUT": str(tmp_path / "out.csv"), "DIR": str(tmp_path),
-             "NO_PARENT": str(tmp_path / "missing" / "out.csv")}
+             "NO_PARENT": str(tmp_path / "missing" / "out.csv"),
+             "MISSING": str(tmp_path / "absent.json")}
     result = runner.invoke(main, [names.get(arg, arg) for arg in command])
     code, status = error
     assert result.exit_code == status, result.output
@@ -623,9 +681,36 @@ def test_malformed_input_is_a_coded_error(runner, tmp_path, command, text, error
     if isinstance(detail, int):
         assert f"{path}:{detail}:" in payload["message"]
     elif detail is not None:
-        assert names.get(detail, detail) in payload["message"]
+        detail = re.sub(r"\b(%s)\b" % "|".join(names), lambda m: names[m[1]], detail)
+        assert detail in payload["message"]
     assert result.stdout == ""
     assert list(tmp_path.iterdir()) == ([path] if text is not None else [])
+
+
+@pytest.mark.parametrize(
+    "args, status",
+    [
+        (PREDICT + ["2"], 0),
+        (PREDICT[:2] + ["ibm_atlantis"] + PREDICT[3:] + ["2"], 3),
+        (PREDICT, 2),
+        (["--help"], 0),
+        (["predict", "--help"], 0),
+        (["backends", "export", "--help"], 0),
+    ],
+    ids=["success", "coded-error", "usage-error", "help", "command-help", "group-command-help"],
+)
+def test_main_returns_the_exit_status(capsys, args, status):
+    """`main.main(args=..., prog_name=..., standalone_mode=False)`, as the
+    benchmark calls it in-process, and `main(args, standalone_mode=False)`
+    return the exit status (0 or None on success) instead of exiting."""
+    assert (main(args, standalone_mode=False) or 0) == status
+    capsys.readouterr()
+    assert (main.main(args=args, prog_name="qjobtime", standalone_mode=False) or 0) == status
+    out, err = capsys.readouterr()
+    assert bool(err) == (status != 0)
+    if args == ["--help"]:
+        commands = re.findall(r"^  ([a-z-]+) ", out.partition("commands:")[2], re.MULTILINE)
+        assert commands == sorted(COMMANDS)
 
 
 def set_gate_bounds(monkeypatch, gates: int, sample_gates: int) -> None:
@@ -742,16 +827,18 @@ def run_fresh(*argv: str, cwd=None) -> str:
     return out.stdout.strip()
 
 
-# numpy and the modules that import it, left out of the light commands
+# numpy and the modules that import it, left out of the light commands, and
+# click, which nothing imports
 HEAVY = ("scipy", "numpy", "qjobtime.sim", "qjobtime.generators", "qjobtime.circuit",
          "qjobtime.transpile", "qjobtime.deff", "qjobtime.execsim")
-LOADED = f"print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in {HEAVY}))"
+LOADED = ("print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'click') "
+          f"or m in {HEAVY}))")
 
 
 @pytest.mark.parametrize("module", ["qjobtime", "qjobtime.cli"])
 def test_cli_import_leaves_scipy_out(module):
-    """Importing the package or the CLI loads neither scipy nor numpy, nor
-    any module of the circuit stack."""
+    """Importing the package or the CLI loads neither scipy, numpy nor click,
+    nor any module of the circuit stack."""
     assert run_fresh("-c", f"import sys, {module}; {LOADED}") == "[]"
 
 

@@ -4,10 +4,10 @@ import json
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CliRunner
 from refdata import CLOPS_JOB_RUNS, SHOT_SWEEP_RUNS, SHOT_SWEEP_SHOTS
 from qjobtime.cli import main
 from qjobtime.errors import FitError, InvalidParameterError

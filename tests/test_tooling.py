@@ -3,6 +3,7 @@ and documented, and what its modules import."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import defaultdict
@@ -38,9 +39,27 @@ def test_size_bounds_are_defined_once_and_documented():
 
 def test_simulator_import_leaves_the_transpiler_unloaded():
     """The simulator and the generators it uses load no transpiler module,
-    so `simulate-kernel` compiles none of it."""
+    so `simulate-kernel` compiles none of it, nor `fractions`, which loads
+    `decimal` and which only `KernelFamily.aspect_ratio` uses."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    probe = "import sys, qjobtime.sim; print(sorted(m for m in sys.modules if 'transpile' in m))"
+    probe = ("import sys, qjobtime.sim\n"
+             "print(sorted(m for m in sys.modules if 'transpile' in m or m == 'fractions'))")
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    """Every top-level import in src/ outside the standard library and the
+    package itself, at any depth, is a dependency pyproject.toml declares."""
+    imported = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"qjobtime"}
+    block = re.search(r"^dependencies = \[(.*?)\]", (ROOT / "pyproject.toml").read_text(),
+                      re.MULTILINE | re.DOTALL)[1]
+    assert third_party == set(re.findall(r'"([A-Za-z0-9_.]+)', block)) == {"numpy"}
