@@ -18,6 +18,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InvalidCircuitError, InvalidGateError, InvalidParameterError, WidthMismatchError
+from .model import FrozenRecord
 
 
 class GateKind(Enum):
@@ -102,15 +103,17 @@ _GateFields = namedtuple("_GateFields", ("kind", "qubits", "params", "matrix"))
 _new_tuple = tuple.__new__
 
 
-class Gate(_GateFields):
+class Gate(FrozenRecord, _GateFields):
     """One gate application: a kind, the qubits it acts on, real parameters.
 
     Generic two-qubit gates (SU4) carry their 4x4 unitary as a matrix payload
     instead of angle parameters; decomposition into a fixed basis is the
     transpiler's job, not the IR's. An immutable 4-field tuple: a gate has no
     `__dict__` and is built in one allocation, since a transpiled circuit
-    holds tens of thousands of them. It compares by value, but is neither
-    hashable nor ordered, and its fields cannot be assigned.
+    holds tens of thousands of them. It compares by value (its payload by
+    `array_equal`), but is neither hashable nor ordered, and its fields
+    cannot be assigned; `_make`, `_replace`, pickling and copying run the
+    checks of `__new__`.
     """
 
     __slots__ = ()
@@ -158,19 +161,6 @@ class Gate(_GateFields):
         on a circuit's whole payload stack).
         """
         return _new_tuple(cls, (kind, qubits, params, matrix))
-
-    @classmethod
-    def _make(cls, iterable) -> "Gate":
-        """The namedtuple's field-list constructor, through the checks."""
-        return cls(*iterable)
-
-    def _replace(self, **changes) -> "Gate":
-        """A copy with some fields changed, through the checks."""
-        return Gate(**{**self._asdict(), **changes})
-
-    def __reduce__(self):
-        # pickling (every protocol) and copying rebuild through the checks
-        return Gate, tuple(self)
 
     @classmethod
     def h(cls, q: int) -> "Gate":
@@ -238,15 +228,7 @@ class Gate(_GateFields):
             return False
         return self.matrix is None or np.array_equal(self.matrix, other.matrix)
 
-    def __ne__(self, other) -> bool:
-        return not self == other
-
     __hash__ = None  # a payload is an array, so gates compare by value but do not hash
-
-    def _unordered(self, other):
-        raise TypeError("gates are not ordered")
-
-    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

@@ -385,7 +385,7 @@ def sweep_cmd(backend, registry, params_path, m, s, families,
     for fam in fams:
         est = _this.deff_mod.effective_layers(fam, spec.coupling, kernel_samples=kernel_samples,
                                               qv_samples=qv_samples, seed=seed)
-        aspect = float(fam.aspect_ratio)
+        aspect = 2 * fam.d / fam.n  # float(fam.aspect_ratio), without loading fractions
         for circuits in _list(m):
             for shots in _list(s):
                 job = JobSpec(circuits, shots, 1, est.d_eff)

@@ -8,7 +8,7 @@ here is pure arithmetic and thread-safe.
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -45,29 +45,73 @@ def json_typed(name: str, value, *types: type):
 
 
 def _finite(what: str, compute) -> float:
-    """`compute()`, refused when it is not a finite float: an int or a power
-    beyond float range raises OverflowError, a float product turns inf."""
+    """`compute()`, refused when it is not a finite nonzero float: an int or a
+    power beyond float range raises OverflowError, a float product turns inf,
+    and a quotient of positive inputs that rounds to 0.0 has underflowed."""
     try:
         value = compute()
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
         raise InvalidParameterError(f"{what} overflows a float")
+    if value == 0.0:  # every caller computes from positive inputs
+        raise InvalidParameterError(f"{what} underflows a float")
     return value
 
 
-@dataclass(frozen=True)
-class BackendSpec:
+class FrozenRecord:
+    """The value rules of the records below, mixed into a namedtuple subclass:
+    a record equals only a record of its own class with equal fields, hashes
+    as the tuple of its fields, is not ordered and cannot be assigned to.
+    Construction runs the class's `_check`; so do `_make`, `_replace`,
+    pickling and copying, which rebuild through the constructor."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    def _check(self) -> None:
+        """Refuse invalid field values with an `InvalidParameterError`."""
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        # a plain tuple, or another record class with equal fields, is another value
+        return False if isinstance(other, tuple) else NotImplemented
+
+    __ne__ = object.__ne__  # the inverse of `__eq__`, where tuple's compares fields
+    __hash__ = tuple.__hash__
+
+    def _unordered(self, other):
+        raise TypeError(f"{type(self).__name__} values are not ordered")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    @classmethod
+    def _make(cls, iterable):
+        """The record of a field list (`_replace` builds through this), checked."""
+        return cls(*iterable)
+
+    def __reduce__(self):
+        # pickling (every protocol) and copying rebuild through the checks
+        return type(self), tuple(self)
+
+
+class BackendSpec(FrozenRecord, namedtuple("BackendSpec", "name num_qubits quantum_volume clops")):
     """A system's capability and speed: qubit count, quantum volume V
     (power of two) and CLOPS C in layers/second. Its coupling map derives
-    from the qubit count."""
+    from the qubit count and is cached in the one `__dict__` a record has."""
 
-    name: str
-    num_qubits: int
-    quantum_volume: int
-    clops: float
-
-    def __post_init__(self):
+    def _check(self):
         v = self.quantum_volume
         if v < 2 or v & (v - 1):
             raise InvalidParameterError(f"quantum volume must be a power of two >= 2, got {v}")
@@ -91,25 +135,16 @@ class BackendSpec:
         return heavy_hex_like_map(self.num_qubits)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "num_qubits": self.num_qubits,
-            "quantum_volume": self.quantum_volume,
-            "clops": self.clops,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class JobSpec:
+class JobSpec(FrozenRecord, namedtuple("JobSpec", "circuits shots updates d_eff", defaults=(1, 1.0))):
     """The unit whose runtime is predicted: M circuits, each run for S shots,
     with K parameter updates (K=1 for kernel jobs) at d_eff effective layers."""
 
-    circuits: int
-    shots: int
-    updates: int = 1
-    d_eff: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.circuits < 1 or self.shots < 1 or self.updates < 1:
             raise InvalidParameterError("JobSpec needs circuits, shots, updates >= 1")
         check_range("d_eff", self.d_eff, 0.0)
@@ -121,15 +156,11 @@ class JobSpec:
         return self.circuits * self.updates * self.shots * self.d_eff
 
 
-@dataclass(frozen=True)
-class RuntimeReport:
+class RuntimeReport(FrozenRecord, namedtuple("RuntimeReport", "predicted actual ratio loss")):
     """Prediction vs reality: ratio r = predicted/actual and the asymmetric
     loss that penalizes under-prediction (r < 1) harder than over-prediction."""
 
-    predicted: float
-    actual: float
-    ratio: float
-    loss: float
+    __slots__ = ()
 
 
 def clops_from_measurement(circuits: int, layers: int, updates: int, shots: int, elapsed: float) -> float:

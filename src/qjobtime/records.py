@@ -6,20 +6,19 @@
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidParameterError, MalformedRecordsError
-from .model import JobSpec, check_range
+from .model import FrozenRecord, JobSpec, check_range
 
 RECORD_HEADER = ["backend", "M", "S", "K", "deff", "T_seconds"]
 PAIRS_HEADER = ["T_pred", "T_actual"]
 
 
-@dataclass(frozen=True)
-class RuntimeRecord:
-    job: JobSpec
-    backend: str
-    seconds: float
+class RuntimeRecord(FrozenRecord, namedtuple("RuntimeRecord", "job backend seconds")):
+    """One recorded run: its job, the backend it ran on and its wall-clock seconds."""
+
+    __slots__ = ()
 
 
 def _number(cell: str, low: float = -math.inf) -> float:

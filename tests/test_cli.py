@@ -475,6 +475,13 @@ WIDTH_OVER_CAP = ("WIDTH_OVER_CAP", 7)
         pytest.param(["extrapolate", "--N", "10000000000", "--S", "1000000000", "--deff", "1e300",
                       "--clops", "1"], None, BAD_VALUE, "overflows",
                      id="extrapolate-overflowing-product"),
+        pytest.param(["predict", "--backend", "ibm_hanoi", "--M", "10", "--S", "100", "--deff",
+                      "5e-324"], None, BAD_VALUE,
+                     "predicted runtime M*K*S*d_eff / C underflows a float",
+                     id="predict-underflowing-quotient"),
+        pytest.param(["extrapolate", "--N", "2", "--S", "1", "--deff", "1e-320", "--clops",
+                      "1e308"], None, BAD_VALUE, "underflows a float",
+                     id="extrapolate-underflowing-quotient"),
         pytest.param(CONFIG, '{"predict": ', BAD_VALUE, None, id="config-bad-json"),
         pytest.param(CONFIG, '{"predict": [1]}', BAD_VALUE, None, id="config-not-flag-defaults"),
         pytest.param(MAP_FILE, '{"n": 3, "edges": [[0, 1]', BAD_MAP, None, id="map-bad-json"),
@@ -827,18 +834,18 @@ def run_fresh(*argv: str, cwd=None) -> str:
     return out.stdout.strip()
 
 
-# numpy and the modules that import it, left out of the light commands, and
-# click, which nothing imports
+# numpy and the modules that import it, and dataclasses with the inspect it
+# loads, all left out of the light commands; and click, which nothing imports
 HEAVY = ("scipy", "numpy", "qjobtime.sim", "qjobtime.generators", "qjobtime.circuit",
-         "qjobtime.transpile", "qjobtime.deff", "qjobtime.execsim")
+         "qjobtime.transpile", "qjobtime.deff", "qjobtime.execsim", "dataclasses", "inspect")
 LOADED = ("print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'click') "
           f"or m in {HEAVY}))")
 
 
 @pytest.mark.parametrize("module", ["qjobtime", "qjobtime.cli"])
 def test_cli_import_leaves_scipy_out(module):
-    """Importing the package or the CLI loads neither scipy, numpy nor click,
-    nor any module of the circuit stack."""
+    """Importing the package or the CLI loads neither scipy, numpy, click nor
+    dataclasses, nor any module of the circuit stack."""
     assert run_fresh("-c", f"import sys, {module}; {LOADED}") == "[]"
 
 
@@ -860,8 +867,11 @@ def test_deff_leaves_the_simulator_unloaded():
         ["score", "--records", "records.csv", "--out", "records_out.csv"],
         EXTRAPOLATE + ["1000", "--out", "grid.csv"],
         ["backends", "list", "--registry", "registry.json"],
+        ["backends", "export", "--registry", "registry.json", "--out", "export.json"],
+        ["--help"],
     ],
-    ids=["predict", "score-pairs", "score-records", "extrapolate", "backends-list"],
+    ids=["predict", "score-pairs", "score-records", "extrapolate", "backends-list",
+         "backends-export", "help"],
 )
 def test_light_commands_leave_numpy_unloaded(tmp_path, args):
     (tmp_path / "pairs.csv").write_text(PAIRS)
@@ -870,6 +880,21 @@ def test_light_commands_leave_numpy_unloaded(tmp_path, args):
     probe = (f"import sys\nfrom qjobtime.cli import main\n"
              f"main({args!r}, standalone_mode=False)\n{LOADED}")
     assert run_fresh("-c", probe, cwd=tmp_path).splitlines()[-1] == "[]"
+
+
+def test_sweep_leaves_fractions_unloaded(tmp_path):
+    """`sweep` writes each family's aspect ratio 2d/n without building the
+    exact `Fraction`, so neither fractions nor the decimal it loads is imported."""
+    (tmp_path / "params.json").write_text(TIMING % "1.0")
+    args = ["sweep", "--backend", "ibm_hanoi", "--params", "params.json", "--M", "1",
+            "--S", "1", "--families", '[{"n":3,"d":2}]', "--kernel-samples", "1",
+            "--qv-samples", "1", "--out", "sweep.csv"]
+    probe = (f"import sys\nfrom qjobtime.cli import main\n"
+             f"main({args!r}, standalone_mode=False)\n"
+             "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))")
+    assert run_fresh("-c", probe, cwd=tmp_path).splitlines()[-1] == "[]"
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        assert next(csv.DictReader(fh))["a"] == repr(4 / 3)
 
 
 def test_wrappers_set_on_the_cli_module_are_called(runner, tmp_path, monkeypatch):

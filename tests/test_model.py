@@ -1,5 +1,9 @@
+import copy
 import json
 import math
+import operator
+import pickle
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -11,7 +15,9 @@ from qjobtime.transpile.coupling import heavy_hex_like_map
 from qjobtime.model import (
     BackendSpec,
     CLOPS_PROTOCOL,
+    FrozenRecord,
     JobSpec,
+    RuntimeReport,
     builtin_backends,
     clops_from_measurement,
     extrapolate,
@@ -27,6 +33,7 @@ from qjobtime.model import (
     shot_limited_runtime,
     total_runtime_scaling,
 )
+from qjobtime.records import RuntimeRecord
 
 
 class TestClops:
@@ -264,6 +271,131 @@ class TestJobSpec:
             JobSpec(0, 1)
         with pytest.raises(InvalidParameterError):
             JobSpec(1, 1, 1, 0.0)
+
+
+def rebuilds(record):
+    """Every way to rebuild `record` from its fields: pickling at each
+    protocol, copying, `_make` and `_replace`."""
+    return ([lambda p=p: pickle.loads(pickle.dumps(record, p)) for p in range(6)]
+            + [lambda: copy.copy(record), lambda: copy.deepcopy(record),
+               lambda: type(record)._make(record), lambda: record._replace()])
+
+
+def assert_record_contract(record, expected_repr: str) -> None:
+    """The value rules every record keeps: its repr, equality and hash by
+    value with its own class only, no order, no assignment, and rebuilds that
+    give an equal record of the same class."""
+    cls, fields = type(record), tuple(record)
+    assert repr(record) == expected_repr
+    same = cls(*fields)
+    assert same == record and not same != record and hash(same) == hash(record) == hash(fields)
+    assert cls(**record._asdict()) == record
+    # neither a plain tuple nor another record class with equal fields is equal
+    other = type("Other", (FrozenRecord, namedtuple("Other", cls._fields)), {})(*fields)
+    for stranger in (fields, other):
+        assert record != stranger and stranger != record
+        assert not record == stranger and not stranger == record
+    for order in (operator.lt, operator.le, operator.gt, operator.ge):
+        for left, right in ((record, same), (record, fields), (fields, record)):
+            with pytest.raises(TypeError):
+                order(left, right)
+    for name in (*cls._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, fields[0])
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    for rebuild in rebuilds(record):
+        clone = rebuild()
+        assert type(clone) is cls and clone == record and repr(clone) == expected_repr
+
+
+def assert_rebuilds_check(record, error: str, **bad) -> None:
+    """`record`, made past its checks, is refused with `error` by every
+    rebuild, and so is `_replace` with the `bad` field values."""
+    for rebuild in rebuilds(record) + [lambda: record._replace(**bad)]:
+        with pytest.raises(InvalidParameterError) as info:
+            rebuild()
+        assert str(info.value) == error
+
+
+class TestRecordContract:
+    """The four light-path value types are namedtuple records that keep the
+    construction, checks, repr, equality and hash they had as frozen
+    dataclasses, and rebuild (pickle, copy, `_make`, `_replace`) through
+    their checks."""
+
+    def test_job_spec(self):
+        job = JobSpec(3, 100)
+        assert (job.updates, job.d_eff) == (1, 1.0)
+        assert job == JobSpec(circuits=3, shots=100, updates=1, d_eff=1.0)
+        assert JobSpec(3, 100, 2, 1.5) == JobSpec(d_eff=1.5, updates=2, shots=100, circuits=3)
+        assert_record_contract(job, "JobSpec(circuits=3, shots=100, updates=1, d_eff=1.0)")
+        assert_record_contract(JobSpec(3, 100, 2, 1.5),
+                               "JobSpec(circuits=3, shots=100, updates=2, d_eff=1.5)")
+        assert not hasattr(job, "__dict__")
+        needs = "JobSpec needs circuits, shots, updates >= 1"
+        for make, error in [
+            (lambda: JobSpec(0, 1), needs), (lambda: JobSpec(1, 0), needs),
+            (lambda: JobSpec(1, 1, 0), needs),
+            (lambda: JobSpec(1, 1, 1, 0.0), "d_eff must be finite and above 0, got 0.0"),
+            (lambda: JobSpec(1, 1, d_eff=math.inf), "d_eff must be finite and above 0, got inf"),
+            (lambda: JobSpec(1, 1, 1, 10**400),
+             "d_eff must be finite and above 0, got an int beyond float range"),
+            (lambda: JobSpec(10**200, 10**200, 1, 1e100), "M*K*S*d_eff overflows a float"),
+        ]:
+            with pytest.raises(InvalidParameterError) as info:
+                make()
+            assert str(info.value) == error
+        assert_rebuilds_check(tuple.__new__(JobSpec, (0, 1, 1, 1.0)), needs, circuits=0)
+
+    def test_backend_spec(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(coupling, "heavy_hex_like_map", lambda n: built.append(n) or [n])
+        hanoi = BackendSpec("ibm_hanoi", 27, 64, 2300.0)
+        assert hanoi == BackendSpec(clops=2300.0, quantum_volume=64, num_qubits=27,
+                                    name="ibm_hanoi")
+        text = "BackendSpec(name='ibm_hanoi', num_qubits=27, quantum_volume=64, clops=2300.0)"
+        assert_record_contract(hanoi, text)
+        # the coupling map is built once, cached, and no part of the value
+        unread = BackendSpec("ibm_hanoi", 27, 64, 2300.0)
+        assert hanoi.coupling is hanoi.coupling and built == [27]
+        assert hanoi == unread and hash(hanoi) == hash(unread) and repr(hanoi) == text
+        assert_record_contract(hanoi, text)
+        assert all("coupling" not in clone().__dict__ for clone in rebuilds(hanoi))
+        assert hanoi.to_dict() == hanoi._asdict()
+        power = "quantum volume must be a power of two >= 2, got %s"
+        for make, error in [
+            (lambda: BackendSpec("x", 5, 48, 1.0), power % 48),
+            (lambda: BackendSpec("x", 5, 1, 1.0), power % 1),
+            (lambda: BackendSpec("x", 5, 64, 0.0), "CLOPS must be finite and above 0, got 0.0"),
+            (lambda: BackendSpec("x", 5, 64, math.nan),
+             "CLOPS must be finite and above 0, got nan"),
+            (lambda: BackendSpec("x", 2, 16, 1.0), "log2(V) = 4 exceeds qubit count 2"),
+        ]:
+            with pytest.raises(InvalidParameterError) as info:
+                make()
+            assert str(info.value) == error
+        assert_rebuilds_check(tuple.__new__(BackendSpec, ("x", 5, 48, 1.0)), power % 48,
+                              quantum_volume=48)
+
+    def test_runtime_report(self):
+        report = score(2.0, 1.0)
+        assert report == RuntimeReport(2.0, 1.0, 2.0, 1.0)
+        assert report == RuntimeReport(loss=1.0, ratio=2.0, actual=1.0, predicted=2.0)
+        assert_record_contract(report, "RuntimeReport(predicted=2.0, actual=1.0, ratio=2.0, loss=1.0)")
+        assert not hasattr(report, "__dict__")
+
+    def test_runtime_record(self):
+        record = RuntimeRecord(JobSpec(3, 100), "ibm_hanoi", 1.5)
+        assert record == RuntimeRecord(seconds=1.5, backend="ibm_hanoi", job=JobSpec(3, 100))
+        assert_record_contract(record, "RuntimeRecord(job=JobSpec(circuits=3, shots=100, "
+                                       "updates=1, d_eff=1.0), backend='ibm_hanoi', seconds=1.5)")
+        assert not hasattr(record, "__dict__")
+        # its job is rebuilt through the job's checks by pickling and deep copying
+        smuggled = RuntimeRecord(tuple.__new__(JobSpec, (0, 1, 1, 1.0)), "ibm_hanoi", 1.5)
+        for rebuild in rebuilds(smuggled)[:6] + [lambda: copy.deepcopy(smuggled)]:
+            with pytest.raises(InvalidParameterError, match="JobSpec needs"):
+                rebuild()
 
 
 class TestFormatDuration:
