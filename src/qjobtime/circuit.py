@@ -294,9 +294,10 @@ class Circuit:
     the circuit was built from; it is metadata and does not affect semantics.
 
     Depth, length and the map-edge check read only the circuit's qubit
-    stream: the qubits of each gate, in order. A circuit made by the
-    transpiler is made from its stream and builds its gates on first access
-    of `gates`; any other circuit derives its stream from its gates.
+    stream: the qubits of each gate, in order. Any circuit derives its
+    stream, length and depth from its gates on first read; a circuit made by
+    the transpiler is made with its length and depth or what they are read
+    from, and builds its stream and gates only when they are read.
     """
 
     width: int
@@ -324,33 +325,30 @@ class Circuit:
         return c
 
     @classmethod
-    def _lazy(cls, width: int, stream: list[tuple[int, ...]], build, base_layers: int | None) -> "Circuit":
-        """A transpiler output: its qubit stream now, and its gates from
-        `build()` on first access of `gates`. The caller guarantees that the
-        gates `build` returns fit `width` and that `stream` holds their qubits."""
+    def _lazy(cls, width: int, base_layers: int | None, builders: dict, **known) -> "Circuit":
+        """A transpiler output: the attributes in `known` now, and each one
+        named in `builders` (its gates, qubit stream, length or depth) from
+        `builders[name](circuit)` on first read. The caller guarantees that
+        the gates fit `width` and that every attribute agrees with them."""
         c = object.__new__(cls)
-        fields = c.__dict__
-        fields["width"] = width
-        fields["base_layers"] = base_layers
-        fields["_stream"] = stream
-        fields["_build"] = build
+        c.__dict__.update(known, width=width, base_layers=base_layers, _builders=builders)
         return c
 
     def __getattr__(self, name: str):
-        # reached only for an attribute not set yet: the gates of a circuit
-        # made by `_lazy`, or the qubit stream of any other circuit
+        # reached only for an attribute not set yet: one that a transpiler
+        # output builds on first read, or one of `_DERIVED`
         fields = self.__dict__
-        if name == "gates" and "_build" in fields:
-            fields.setdefault("gates", fields["_build"]())
-            fields.pop("_build", None)
-        elif name == "_stream" and "gates" in fields:
-            fields.setdefault("_stream", [g.qubits for g in fields["gates"]])
+        builders = fields.get("_builders", {})
+        build = builders.get(name) or _DERIVED.get(name)
+        if build is not None:
+            fields.setdefault(name, build(self))
+            builders.pop(name, None)
         if name not in fields:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         return fields[name]
 
     def __len__(self) -> int:
-        return len(self._stream)
+        return self._length
 
     def __iter__(self) -> Iterator[Gate]:
         return iter(self.gates)
@@ -366,19 +364,7 @@ class Circuit:
 
     def depth(self) -> int:
         """Longest chain of gates sharing qubits (unit-cost ASAP layering)."""
-        ready = [0] * self.width
-        top = 0
-        for qubits in self._stream:
-            if len(qubits) == 1:
-                q = qubits[0]
-                layer = ready[q] = ready[q] + 1
-            else:
-                a, b = qubits
-                layer = ready[a] if ready[a] > ready[b] else ready[b]
-                layer = ready[a] = ready[b] = layer + 1
-            if layer > top:
-                top = layer
-        return top
+        return self._depth
 
     def compose(self, other: "Circuit") -> "Circuit":
         """This circuit followed by `other`; widths must match."""
@@ -444,6 +430,32 @@ class Circuit:
         except (ValueError, IndexError, InvalidGateError) as exc:
             raise InvalidCircuitError(f"bad circuit line {ln!r}: {exc}") from exc
         return cls(width, tuple(gates), base_layers)
+
+
+def stream_depth(width: int, stream: Iterable[tuple[int, ...]]) -> int:
+    """`Circuit.depth` of a circuit of `width` qubits, walked over its qubit stream."""
+    ready = [0] * width
+    top = 0
+    for qubits in stream:
+        if len(qubits) == 1:
+            q = qubits[0]
+            layer = ready[q] = ready[q] + 1
+        else:
+            a, b = qubits
+            layer = ready[a] if ready[a] > ready[b] else ready[b]
+            layer = ready[a] = ready[b] = layer + 1
+        if layer > top:
+            top = layer
+    return top
+
+
+# what a circuit derives from its gates on first read, unless it was made
+# with a builder for it
+_DERIVED = {
+    "_stream": lambda c: [g.qubits for g in c.gates],
+    "_length": lambda c: len(c._stream),
+    "_depth": lambda c: stream_depth(c.width, c._stream),
+}
 
 
 def write_circuits(path, circuits: Iterable[Circuit]) -> None:

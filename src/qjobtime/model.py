@@ -8,6 +8,7 @@ here is pure arithmetic and thread-safe.
 
 import json
 import math
+import operator
 from collections import namedtuple
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -33,6 +34,16 @@ def check_range(name: str, value: float, low: float = -math.inf, *, closed: bool
     if not ok:
         bound = "" if low == -math.inf else f" and {'at least' if closed else 'above'} {low:g}"
         raise InvalidParameterError(f"{name} must be finite{bound}, got {value}")
+
+
+def _check_counts(**counts) -> None:
+    """Refuse a count that is not an integer, Python's or numpy's: a float,
+    a bool or a string."""
+    for name, value in counts.items():
+        try:  # a bool is an int, so it is passed on as None, which fails
+            operator.index(None if type(value) is bool else value)
+        except TypeError:
+            raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 def json_typed(name: str, value, *types: type):
@@ -112,6 +123,7 @@ class BackendSpec(FrozenRecord, namedtuple("BackendSpec", "name num_qubits quant
     from the qubit count and is cached in the one `__dict__` a record has."""
 
     def _check(self):
+        _check_counts(num_qubits=self.num_qubits, quantum_volume=self.quantum_volume)
         v = self.quantum_volume
         if v < 2 or v & (v - 1):
             raise InvalidParameterError(f"quantum volume must be a power of two >= 2, got {v}")
@@ -124,7 +136,7 @@ class BackendSpec(FrozenRecord, namedtuple("BackendSpec", "name num_qubits quant
     @property
     def qv_layers(self) -> int:
         """Layer count of this system's quantum volume circuits: log2(V)."""
-        return self.quantum_volume.bit_length() - 1
+        return int(self.quantum_volume).bit_length() - 1
 
     @cached_property
     def coupling(self) -> "CouplingMap":
@@ -145,6 +157,7 @@ class JobSpec(FrozenRecord, namedtuple("JobSpec", "circuits shots updates d_eff"
     __slots__ = ()
 
     def _check(self):
+        _check_counts(circuits=self.circuits, shots=self.shots, updates=self.updates)
         if self.circuits < 1 or self.shots < 1 or self.updates < 1:
             raise InvalidParameterError("JobSpec needs circuits, shots, updates >= 1")
         check_range("d_eff", self.d_eff, 0.0)
@@ -200,6 +213,7 @@ def score(predicted: float, actual: float) -> RuntimeReport:
 
 def kernel_job_size(n_vectors: int) -> int:
     """Circuits needed for all unordered pairs of a dataset: N*(N-1)/2."""
+    _check_counts(N=n_vectors)
     if n_vectors < 2:
         raise InvalidParameterError("a kernel job needs at least 2 feature vectors")
     return n_vectors * (n_vectors - 1) // 2

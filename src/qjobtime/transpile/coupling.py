@@ -9,17 +9,31 @@ from ..errors import CouplingError
 from ..model import json_typed
 
 # most physical qubits a map may have, refused before its edges are read: the
-# distance and first-hop tables grow with the square of the qubit count
-# (heavy-hex-like:1121, the size of IBM's largest device, takes about 40 MB)
+# edge set of an all-to-all map grows with the square of the qubit count, and
+# so do the distance and first-hop tables once every row has been read
 MAX_MAP_QUBITS = 1200
+
+
+class _Rows(dict):
+    """A table of a map, one row per source qubit: reading a row not yet
+    filled runs that source's BFS, which fills its row in both tables."""
+
+    def __init__(self, bfs):
+        super().__init__()
+        self.bfs = bfs
+
+    def __missing__(self, src: int):
+        self.bfs(src)
+        return self[src]
 
 
 class CouplingMap:
     """Undirected connectivity over `num_qubits` physical qubits.
 
-    Immutable by convention; adjacency, all-pairs shortest distances and the
-    first hop of each shortest path are precomputed (maps are small: tens of
-    qubits, at most `MAX_MAP_QUBITS`).
+    Immutable by convention. The adjacency is built with the map; the
+    shortest distances and the first hop of each shortest path from a source
+    qubit are computed the first time that source is read (a device-scale map
+    has up to `MAX_MAP_QUBITS` qubits, and a route reads a few dozen rows).
     """
 
     def __init__(self, num_qubits: int, edges: Iterable[tuple[int, int]], tag: str = "custom"):
@@ -39,7 +53,7 @@ class CouplingMap:
         self.edges = frozenset(norm)
         self.tag = tag
         self._adj: tuple[tuple[int, ...], ...] = self._adjacency()
-        self._dist, self._hop = self._all_pairs_bfs()
+        self._dist, self._hop = _Rows(self._bfs), _Rows(self._bfs)
         if -1 in self._dist[0]:
             raise CouplingError("coupling map is not connected")
 
@@ -50,31 +64,29 @@ class CouplingMap:
             adj[b].append(a)
         return tuple(tuple(sorted(nbrs)) for nbrs in adj)
 
-    def _all_pairs_bfs(self):
-        """Distances and first hops from one BFS per source; -1 marks an
-        unreachable qubit.
+    def _bfs(self, src: int) -> None:
+        """Fill row `src` of the distance and first-hop tables by one BFS;
+        -1 marks an unreachable qubit.
 
         hop[src][dst] is the first step of the BFS shortest path from src to
         dst: neighbors are visited in ascending order, so ties go to the
         smallest index. hop[src][src] is src.
         """
         n = self.num_qubits
-        dist, hop = [], []
-        for src in range(n):
-            d = [-1] * n
-            h = [src] * n
-            d[src] = 0
-            queue = deque([src])
-            while queue:
-                u = queue.popleft()
-                for v in self._adj[u]:
-                    if d[v] < 0:
-                        d[v] = d[u] + 1
-                        h[v] = v if u == src else h[u]
-                        queue.append(v)
-            dist.append(tuple(d))
-            hop.append(tuple(h))
-        return tuple(dist), tuple(hop)
+        if not 0 <= src < n:
+            raise IndexError(f"qubit {src} outside 0..{n - 1}")
+        d = [-1] * n
+        h = [src] * n
+        d[src] = 0
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for v in self._adj[u]:
+                if d[v] < 0:
+                    d[v] = d[u] + 1
+                    h[v] = v if u == src else h[u]
+                    queue.append(v)
+        self._dist[src], self._hop[src] = tuple(d), tuple(h)
 
     def distance(self, a: int, b: int) -> int:
         return self._dist[a][b]

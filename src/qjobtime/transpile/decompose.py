@@ -11,24 +11,28 @@ Output is unitarily equivalent to the input up to global phase. Fixed rules:
                  interaction pass in stacks of at most `KAK_BATCH`
                  payloads, which gives each dressing's gate count
 
-Each rule states its gate sequence once, in `_RULES`. A lowered circuit's
-qubit stream, all that routing and depth read, is read from the rules when
-the circuit is lowered; its gates are read from them on first access of
-`gates`, and only then are the SU4 gates' local factors and dressing angles
+Each rule states its gate sequence once, in `_RULES`; a basis gate's rule is
+the gate itself. Routing and depth read a rule through its `rule_profile`:
+its length, and for a two-qubit rule the 1q gates each qubit gets before the
+first CX and each qubit's depth after it. A lowered circuit keeps one
+(qubits, profile) entry per input gate. Its qubit stream, length and depth
+are read from these entries on first access, and its gates on first access
+of `gates`; only then are the SU4 gates' local factors and dressing angles
 computed, from the interaction-pass rows the circuit keeps. The router
-emits its swaps by the SWAP rule.
+places its swaps by the SWAP rule's profile and emits them by the rule.
 
 Every emitted gate acts on the qubits of an already-checked input gate, so it
 is built with one `Gate._trusted` call (angles passed as Python floats),
 skipping the construction checks.
 """
 
+from collections import namedtuple
 from functools import lru_cache, partial
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..circuit import Circuit, Gate, GateKind, gate_matrix
+from ..circuit import Circuit, Gate, GateKind, gate_matrix, stream_depth
 from .kak import all_three_rows, canonical_layers, kak_interaction, kak_local_factors, zsx_angles
 
 # the two KAK passes in one call, unused here but bound at this module path,
@@ -55,6 +59,8 @@ _ROW, _OWN = "row", "own"
 _CX01 = (_CX, (0, 1), ())
 _ROWS01 = ((_ROW, (0,), ()), (_ROW, (1,), ()))  # a 1q layer on (hi, lo)
 _RULES = {
+    **{k: ((k, (0,), _OWN),) for k in BASIS_1Q},
+    _CX: (_CX01,),
     _H: ((_RZ, (0,), _HALF_PI), (_SX, (0,), ()), (_RZ, (0,), _HALF_PI)),
     _RZZ: (_CX01, (_RZ, (1,), _OWN), _CX01),
     _SWAP: (_CX01, (_CX, (1, 0), ()), _CX01),
@@ -74,6 +80,37 @@ def rule_stream(kind: GateKind, qubits: tuple[int, ...], counts: tuple[int, ...]
         q = tuple(qubits[i] for i in positions)
         out += (q,) * (len(_ROW_GATES[next(counts)]) if step is _ROW else 1)
     return tuple(out)
+
+
+# What routing and depth read of a rule with given row counts: its length in
+# basis gates and, for a two-qubit rule (else None), `lead`, the 1q gates on
+# each qubit before the first CX, and `after`, each qubit's depth once the
+# rule ends, above the deeper of the two right before that CX.
+RuleProfile = namedtuple("RuleProfile", "kind counts length lead after")
+
+
+@lru_cache(maxsize=4096)
+def rule_profile(kind: GateKind, counts: tuple[int, ...]) -> RuleProfile:
+    """The `RuleProfile` of `kind` lowered with `counts`, read from its
+    `rule_stream`: after the first CX, both qubits share one frontier, so
+    the rest of the rule only adds fixed offsets to it."""
+    steps = rule_stream(kind, (0, 1), counts)
+    first = next((i for i, q in enumerate(steps) if len(q) == 2), None)
+    if first is None:
+        return RuleProfile(kind, counts, len(steps), None, None)
+    lead, after = [0, 0], [1, 1]
+    for (q,) in steps[:first]:
+        lead[q] += 1
+    for q in steps[first + 1:]:
+        if len(q) == 1:
+            after[q[0]] += 1
+        else:
+            after = [max(after) + 1] * 2
+    return RuleProfile(kind, counts, len(steps), tuple(lead), tuple(after))
+
+
+# the profile of each rule that takes no `zsx_angles` rows
+_FIXED = {k: rule_profile(k, ()) for k in _RULES if k not in (_U3, _SU4)}
 
 
 def emit_rule(out: list[Gate], kind: GateKind, qubits: tuple[int, ...],
@@ -163,29 +200,38 @@ def decompose(c: Circuit) -> Circuit:
 
 
 def _lower(c: Circuit, su4_counts, interaction) -> Circuit:
-    """`c` in basis gates: the qubit stream now, taking each SU4 gate's
-    dressing counts in gate order from the iterator `su4_counts`, and the
-    gates on first access, with the SU4 dressings computed then from the
-    interaction-pass rows `interaction`, (k1, p, xyz)."""
-    stream: list[tuple[int, ...]] = []
+    """`c` in basis gates: one (qubits, `rule_profile`) entry per gate now,
+    taking each SU4 gate's dressing counts in gate order from the iterator
+    `su4_counts`, and the gates on first access, with the SU4 dressings
+    computed then from the interaction-pass rows `interaction`, (k1, p, xyz)."""
+    entries = []
     rows = []  # per U3, H, RZZ or SWAP gate, in order: its (counts, angles)
     for g in c.gates:
         k = g.kind
-        if k in _PASS_THROUGH:
-            stream.append(g.qubits)
-            continue
         if k is _SU4:
-            counts = next(su4_counts)
+            profile = rule_profile(k, next(su4_counts))
         elif k is _U3:
             counts, angles = zsx_angles(gate_matrix(g)[None])
             counts = tuple(counts.tolist())
             rows.append((counts, angles.tolist()))
+            profile = rule_profile(k, counts)
         else:
-            counts = ()
-            rows.append(((), ()))
-        stream += rule_stream(k, g.qubits, counts)
-    build = partial(_lower_gates, c.gates, rows, interaction)
-    return Circuit._lazy(c.width, stream, build, c.base_layers)
+            profile = _FIXED[k]
+            if k not in _PASS_THROUGH:
+                rows.append(((), ()))
+        entries.append((g.qubits, profile))
+    stream = partial(_entries_stream, entries)
+    builders = {"gates": lambda _: _lower_gates(c.gates, rows, interaction),
+                "_stream": lambda _: list(stream()),
+                "_length": lambda _: sum(p.length for _, p in entries),
+                "_depth": lambda lowered: stream_depth(lowered.width, stream())}
+    return Circuit._lazy(c.width, c.base_layers, builders, _entries=entries)
+
+
+def _entries_stream(entries) -> Iterator[tuple[int, ...]]:
+    """The qubit stream of a lowered circuit, read from its entries' rules."""
+    for qubits, p in entries:
+        yield from rule_stream(p.kind, qubits, p.counts)
 
 
 def _lower_gates(gates: tuple[Gate, ...], rows, interaction) -> tuple[Gate, ...]:

@@ -2,25 +2,33 @@
 
 No lookahead: whenever a two-qubit gate straddles non-adjacent physical
 qubits, the endpoint with the lower physical index walks one step along a BFS
-shortest path (ties broken by ascending neighbor index; the map precomputes
-each path's first hop) until the pair is adjacent. Inserted swaps are emitted
+shortest path (ties broken by ascending neighbor index; the map holds each
+path's first hop) until the pair is adjacent. Inserted swaps are emitted
 by the lowering's SWAP rule, as CX triples, so routed circuits stay inside the
 two-qubit basis. Deterministic by construction.
 
-The router walks its input's qubit stream and records the physical stream and
-where each swap goes; the routed gates are built on first access of `gates`.
+The router walks one entry per input gate: a lowered circuit's (qubits,
+`rule_profile`) entries, or a unit entry per gate of any other circuit. It
+keeps the ASAP frontier of each physical qubit from the profiles, so the
+routed depth comes from the same walk that places the swaps; a swap goes
+after the leading 1q gates of the entry that needs it, before its first CX.
+The swaps an entry needs depend only on the physical qubits of its pair, so
+each pair's path of swaps is found once per route. The router records only
+where each path goes: the routed qubit stream and gates are rebuilt from the
+input and the paths when first read.
 """
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable
 
 from ..circuit import MAX_GATES, MAX_SAMPLE_GATES, Circuit, Gate, GateKind, check_gates
 from ..errors import CouplingError
 from .coupling import CouplingMap
-from .decompose import decompose, decompose_all, emit_rule, rule_stream
+from .decompose import decompose, decompose_all, emit_rule, rule_profile, rule_stream
 
 _SWAP = GateKind.SWAP
+# the profile of each gate of a circuit that the lowering did not make, by arity
+_UNIT = {1: rule_profile(GateKind.X, ()), 2: rule_profile(GateKind.CX, ())}
 
 
 @dataclass(frozen=True)
@@ -35,66 +43,101 @@ class RoutedCircuit:
 
 def route(c: Circuit, cmap: CouplingMap) -> RoutedCircuit:
     """Map a circuit onto `cmap` starting from the identity layout."""
-    if c.width > cmap.num_qubits:
-        raise CouplingError(
-            f"circuit width {c.width} exceeds coupling map size {cmap.num_qubits}"
-        )
-    l2p = list(range(c.width))  # logical -> physical
-    p2l: list[int | None] = list(range(c.width)) + [None] * (cmap.num_qubits - c.width)
-    stream: list[tuple[int, ...]] = []  # the physical qubits of each routed gate
-    swap_at: list[int] = []  # per swap, the index in c of the gate it precedes
-    singles = [(p,) for p in range(cmap.num_qubits)]
+    n = cmap.num_qubits
+    if c.width > n:
+        raise CouplingError(f"circuit width {c.width} exceeds coupling map size {n}")
+    # logical <-> physical; the logical qubits from c.width up stand for free physical ones
+    l2p, p2l = list(range(n)), list(range(n))
+    ready = [0] * n  # the ASAP frontier of each physical qubit
+    swaps = []  # per entry that needs swaps: (the index in c of its first CX, its `_path`)
+    paths = {}  # (pa, pb) -> its `_path`
     # the map's distance and first-hop tables, read directly per gate
     dist, hop = cmap._dist, cmap._hop
-    append = stream.append
-    # checked where a swap is appended: without swaps a route is as long as its input
-    what = f"the route of a {c.width}-qubit circuit onto a {cmap.num_qubits}-qubit map"
-    for i, qubits in enumerate(c._stream):
+    swap = rule_profile(_SWAP, ())  # its rule starts with its first CX
+    swap_length, (swap_a, swap_b) = swap.length, swap.after
+    swap_count = 0
+    # checked where swaps are placed: without swaps a route is as long as its input
+    what = f"the route of a {c.width}-qubit circuit onto a {n}-qubit map"
+    entries = c.__dict__.get("_entries")
+    if entries is None:
+        entries = [(qubits, _UNIT[len(qubits)]) for qubits in c._stream]
+    at = 0  # the index in c of the next entry's first gate
+    for qubits, p in entries:
         if len(qubits) == 1:
-            append(singles[l2p[qubits[0]]])
+            ready[l2p[qubits[0]]] += p.length
+            at += p.length
             continue
+        _, _, length, (lead_a, lead_b), (after_a, after_b) = p
         la, lb = qubits
         pa, pb = l2p[la], l2p[lb]
-        while dist[pa][pb] > 1:
-            mover, target = (pa, pb) if pa < pb else (pb, pa)
-            step = hop[mover][target]
-            stream += rule_stream(_SWAP, (mover, step), ())
-            check_gates(what, len(stream), MAX_GATES, CouplingError)
-            swap_at.append(i)
-            lm, ls = p2l[mover], p2l[step]
-            p2l[mover], p2l[step] = ls, lm
-            if lm is not None:
-                l2p[lm] = step
-            if ls is not None:
-                l2p[ls] = mover
-            pa, pb = l2p[la], l2p[lb]
-        append(qubits if pa == la and pb == lb else (pa, pb))
-    build = partial(_routed_gates, c, stream, swap_at)
-    return RoutedCircuit(
-        Circuit._lazy(cmap.num_qubits, stream, build, c.base_layers), tuple(l2p), len(swap_at)
-    )
+        ready[pa] += lead_a
+        ready[pb] += lead_b
+        if dist[pa][pb] > 1:
+            path, pa, pb = paths.get((pa, pb)) or paths.setdefault((pa, pb), _path(pa, pb, dist, hop))
+            first = at + lead_a + lead_b
+            swaps.append((first, path))
+            swap_count += len(path)
+            if first + swap_length * swap_count > MAX_GATES:
+                # refused at the first of these swaps that takes the route past the bound
+                for count in range(swap_count - len(path) + 1, swap_count + 1):
+                    check_gates(what, first + swap_length * count, MAX_GATES, CouplingError)
+            for mover, step in path:
+                top = ready[mover] if ready[mover] > ready[step] else ready[step]
+                ready[mover], ready[step] = top + swap_a, top + swap_b
+                # step's logical qubit (never la or lb) goes to mover; la and lb are placed below
+                moved = p2l[mover] = p2l[step]
+                l2p[moved] = mover
+            p2l[pa], p2l[pb], l2p[la], l2p[lb] = la, lb, pa, pb
+        top = ready[pa] if ready[pa] > ready[pb] else ready[pb]
+        ready[pa], ready[pb] = top + after_a, top + after_b
+        at += length
+    builders = {
+        "_stream": lambda _: _replay(c._stream, swaps, n, lambda q, l2p: tuple(map(l2p.__getitem__, q)),
+                                     lambda out, kind, q: out.extend(rule_stream(kind, q, ()))),
+        "gates": lambda _: tuple(_replay(c.gates, swaps, n, _moved_gate, emit_rule)),
+    }
+    routed = Circuit._lazy(n, c.base_layers, builders,
+                           _length=at + swap_length * swap_count, _depth=max(ready))
+    return RoutedCircuit(routed, tuple(l2p[: c.width]), swap_count)
 
 
-def _routed_gates(c: Circuit, stream: list[tuple[int, ...]], swap_at: list[int]) -> tuple[Gate, ...]:
-    """The gates of `route`'s circuit: c's gates moved to the physical qubits
-    of `stream`, with a swap before gate i of c for each i in `swap_at`.
+def _path(pa: int, pb: int, dist, hop) -> tuple[list[tuple[int, int]], int, int]:
+    """The swaps, each (mover, step), that bring physical qubits pa and pb
+    next to each other by the rule above, and the qubits they end on."""
+    path = []
+    while dist[pa][pb] > 1:
+        mover, target = (pa, pb) if pa < pb else (pb, pa)
+        step = hop[mover][target]
+        path.append((mover, step))
+        if mover == pa:
+            pa = step
+        else:
+            pb = step
+    return path, pa, pb
 
-    A gate whose qubits did not move is kept as is. Every other gate is one of
-    c's checked gates moved, or a swap CX, so it is built with one
-    `Gate._trusted` call.
-    """
-    out: list[Gate] = []
-    swaps = iter(swap_at)
-    next_swap = next(swaps, -1)
-    trusted = Gate._trusted
-    # stream[len(out)] holds the qubits of the next gate out: for a swap, its first CX
-    for i, g in enumerate(c.gates):
-        while next_swap == i:
-            emit_rule(out, _SWAP, stream[len(out)])
-            next_swap = next(swaps, -1)
-        physical = stream[len(out)]
-        out.append(g if physical == g.qubits else trusted(g.kind, physical, g.params, g.matrix))
-    return tuple(out)
+
+def _replay(items: list, swaps, width: int, move, emit) -> list:
+    """`route`'s circuit rebuilt from c's stream or gates, `items`: each item
+    moved to its physical qubits by `move(item, l2p)`, and before item i, for
+    each (i, path) in `swaps`, the swaps of the path, each emitted by
+    `emit(out, GateKind.SWAP, (a, b))`."""
+    l2p, p2l = list(range(width)), list(range(width))
+    out, start = [], 0
+    for i, path in swaps + [(len(items), ())]:
+        out += (move(item, l2p) for item in items[start:i])
+        for a, b in path:
+            emit(out, _SWAP, (a, b))
+            p2l[a], p2l[b] = p2l[b], p2l[a]
+            l2p[p2l[a]], l2p[p2l[b]] = a, b
+        start = i
+    return out
+
+
+def _moved_gate(g: Gate, l2p: list[int]) -> Gate:
+    """g on the physical qubits of its logical ones: g itself when they did
+    not move, else g's checked fields on them, in one `Gate._trusted` call."""
+    physical = tuple(map(l2p.__getitem__, g.qubits))
+    return g if physical == g.qubits else Gate._trusted(g.kind, physical, g.params, g.matrix)
 
 
 def uses_only_map_edges(c: Circuit, cmap: CouplingMap) -> bool:

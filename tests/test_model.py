@@ -378,6 +378,26 @@ class TestRecordContract:
         assert_rebuilds_check(tuple.__new__(BackendSpec, ("x", 5, 48, 1.0)), power % 48,
                               quantum_volume=48)
 
+    def test_count_fields_are_integers(self):
+        """A count field is refused as `INVALID_PARAMETER` unless it is an
+        integer, Python's or numpy's: never a float, a bool or a string."""
+        for make, error in [
+            (lambda: JobSpec(1.5, 2), "circuits must be an integer, got 1.5"),
+            (lambda: JobSpec(True, True), "circuits must be an integer, got True"),
+            (lambda: JobSpec(3, "100"), "shots must be an integer, got '100'"),
+            (lambda: JobSpec(3, 100, np.True_), "updates must be an integer, got np.True_"),
+            (lambda: BackendSpec("x", 27.5, 64, 1.0), "num_qubits must be an integer, got 27.5"),
+            (lambda: BackendSpec("x", 27, 64.0, 1.0),
+             "quantum_volume must be an integer, got 64.0"),
+            (lambda: kernel_job_size(2.5), "N must be an integer, got 2.5"),
+        ]:
+            with pytest.raises(InvalidParameterError) as info:
+                make()
+            assert str(info.value) == error
+        assert JobSpec(np.int64(3), np.int32(100)).total_layers == 300.0
+        assert BackendSpec("x", np.int64(27), np.int16(64), 1.0).qv_layers == 6
+        assert kernel_job_size(np.int64(4)) == 6
+
     def test_runtime_report(self):
         report = score(2.0, 1.0)
         assert report == RuntimeReport(2.0, 1.0, 2.0, 1.0)

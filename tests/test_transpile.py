@@ -696,6 +696,16 @@ class TestCouplingMaps:
         with pytest.raises(CouplingError):
             named_map("torus", 5)
 
+    def test_rows_are_computed_when_first_read(self):
+        """Building a map runs the BFS of qubit 0 alone, for the connectivity
+        check; every other row is computed the first time it is read."""
+        cmap = heavy_hex_like_map(MAX_MAP_QUBITS)
+        assert set(cmap._dist) == set(cmap._hop) == {0}
+        assert cmap.distance(1120, 1119) == 1 and cmap._hop[7][1] == 6
+        assert set(cmap._dist) == set(cmap._hop) == {0, 1120, 7}
+        routed = route(Circuit(3, (Gate.cx(0, 2),)), cmap)
+        assert routed.swap_count == 1 and set(cmap._dist) == {0, 1, 7, 1120}
+
     def test_distance_and_paths(self):
         """The first-hop table gives the second node of a reference BFS path,
         and each hop lowers the distance by one, on every ordered pair of every
@@ -849,20 +859,54 @@ def connected_maps(draw, min_qubits: int) -> CouplingMap:
     return CouplingMap(n, edges)
 
 
+# SU4 payloads whose leading dressing rows hold 0, 1 or 5 gates per qubit,
+# where a Haar draw's always hold 5: the router places a block's swaps after
+# these leading 1q gates and before its first CX
+SPARSE_PAYLOADS = ["identity", "cx", "kron", "canonical-x0", "canonical-y0", "kicked-cx"]
+
+
 @settings(max_examples=100, deadline=None)
 @given(width=st.integers(2, 8), size=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
-       data=st.data())
-def test_route_matches_the_reference_router(width, size, seed, data):
-    """Random circuits over every gate kind on random connected maps: routed
-    gates, qubit stream, final layout, swap count, depth and length equal the
-    reference's."""
-    c = random_circuit(width, size, np.random.default_rng(seed))
+       payloads=st.lists(st.sampled_from(SPARSE_PAYLOADS), max_size=8), data=st.data())
+def test_route_matches_the_reference_router(width, size, seed, payloads, data):
+    """Random circuits over every gate kind, with SU4 gates of the
+    `SPARSE_PAYLOADS` kinds inserted at random places, on random connected
+    maps: routed gates, qubit stream, final layout, swap count, depth and
+    length equal the reference's."""
+    rng = np.random.default_rng(seed)
+    gates = list(random_circuit(width, size, rng).gates)
+    for kind in payloads:
+        a, b = (int(q) for q in rng.choice(width, 2, replace=False))
+        payload = COUNT_PAYLOADS[kind](rng, seed, -10.0)
+        gates.insert(int(rng.integers(len(gates) + 1)), Gate.su4(a, b, payload))
+    c = Circuit(width, tuple(gates))
     cmap = data.draw(connected_maps(width))
     routed = route(decompose(c), cmap)
     gates, layout, swaps, depth = _reference_route(c, cmap)
     assert list(routed.circuit._stream) == [g.qubits for g in gates]
     assert list(routed.circuit.gates) == gates
     assert (routed.final_layout, routed.swap_count) == (layout, swaps)
+    assert (routed.circuit.depth(), len(routed.circuit)) == (depth, len(gates))
+
+
+def test_route_and_depth_walk_no_qubit_stream():
+    """Lowering keeps one entry per input gate, and routing walks those
+    entries and records its swaps: neither the lowered circuit nor the
+    routed one holds a qubit stream, and reading their depth and length
+    builds none. The stream and gates read afterwards are the reference
+    router's."""
+    c, cmap = qv_circuit(5, 3, seed=0), line_map(6)
+    lowered = decompose(c)
+    routed = route(lowered, cmap)
+    assert routed.swap_count > 0
+    for out in (lowered, routed.circuit):
+        assert "_stream" not in vars(out) and "gates" not in vars(out)
+        len(out), out.depth()
+        assert "_stream" not in vars(out) and "gates" not in vars(out)
+    assert (lowered.depth(), len(lowered)) == (Circuit(5, lowered.gates).depth(), len(lowered.gates))
+    gates, layout, swaps, depth = _reference_route(c, cmap)
+    assert routed.circuit._stream == [g.qubits for g in gates]
+    assert list(routed.circuit.gates) == gates
     assert (routed.circuit.depth(), len(routed.circuit)) == (depth, len(gates))
 
 
