@@ -294,10 +294,10 @@ class Circuit:
     the circuit was built from; it is metadata and does not affect semantics.
 
     Depth, length and the map-edge check read only the circuit's qubit
-    stream: the qubits of each gate, in order. Any circuit derives its
-    stream, length and depth from its gates on first read; a circuit made by
-    the transpiler is made with its length and depth or what they are read
-    from, and builds its stream and gates only when they are read.
+    stream: the qubits of each gate, in order. A circuit made by the
+    transpiler builds its stream and gates only when they are read, and a
+    routed one is made with its length and depth; any other circuit derives
+    its stream from its gates.
     """
 
     width: int
@@ -325,30 +325,41 @@ class Circuit:
         return c
 
     @classmethod
-    def _lazy(cls, width: int, base_layers: int | None, builders: dict, **known) -> "Circuit":
-        """A transpiler output: the attributes in `known` now, and each one
-        named in `builders` (its gates, qubit stream, length or depth) from
-        `builders[name](circuit)` on first read. The caller guarantees that
-        the gates fit `width` and that every attribute agrees with them."""
+    def _lazy(cls, width: int, base_layers: int | None, gates, stream, length: int | None = None,
+              depth: int | None = None, entries: list | None = None) -> "Circuit":
+        """A transpiler output: its gates from `gates()` and its qubit stream
+        from `stream()`, each on first read, and its length and depth when
+        known. A lowered circuit also keeps its (qubits, rule profile)
+        `entries`, which the router walks. The caller guarantees that the
+        gates fit `width` and that every attribute agrees with them."""
         c = object.__new__(cls)
-        c.__dict__.update(known, width=width, base_layers=base_layers, _builders=builders)
+        c.__dict__.update(width=width, base_layers=base_layers, _build_gates=gates,
+                          _build_stream=stream, _length=length, _depth=depth, _entries=entries)
         return c
 
     def __getattr__(self, name: str):
-        # reached only for an attribute not set yet: one that a transpiler
-        # output builds on first read, or one of `_DERIVED`
+        # reached only for an attribute not set yet: the gates or qubit stream
+        # of a transpiler output, from the function it was made with, or the
+        # qubit stream of any other circuit
         fields = self.__dict__
-        builders = fields.get("_builders", {})
-        build = builders.get(name) or _DERIVED.get(name)
-        if build is not None:
-            fields.setdefault(name, build(self))
-            builders.pop(name, None)
+        build = {"gates": "_build_gates", "_stream": "_build_stream"}.get(name)
+        if build in fields:
+            fields.setdefault(name, fields[build]())
+            del fields[build]
+        elif name == "_stream" and "gates" in fields:
+            fields.setdefault("_stream", [g.qubits for g in fields["gates"]])
         if name not in fields:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         return fields[name]
 
+    def _unkept_stream(self) -> list[tuple[int, ...]]:
+        # a transpiler output's qubit stream not read yet is built without being kept
+        build = self.__dict__.get("_build_stream")
+        return build() if build else self._stream
+
     def __len__(self) -> int:
-        return self._length
+        length = self.__dict__.get("_length")
+        return len(self._unkept_stream()) if length is None else length
 
     def __iter__(self) -> Iterator[Gate]:
         return iter(self.gates)
@@ -363,8 +374,24 @@ class Circuit:
         )
 
     def depth(self) -> int:
-        """Longest chain of gates sharing qubits (unit-cost ASAP layering)."""
-        return self._depth
+        """Longest chain of gates sharing qubits (unit-cost ASAP layering);
+        a routed circuit's was found while routing."""
+        depth = self.__dict__.get("_depth")
+        if depth is not None:
+            return depth
+        ready = [0] * self.width
+        top = 0
+        for qubits in self._unkept_stream():
+            if len(qubits) == 1:
+                q = qubits[0]
+                layer = ready[q] = ready[q] + 1
+            else:
+                a, b = qubits
+                layer = ready[a] if ready[a] > ready[b] else ready[b]
+                layer = ready[a] = ready[b] = layer + 1
+            if layer > top:
+                top = layer
+        return top
 
     def compose(self, other: "Circuit") -> "Circuit":
         """This circuit followed by `other`; widths must match."""
@@ -430,32 +457,6 @@ class Circuit:
         except (ValueError, IndexError, InvalidGateError) as exc:
             raise InvalidCircuitError(f"bad circuit line {ln!r}: {exc}") from exc
         return cls(width, tuple(gates), base_layers)
-
-
-def stream_depth(width: int, stream: Iterable[tuple[int, ...]]) -> int:
-    """`Circuit.depth` of a circuit of `width` qubits, walked over its qubit stream."""
-    ready = [0] * width
-    top = 0
-    for qubits in stream:
-        if len(qubits) == 1:
-            q = qubits[0]
-            layer = ready[q] = ready[q] + 1
-        else:
-            a, b = qubits
-            layer = ready[a] if ready[a] > ready[b] else ready[b]
-            layer = ready[a] = ready[b] = layer + 1
-        if layer > top:
-            top = layer
-    return top
-
-
-# what a circuit derives from its gates on first read, unless it was made
-# with a builder for it
-_DERIVED = {
-    "_stream": lambda c: [g.qubits for g in c.gates],
-    "_length": lambda c: len(c._stream),
-    "_depth": lambda c: stream_depth(c.width, c._stream),
-}
 
 
 def write_circuits(path, circuits: Iterable[Circuit]) -> None:

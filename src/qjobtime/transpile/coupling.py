@@ -89,6 +89,8 @@ class CouplingMap:
         self._dist[src], self._hop[src] = tuple(d), tuple(h)
 
     def distance(self, a: int, b: int) -> int:
+        if not 0 <= b < self.num_qubits:
+            raise IndexError(f"qubit {b} outside 0..{self.num_qubits - 1}")
         return self._dist[a][b]
 
     def has_edge(self, a: int, b: int) -> bool:

@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..circuit import Circuit, Gate, GateKind, gate_matrix, stream_depth
+from ..circuit import Circuit, Gate, GateKind, gate_matrix
 from .kak import all_three_rows, canonical_layers, kak_interaction, kak_local_factors, zsx_angles
 
 # the two KAK passes in one call, unused here but bound at this module path,
@@ -98,15 +98,13 @@ def rule_profile(kind: GateKind, counts: tuple[int, ...]) -> RuleProfile:
     first = next((i for i, q in enumerate(steps) if len(q) == 2), None)
     if first is None:
         return RuleProfile(kind, counts, len(steps), None, None)
-    lead, after = [0, 0], [1, 1]
-    for (q,) in steps[:first]:
-        lead[q] += 1
+    lead, after = (steps[:first].count((0,)), steps[:first].count((1,))), [1, 1]
     for q in steps[first + 1:]:
         if len(q) == 1:
             after[q[0]] += 1
         else:
             after = [max(after) + 1] * 2
-    return RuleProfile(kind, counts, len(steps), tuple(lead), tuple(after))
+    return RuleProfile(kind, counts, len(steps), lead, tuple(after))
 
 
 # the profile of each rule that takes no `zsx_angles` rows
@@ -220,18 +218,13 @@ def _lower(c: Circuit, su4_counts, interaction) -> Circuit:
             if k not in _PASS_THROUGH:
                 rows.append(((), ()))
         entries.append((g.qubits, profile))
-    stream = partial(_entries_stream, entries)
-    builders = {"gates": lambda _: _lower_gates(c.gates, rows, interaction),
-                "_stream": lambda _: list(stream()),
-                "_length": lambda _: sum(p.length for _, p in entries),
-                "_depth": lambda lowered: stream_depth(lowered.width, stream())}
-    return Circuit._lazy(c.width, c.base_layers, builders, _entries=entries)
+    return Circuit._lazy(c.width, c.base_layers, partial(_lower_gates, c.gates, rows, interaction),
+                         partial(_entries_stream, entries), entries=entries)
 
 
-def _entries_stream(entries) -> Iterator[tuple[int, ...]]:
+def _entries_stream(entries) -> list[tuple[int, ...]]:
     """The qubit stream of a lowered circuit, read from its entries' rules."""
-    for qubits, p in entries:
-        yield from rule_stream(p.kind, qubits, p.counts)
+    return [q for qubits, p in entries for q in rule_stream(p.kind, qubits, p.counts)]
 
 
 def _lower_gates(gates: tuple[Gate, ...], rows, interaction) -> tuple[Gate, ...]:

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import importlib
 import inspect
+import pickle
 from collections import Counter, deque
 
 import numpy as np
@@ -705,6 +707,9 @@ class TestCouplingMaps:
         assert set(cmap._dist) == set(cmap._hop) == {0, 1120, 7}
         routed = route(Circuit(3, (Gate.cx(0, 2),)), cmap)
         assert routed.swap_count == 1 and set(cmap._dist) == {0, 1, 7, 1120}
+        for a, b in ((-1, 0), (0, -1), (0, MAX_MAP_QUBITS), (MAX_MAP_QUBITS, 0)):
+            with pytest.raises(IndexError):
+                cmap.distance(a, b)
 
     def test_distance_and_paths(self):
         """The first-hop table gives the second node of a reference BFS path,
@@ -908,6 +913,21 @@ def test_route_and_depth_walk_no_qubit_stream():
     assert routed.circuit._stream == [g.qubits for g in gates]
     assert list(routed.circuit.gates) == gates
     assert (routed.circuit.depth(), len(routed.circuit)) == (depth, len(gates))
+
+
+def test_transpiled_circuits_copy_and_pickle_before_their_gates_are_read():
+    """A lowered or routed circuit whose stream and gates are not built yet
+    can be copied and pickled; each copy builds them on its own, and they
+    equal the original's."""
+    c, cmap = qv_circuit(5, 3, seed=0), line_map(6)
+    for out in (decompose(c), route(decompose(c), cmap).circuit):
+        twin = copy.copy(out)
+        for clone in (twin, pickle.loads(pickle.dumps(out))):
+            assert "gates" not in vars(clone) and "_stream" not in vars(clone)
+        assert out._stream == [g.qubits for g in out.gates]
+        for clone in (twin, pickle.loads(pickle.dumps(twin))):
+            assert clone.gates == out.gates and clone._stream == out._stream
+            assert (clone.depth(), len(clone)) == (out.depth(), len(out))
 
 
 def test_effective_layers_matches_reference_depths():
