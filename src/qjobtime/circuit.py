@@ -34,7 +34,7 @@ class GateKind(Enum):
 
     # members are singletons: hash by identity, not by a Python-level call on
     # the name, since the lowering hashes a kind on every input gate (the
-    # `_RULES` table, the `_PASS_THROUGH` set and `rule_stream`'s cache)
+    # `_RULES` table, the `_PASS_THROUGH` set and `rule_profile`'s cache)
     __hash__ = object.__hash__
 
 
@@ -293,11 +293,9 @@ class Circuit:
     `base_layers` optionally records how many repetitions of a base template
     the circuit was built from; it is metadata and does not affect semantics.
 
-    Depth, length and the map-edge check read only the circuit's qubit
-    stream: the qubits of each gate, in order. A circuit made by the
-    transpiler builds its stream and gates only when they are read, and a
-    routed one is made with its length and depth; any other circuit derives
-    its stream from its gates.
+    A circuit made by the transpiler builds its gates only when they are
+    read, and a routed one is made with its length and depth; any other
+    circuit's depth and length are read from its gates.
     """
 
     width: int
@@ -325,41 +323,32 @@ class Circuit:
         return c
 
     @classmethod
-    def _lazy(cls, width: int, base_layers: int | None, gates, stream, length: int | None = None,
+    def _lazy(cls, width: int, base_layers: int | None, gates, length: int | None = None,
               depth: int | None = None, entries: list | None = None) -> "Circuit":
-        """A transpiler output: its gates from `gates()` and its qubit stream
-        from `stream()`, each on first read, and its length and depth when
-        known. A lowered circuit also keeps its (qubits, rule profile)
-        `entries`, which the router walks. The caller guarantees that the
-        gates fit `width` and that every attribute agrees with them."""
+        """A transpiler output: its gates from `gates()` on first read, and
+        its length and depth when known. A lowered circuit also keeps its
+        (qubits, rule profile) `entries`, which the router walks. The caller
+        guarantees that the gates fit `width` and that every attribute agrees
+        with them."""
         c = object.__new__(cls)
         c.__dict__.update(width=width, base_layers=base_layers, _build_gates=gates,
-                          _build_stream=stream, _length=length, _depth=depth, _entries=entries)
+                          _length=length, _depth=depth, _entries=entries)
         return c
 
     def __getattr__(self, name: str):
-        # reached only for an attribute not set yet: the gates or qubit stream
-        # of a transpiler output, from the function it was made with, or the
-        # qubit stream of any other circuit
+        # reached only for an attribute not set yet: the gates of a
+        # transpiler output, from the function it was made with
         fields = self.__dict__
-        build = {"gates": "_build_gates", "_stream": "_build_stream"}.get(name)
-        if build in fields:
-            fields.setdefault(name, fields[build]())
-            del fields[build]
-        elif name == "_stream" and "gates" in fields:
-            fields.setdefault("_stream", [g.qubits for g in fields["gates"]])
+        if name == "gates" and "_build_gates" in fields:
+            fields.setdefault("gates", fields["_build_gates"]())
+            fields.pop("_build_gates", None)
         if name not in fields:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         return fields[name]
 
-    def _unkept_stream(self) -> list[tuple[int, ...]]:
-        # a transpiler output's qubit stream not read yet is built without being kept
-        build = self.__dict__.get("_build_stream")
-        return build() if build else self._stream
-
     def __len__(self) -> int:
         length = self.__dict__.get("_length")
-        return len(self._unkept_stream()) if length is None else length
+        return len(self.gates) if length is None else length
 
     def __iter__(self) -> Iterator[Gate]:
         return iter(self.gates)
@@ -381,7 +370,8 @@ class Circuit:
             return depth
         ready = [0] * self.width
         top = 0
-        for qubits in self._unkept_stream():
+        for g in self.gates:
+            qubits = g.qubits
             if len(qubits) == 1:
                 q = qubits[0]
                 layer = ready[q] = ready[q] + 1

@@ -301,16 +301,20 @@ def gen_circuits(family, qv_width, qv_layers, count, seed, out):
     deff.check_sample_count("--count", count)
     if family is not None:
         fam = _parse_family(family)
-        _this.kernel_basis_gates(fam)  # refused before any feature vector is drawn
+        each = _this.kernel_basis_gates(fam)
         circuits = (_this.kernel_circuit(fam, *deff.kernel_features(fam, seed, k))
                     for k in range(count))
     elif qv_width is not None:
         if qv_layers is None:
             raise InvalidParameterError("--qv-layers is required with --qv-width")
+        each = deff.qv_basis_gates(qv_width, qv_layers)
         circuits = (_this.qv_circuit(qv_width, qv_layers, _this.seed_stream(seed, 1, k))
                     for k in range(count))
     else:
         raise InvalidParameterError("provide --family or --qv-width/--qv-layers")
+    # the file's total, refused before any draw: at the bound, about 0.3 GB of QV
+    # SU4 lines (650 B per 43 basis gates) or 0.2 GB of kernel lines
+    deff._check_side("--count", count, each, deff.MAX_SAMPLE_GATES)
     # each circuit is written as it is built; a refusal comes from the first
     # one, before the file is opened
     _this.write_circuits(out, circuits)

@@ -14,7 +14,7 @@ regardless of evaluation order.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from .circuit import MAX_SAMPLE_GATES, Circuit, check_gates
 from .errors import CouplingError, InvalidParameterError
 from .generators import (KernelFamily, kernel_basis_gates, kernel_circuit, qv_basis_gates,
                          qv_circuit, sample_features, seed_stream)
-from .model import DEFAULT_KERNEL_SAMPLES, DEFAULT_QV_SAMPLES
+from .model import DEFAULT_KERNEL_SAMPLES, DEFAULT_QV_SAMPLES, FrozenRecord
 from .transpile.coupling import CouplingMap
 from .transpile.route import transpiled_depths
 
@@ -52,20 +52,14 @@ def equivalent_qv_width(n: int, d: int) -> int:
     return v if v * v == area else v + 1
 
 
-@dataclass(frozen=True)
-class DeffEstimate:
+class DeffEstimate(FrozenRecord, namedtuple(
+        "DeffEstimate", "v mean_kernel_depth mean_qv_depth d_eff kernel_samples qv_samples seed")):
     """Depth-normalized effective layer count and the measurements behind it."""
 
-    v: int
-    mean_kernel_depth: float
-    mean_qv_depth: float
-    d_eff: float
-    kernel_samples: int
-    qv_samples: int
-    seed: int
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def kernel_features(fam: KernelFamily, seed: int, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,33 +13,30 @@ while the simulated time has an S-independent floor), and a t_layer_shot
 below the CLOPS-implied rate yields over-prediction at high S.
 """
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from typing import Sequence
 
 import numpy as np
 
 from .errors import FitError, InvalidParameterError
-from .model import JobSpec, check_range, json_typed
+from .model import FrozenRecord, JobSpec, check_range, json_typed
 
 
-@dataclass(frozen=True)
-class StackTimingParams:
+class StackTimingParams(FrozenRecord, namedtuple(
+        "StackTimingParams", "t_job t_circ t_layer_shot jitter", defaults=(0.0,))):
     """Stack timing: fixed per-job seconds, per-circuit seconds, seconds per
     layer-shot, and relative jitter amplitude (sigma of a truncated normal)."""
 
-    t_job: float
-    t_circ: float
-    t_layer_shot: float
-    jitter: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         for name in ("t_job", "t_circ", "t_layer_shot"):
             check_range(name, getattr(self, name), 0.0, closed=True)
         if not 0 <= self.jitter < 1:
             raise InvalidParameterError("jitter must lie in [0, 1)")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, spec: dict) -> "StackTimingParams":

@@ -4,7 +4,7 @@ Both constructors are deterministic for a fixed seed; parallel generation is
 safe when each task derives its own seed.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
@@ -12,7 +12,7 @@ import numpy as np
 
 from .circuit import MAX_GATES, Circuit, Gate, GateKind, check_gates, check_su4_payloads
 from .errors import InvalidGateError, InvalidParameterError
-from .model import json_typed
+from .model import FrozenRecord, json_typed
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -36,19 +36,17 @@ class Entanglement(Enum):
         return n - 1 if self is Entanglement.LINEAR else n * (n - 1) // 2
 
 
-@dataclass(frozen=True)
-class KernelFamily:
+class KernelFamily(FrozenRecord, namedtuple("KernelFamily", "n d entanglement",
+                                            defaults=(Entanglement.LINEAR,))):
     """Descriptor of an encoding circuit: width, template repetitions, pairing.
 
     n = 1 is allowed as a degenerate family (empty pair set); it exists so the
     single-qubit closed-form kernel can serve as a simulation oracle.
     """
 
-    n: int
-    d: int
-    entanglement: Entanglement = Entanglement.LINEAR
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.n < 1:
             raise InvalidParameterError("KernelFamily needs n >= 1")
         if self.d < 1:
@@ -119,10 +117,6 @@ def qv_circuit(q: int, layers: int, seed: "int | np.random.SeedSequence") -> Cir
     whole circuit's matrices are then made in one stacked pass, checked once
     and made read-only, and each gate holds one row of that stack.
     """
-    if q < 2:
-        raise InvalidParameterError("qv_circuit needs q >= 2")
-    if layers < 1:
-        raise InvalidParameterError("qv_circuit needs layers >= 1")
     qv_basis_gates(q, layers)
     rng = np.random.default_rng(seed)
     pairs, normals = [], np.empty((layers, q // 2, 2, 4, 4))
@@ -142,7 +136,12 @@ def qv_circuit(q: int, layers: int, seed: "int | np.random.SeedSequence") -> Cir
 # to 3 CX and eight 1q dressings of at most 5 (all 5 for a Haar draw).
 def qv_basis_gates(q: int, layers: int) -> int:
     """At most how many basis gates a QV circuit of width q lowers to,
-    43*layers*floor(q/2); a circuit above `MAX_GATES` is refused."""
+    43*layers*floor(q/2); a width under 2, no layers or a circuit above
+    `MAX_GATES` is refused."""
+    if q < 2:
+        raise InvalidParameterError("qv_circuit needs q >= 2")
+    if layers < 1:
+        raise InvalidParameterError("qv_circuit needs layers >= 1")
     return check_gates(f"a QV circuit of width {q} and {layers} layers",
                        43 * layers * (q // 2), MAX_GATES)
 

@@ -16,7 +16,7 @@ Basis convention: the state is stored as a rank-n tensor with axis i belonging
 to qubit i; in the flattened vector, qubit 0 is the most significant bit.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ import numpy as np
 from .circuit import Circuit, Gate, gate_matrix  # gate_matrix is public here too
 from .errors import InvalidParameterError, SimulationCapError
 from .generators import KernelFamily, kernel_basis_gates, kernel_circuit, phase_angles, seed_stream
+from .model import FrozenRecord
 
 MAX_ENTRIES = 2**24  # most entries in any one array the simulator builds
 MAX_SHOTS = 2**63 - 1  # numpy's int64 limit for a binomial draw
@@ -44,12 +45,10 @@ def _apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     return np.moveaxis(out, (0, 1), (qs[0], qs[1]))
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(FrozenRecord, namedtuple("StateVector", "amplitudes n")):
     """Final state of a simulated circuit: 2^n amplitudes over n qubits."""
 
-    amplitudes: np.ndarray
-    n: int
+    __slots__ = ()
 
     def zero_probability(self) -> float:
         """Probability of the all-zeros outcome."""
@@ -89,13 +88,10 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     return u.reshape(dim, dim)
 
 
-@dataclass(frozen=True)
-class KernelEstimate:
+class KernelEstimate(FrozenRecord, namedtuple("KernelEstimate", "estimate shots zero_count")):
     """Shot-based kernel estimate: frequency of the all-zeros bitstring."""
 
-    estimate: float
-    shots: int
-    zero_count: int
+    __slots__ = ()
 
 
 def exact_kernel(fam: KernelFamily, x: Sequence[float], y: Sequence[float]) -> float:

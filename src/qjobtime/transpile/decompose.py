@@ -15,11 +15,11 @@ Each rule states its gate sequence once, in `_RULES`; a basis gate's rule is
 the gate itself. Routing and depth read a rule through its `rule_profile`:
 its length, and for a two-qubit rule the 1q gates each qubit gets before the
 first CX and each qubit's depth after it. A lowered circuit keeps one
-(qubits, profile) entry per input gate. Its qubit stream, length and depth
-are read from these entries on first access, and its gates on first access
-of `gates`; only then are the SU4 gates' local factors and dressing angles
-computed, from the interaction-pass rows the circuit keeps. The router
-places its swaps by the SWAP rule's profile and emits them by the rule.
+(qubits, profile) entry per input gate, which the router walks. Its gates
+are built on first access of `gates`, which its depth and length read; only
+then are the SU4 gates' local factors and dressing angles computed, from the
+interaction-pass rows the circuit keeps. The router places its swaps by the
+SWAP rule's profile and emits them by the rule.
 
 Every emitted gate acts on the qubits of an already-checked input gate, so it
 is built with one `Gate._trusted` call (angles passed as Python floats),
@@ -70,41 +70,32 @@ _RULES = {
 _ROW_GATES = {0: (), 1: (0,), 3: (0, None, 1, None, 2)}  # RZ(a1) SX RZ(a2) SX RZ(a3)
 
 
-@lru_cache(maxsize=4096)
-def rule_stream(kind: GateKind, qubits: tuple[int, ...], counts: tuple[int, ...]) -> tuple:
-    """The qubits of each gate that `kind` on `qubits` lowers to, given the
-    counts of its `zsx_angles` rows in order."""
-    counts = iter(counts)
-    out = []
-    for step, positions, _ in _RULES[kind]:
-        q = tuple(qubits[i] for i in positions)
-        out += (q,) * (len(_ROW_GATES[next(counts)]) if step is _ROW else 1)
-    return tuple(out)
-
-
 # What routing and depth read of a rule with given row counts: its length in
 # basis gates and, for a two-qubit rule (else None), `lead`, the 1q gates on
 # each qubit before the first CX, and `after`, each qubit's depth once the
 # rule ends, above the deeper of the two right before that CX.
-RuleProfile = namedtuple("RuleProfile", "kind counts length lead after")
+RuleProfile = namedtuple("RuleProfile", "length lead after")
 
 
 @lru_cache(maxsize=4096)
 def rule_profile(kind: GateKind, counts: tuple[int, ...]) -> RuleProfile:
-    """The `RuleProfile` of `kind` lowered with `counts`, read from its
-    `rule_stream`: after the first CX, both qubits share one frontier, so
-    the rest of the rule only adds fixed offsets to it."""
-    steps = rule_stream(kind, (0, 1), counts)
+    """The `RuleProfile` of `kind` lowered with `counts`, read from the
+    qubits of its gates on qubits (0, 1), which are each step's `positions`:
+    after the first CX, both qubits share one frontier, so the rest of the
+    rule only adds fixed offsets to it."""
+    rows, steps = iter(counts), []
+    for step, positions, _ in _RULES[kind]:
+        steps += (positions,) * (len(_ROW_GATES[next(rows)]) if step is _ROW else 1)
     first = next((i for i, q in enumerate(steps) if len(q) == 2), None)
     if first is None:
-        return RuleProfile(kind, counts, len(steps), None, None)
+        return RuleProfile(len(steps), None, None)
     lead, after = (steps[:first].count((0,)), steps[:first].count((1,))), [1, 1]
     for q in steps[first + 1:]:
         if len(q) == 1:
             after[q[0]] += 1
         else:
             after = [max(after) + 1] * 2
-    return RuleProfile(kind, counts, len(steps), lead, tuple(after))
+    return RuleProfile(len(steps), lead, tuple(after))
 
 
 # the profile of each rule that takes no `zsx_angles` rows
@@ -219,12 +210,7 @@ def _lower(c: Circuit, su4_counts, interaction) -> Circuit:
                 rows.append(((), ()))
         entries.append((g.qubits, profile))
     return Circuit._lazy(c.width, c.base_layers, partial(_lower_gates, c.gates, rows, interaction),
-                         partial(_entries_stream, entries), entries=entries)
-
-
-def _entries_stream(entries) -> list[tuple[int, ...]]:
-    """The qubit stream of a lowered circuit, read from its entries' rules."""
-    return [q for qubits, p in entries for q in rule_stream(p.kind, qubits, p.counts)]
+                         entries=entries)
 
 
 def _lower_gates(gates: tuple[Gate, ...], rows, interaction) -> tuple[Gate, ...]:

@@ -12,32 +12,30 @@ The router walks one entry per input gate: a lowered circuit's (qubits,
 keeps the ASAP frontier of each physical qubit from the profiles, so the
 routed depth comes from the same walk that places the swaps; a swap goes
 after the leading 1q gates of the entry that needs it, before its first CX.
-The router records only where each entry's swaps go: the routed qubit stream
-and gates are rebuilt from the input and the swaps when first read.
+The router records only where each entry's swaps go: the routed gates are
+rebuilt from the input's gates and the swaps when first read.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from typing import Iterable
 
 from ..circuit import MAX_GATES, MAX_SAMPLE_GATES, Circuit, Gate, GateKind, check_gates
 from ..errors import CouplingError
+from ..model import FrozenRecord
 from .coupling import CouplingMap
-from .decompose import decompose, decompose_all, emit_rule, rule_profile, rule_stream
+from .decompose import decompose, decompose_all, emit_rule, rule_profile
 
 _SWAP = GateKind.SWAP
 # the profile of each gate of a circuit that the lowering did not make, by arity
 _UNIT = {1: rule_profile(GateKind.X, ()), 2: rule_profile(GateKind.CX, ())}
 
 
-@dataclass(frozen=True)
-class RoutedCircuit:
+class RoutedCircuit(FrozenRecord, namedtuple("RoutedCircuit", "circuit final_layout swap_count")):
     """Routing result: the physical-width circuit, where each logical qubit
     ended up (final_layout[logical] = physical), and how many swaps it cost."""
 
-    circuit: Circuit
-    final_layout: tuple[int, ...]
-    swap_count: int
+    __slots__ = ()
 
 
 def route(c: Circuit, cmap: CouplingMap) -> RoutedCircuit:
@@ -61,14 +59,14 @@ def route(c: Circuit, cmap: CouplingMap) -> RoutedCircuit:
     what = f"the route of a {c.width}-qubit circuit onto a {n}-qubit map"
     entries = c.__dict__.get("_entries")
     if entries is None:
-        entries = [(qubits, _UNIT[len(qubits)]) for qubits in c._stream]
+        entries = [(g.qubits, _UNIT[len(g.qubits)]) for g in c.gates]
     at = 0  # the index in c of the next entry's first gate
     for qubits, p in entries:
         if len(qubits) == 1:
             ready[l2p[qubits[0]]] += p.length
             at += p.length
             continue
-        _, _, length, (lead_a, lead_b), (after_a, after_b) = p
+        length, (lead_a, lead_b), (after_a, after_b) = p
         la, lb = qubits
         pa, pb = l2p[la], l2p[lb]
         ready[pa] += lead_a
@@ -90,8 +88,7 @@ def route(c: Circuit, cmap: CouplingMap) -> RoutedCircuit:
         top = ready[pa] if ready[pa] > ready[pb] else ready[pb]
         ready[pa], ready[pb] = top + after_a, top + after_b
         at += length
-    routed = Circuit._lazy(n, c.base_layers, partial(_replay, c, swaps, n, True),
-                           partial(_replay, c, swaps, n, False),
+    routed = Circuit._lazy(n, c.base_layers, partial(_replay, c, swaps, n),
                            at + swap_length * swap_count, max(ready))
     return RoutedCircuit(routed, tuple(l2p[: c.width]), swap_count)
 
@@ -111,27 +108,21 @@ def _path(pa: int, pb: int, dist, hop) -> tuple[list[tuple[int, int]], int, int]
     return path, pa, pb
 
 
-def _replay(c: Circuit, swaps, width: int, gates: bool) -> tuple[Gate, ...] | list:
-    """`route`'s gates, when `gates`, else its qubit stream, rebuilt from c's:
-    each moved to the physical qubits of its logical ones, and before item i
-    of c, for each (i, path) in `swaps`, the swaps of the path by the SWAP rule."""
-    items = c.gates if gates else c._stream
+def _replay(c: Circuit, swaps, width: int) -> tuple[Gate, ...]:
+    """`route`'s gates, rebuilt from c's: each moved to the physical qubits
+    of its logical ones, and before gate i of c, for each (i, path) in
+    `swaps`, the swaps of the path by the SWAP rule."""
+    gates = c.gates
     l2p, p2l = list(range(width)), list(range(width))
     out, start = [], 0
-    for i, path in swaps + [(len(items), ())]:
-        if gates:
-            out += (_moved_gate(g, l2p) for g in items[start:i])
-        else:
-            out += (tuple(map(l2p.__getitem__, q)) for q in items[start:i])
+    for i, path in swaps + [(len(gates), ())]:
+        out += (_moved_gate(g, l2p) for g in gates[start:i])
         for a, b in path:
-            if gates:
-                emit_rule(out, _SWAP, (a, b))
-            else:
-                out += rule_stream(_SWAP, (a, b), ())
+            emit_rule(out, _SWAP, (a, b))
             p2l[a], p2l[b] = p2l[b], p2l[a]
             l2p[p2l[a]], l2p[p2l[b]] = a, b
         start = i
-    return tuple(out) if gates else out
+    return tuple(out)
 
 
 def _moved_gate(g: Gate, l2p: list[int]) -> Gate:
@@ -143,7 +134,7 @@ def _moved_gate(g: Gate, l2p: list[int]) -> Gate:
 
 def uses_only_map_edges(c: Circuit, cmap: CouplingMap) -> bool:
     """True when every 2-qubit gate acts on a coupling-map edge."""
-    return all(cmap.has_edge(*qubits) for qubits in c._stream if len(qubits) == 2)
+    return all(cmap.has_edge(*g.qubits) for g in c.gates if len(g.qubits) == 2)
 
 
 def transpiled_depth(c: Circuit, cmap: CouplingMap) -> int:

@@ -743,7 +743,8 @@ def sized_runs(draw):
     small). Counts are in basis gates: 43 per QV SU4 gate, 2d(4n + 3|pairs|)
     per kernel circuit; a kernel side counts its gates and gate references,
     2(2n + |pairs|)(d + 1) per sample, against a quarter of the side bound,
-    so four times that count is drawn against it."""
+    so four times that count is drawn against it. `gen-circuits` counts
+    `--count` times the gates per circuit against the side bound."""
     command = draw(st.sampled_from(["deff", "deff-qv-job", "gen-kernel", "gen-qv", "simulate"]))
     if command in ("deff-qv-job", "gen-qv"):
         q, layers = draw(st.integers(2, 9)), draw(st.integers(1, 6))
@@ -764,8 +765,10 @@ def sized_runs(draw):
     elif command.startswith("gen"):
         kind = (["--family", *argv] if command == "gen-kernel"
                 else ["--qv-width", str(q), "--qv-layers", str(layers)])
-        argv = ["gen-circuits", *kind, "--count", str(draw(st.integers(1, 3)))]
+        count = draw(st.integers(1, 3))
+        argv = ["gen-circuits", *kind, "--count", str(count)]
         circuits = circuits[:1]
+        sides.append(count * circuits[0])
     else:
         kind = draw(st.sampled_from(["line", "ring", "heavy-hex-like", "all-to-all"]))
         size = draw(st.integers(max(3 if kind == "ring" else 2, max(widths) - 1), max(widths) + 2))

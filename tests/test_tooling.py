@@ -63,3 +63,28 @@ def test_third_party_imports_are_the_declared_dependencies():
     block = re.search(r"^dependencies = \[(.*?)\]", (ROOT / "pyproject.toml").read_text(),
                       re.MULTILINE | re.DOTALL)[1]
     assert third_party == set(re.findall(r'"([A-Za-z0-9_.]+)', block)) == {"numpy"}
+
+
+def test_records_are_namedtuples_and_circuits_keep_only_their_gates():
+    """Only `circuit.py` imports `dataclasses` (for `Circuit`): every value
+    record is a `FrozenRecord` namedtuple. No module names a qubit stream,
+    a second representation of a circuit beside its gates."""
+    stream_names = {"_stream", "_build_stream", "_unkept_stream", "_entries_stream", "rule_stream"}
+    importers, named = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        where = str(path.relative_to(SRC))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                modules = []
+            if "dataclasses" in modules:
+                importers.append(where)
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "name", None) or getattr(node, "value", None))
+            if isinstance(name, str) and name in stream_names:
+                named.append((where, node.lineno, name))
+    assert importers == ["qjobtime/circuit.py"]
+    assert named == []

@@ -475,7 +475,7 @@ class TestRoute:
             route(Circuit(5), line_map(3))
 
     def test_routed_size_over_the_ceiling_is_refused(self, monkeypatch):
-        """A route whose stream passes `MAX_GATES` is refused. The check runs
+        """A route whose gates pass `MAX_GATES` is refused. The check runs
         where a swap is appended, so a longer circuit that needs no swap still
         routes."""
         route_module = importlib.import_module("qjobtime.transpile.route")
@@ -548,7 +548,7 @@ def test_package_names_are_functions_not_submodules():
 # one maker per lowering rule and `zsx_angles` count: a U3 whose row count is
 # 0, 1 or 3, and SU4 payloads whose dressing rows hold counts 0, 1 and 3 (the
 # identity) or only 3 (a Haar draw)
-STREAM_GATES = {
+RULE_GATES = {
     "H": lambda a, b, rng: Gate.h(a),
     "X": lambda a, b, rng: Gate.x(a),
     "SX": lambda a, b, rng: Gate.sx(a),
@@ -565,37 +565,36 @@ STREAM_GATES = {
 
 
 @st.composite
-def stream_circuits(draw):
+def rule_circuits(draw):
     width = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     gates = []
-    for name in draw(st.lists(st.sampled_from(sorted(STREAM_GATES)), max_size=24)):
+    for name in draw(st.lists(st.sampled_from(sorted(RULE_GATES)), max_size=24)):
         a, b = (int(q) for q in rng.choice(width, 2, replace=False))
-        gates.append(STREAM_GATES[name](a, b, rng))
+        gates.append(RULE_GATES[name](a, b, rng))
     return Circuit(width, tuple(gates))
 
 
 EVERY_RULE = Circuit(6, tuple(maker(k % 6, (k + 3) % 6, np.random.default_rng(k))
-                              for k, maker in enumerate(STREAM_GATES.values())))
+                              for k, maker in enumerate(RULE_GATES.values())))
 
 
 @settings(max_examples=60, deadline=None)
-@given(stream_circuits(), st.sampled_from(["line", "ring", "heavy-hex-like", "all-to-all"]))
+@given(rule_circuits(), st.sampled_from(["line", "ring", "heavy-hex-like", "all-to-all"]))
 @example(EVERY_RULE, "line")
-def test_qubit_stream_equals_the_gates_qubits(c, map_name):
-    """A lowered and a routed circuit are made from their qubit streams, and
-    their gates are built on first access; the stream equals the built
-    gates' qubits, over every lowering rule and dressing count, and depth and
-    length read from it equal those of the same gates in a plain circuit."""
+def test_transpiled_depth_length_and_map_edges_equal_a_plain_circuits(c, map_name):
+    """A lowered and a routed circuit build their gates on first access;
+    over every lowering rule and dressing count, their depth, length and
+    map-edge check equal those of the same gates in a plain circuit, and
+    the routed gates keep to the map's edges."""
     cmap = named_map(map_name, 6)
     lowered = decompose(c)
     routed = route(lowered, cmap).circuit
     for out in (lowered, routed):
         assert "gates" not in vars(out)
+    assert uses_only_map_edges(routed, cmap)
     for out in (routed, lowered):
-        stream = list(out._stream)
         plain = Circuit(out.width, out.gates)
-        assert stream == [g.qubits for g in out.gates] == plain._stream
         assert (len(out), out.depth()) == (len(plain), plain.depth())
         assert uses_only_map_edges(out, cmap) == uses_only_map_edges(plain, cmap)
 
@@ -876,8 +875,8 @@ SPARSE_PAYLOADS = ["identity", "cx", "kron", "canonical-x0", "canonical-y0", "ki
 def test_route_matches_the_reference_router(width, size, seed, payloads, data):
     """Random circuits over every gate kind, with SU4 gates of the
     `SPARSE_PAYLOADS` kinds inserted at random places, on random connected
-    maps: routed gates, qubit stream, final layout, swap count, depth and
-    length equal the reference's."""
+    maps: routed gates, final layout, swap count, depth and length equal
+    the reference's."""
     rng = np.random.default_rng(seed)
     gates = list(random_circuit(width, size, rng).gates)
     for kind in payloads:
@@ -888,45 +887,40 @@ def test_route_matches_the_reference_router(width, size, seed, payloads, data):
     cmap = data.draw(connected_maps(width))
     routed = route(decompose(c), cmap)
     gates, layout, swaps, depth = _reference_route(c, cmap)
-    assert list(routed.circuit._stream) == [g.qubits for g in gates]
     assert list(routed.circuit.gates) == gates
     assert (routed.final_layout, routed.swap_count) == (layout, swaps)
     assert (routed.circuit.depth(), len(routed.circuit)) == (depth, len(gates))
 
 
-def test_route_and_depth_walk_no_qubit_stream():
+def test_routing_and_the_routed_depth_and_length_build_no_gates():
     """Lowering keeps one entry per input gate, and routing walks those
-    entries and records its swaps: neither the lowered circuit nor the
-    routed one holds a qubit stream, and reading their depth and length
-    builds none. The stream and gates read afterwards are the reference
-    router's."""
+    entries and records its swaps: routing a lowered circuit, and reading
+    the routed depth and length, builds neither circuit's gates. The gates
+    read afterwards are the reference router's."""
     c, cmap = qv_circuit(5, 3, seed=0), line_map(6)
     lowered = decompose(c)
     routed = route(lowered, cmap)
     assert routed.swap_count > 0
+    depth, length = routed.circuit.depth(), len(routed.circuit)
     for out in (lowered, routed.circuit):
-        assert "_stream" not in vars(out) and "gates" not in vars(out)
-        len(out), out.depth()
-        assert "_stream" not in vars(out) and "gates" not in vars(out)
-    assert (lowered.depth(), len(lowered)) == (Circuit(5, lowered.gates).depth(), len(lowered.gates))
-    gates, layout, swaps, depth = _reference_route(c, cmap)
-    assert routed.circuit._stream == [g.qubits for g in gates]
+        assert "gates" not in vars(out)
+    gates, layout, swaps, reference_depth = _reference_route(c, cmap)
     assert list(routed.circuit.gates) == gates
-    assert (routed.circuit.depth(), len(routed.circuit)) == (depth, len(gates))
+    assert (depth, length) == (reference_depth, len(gates))
 
 
 def test_transpiled_circuits_copy_and_pickle_before_their_gates_are_read():
-    """A lowered or routed circuit whose stream and gates are not built yet
-    can be copied and pickled; each copy builds them on its own, and they
-    equal the original's."""
+    """A lowered or routed circuit whose gates are not built yet can be
+    copied and pickled; each copy builds them on its own, and they equal
+    the original's."""
     c, cmap = qv_circuit(5, 3, seed=0), line_map(6)
     for out in (decompose(c), route(decompose(c), cmap).circuit):
         twin = copy.copy(out)
         for clone in (twin, pickle.loads(pickle.dumps(out))):
-            assert "gates" not in vars(clone) and "_stream" not in vars(clone)
-        assert out._stream == [g.qubits for g in out.gates]
+            assert "gates" not in vars(clone)
+        assert out.gates and "gates" not in vars(twin)
         for clone in (twin, pickle.loads(pickle.dumps(twin))):
-            assert clone.gates == out.gates and clone._stream == out._stream
+            assert clone.gates == out.gates
             assert (clone.depth(), len(clone)) == (out.depth(), len(out))
 
 
