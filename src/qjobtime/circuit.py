@@ -22,15 +22,31 @@ from .model import FrozenRecord
 
 
 class GateKind(Enum):
-    H = "H"
-    X = "X"
-    SX = "SX"
-    RZ = "RZ"
-    RZZ = "RZZ"
-    CX = "CX"
-    SWAP = "SWAP"
-    U3 = "U3"
-    SU4 = "SU4"
+    """A gate kind: its name (the member's value), the qubits it acts on
+    (`arity`), its parameter count (`param_count`) and the most basis gates
+    its lowering rule emits (`basis_gates`).
+
+    U3 carries (theta, phi, lam, phase): a full U(2) element with explicit
+    global phase, so that inversion is exact rather than up-to-phase. It
+    lowers to at most RZ SX RZ SX RZ; SU4 to three CX and eight such 1q
+    dressings (all five gates long for a Haar draw).
+    """
+
+    H = "H", 1, 0, 3
+    X = "X", 1, 0, 1
+    SX = "SX", 1, 0, 1
+    RZ = "RZ", 1, 1, 1
+    RZZ = "RZZ", 2, 1, 3
+    CX = "CX", 2, 0, 1
+    SWAP = "SWAP", 2, 0, 3
+    U3 = "U3", 1, 4, 5
+    SU4 = "SU4", 2, 0, 43
+
+    def __new__(cls, name: str, arity: int, param_count: int, basis_gates: int):
+        member = object.__new__(cls)
+        member._value_ = name
+        member.arity, member.param_count, member.basis_gates = arity, param_count, basis_gates
+        return member
 
     # members are singletons: hash by identity, not by a Python-level call on
     # the name, since the lowering hashes a kind on every input gate (the
@@ -61,33 +77,12 @@ def check_gates(what: str, gates: int, bound: int, error=InvalidParameterError, 
 # the one kind the constructor, the text reader and the writer test, bound once
 _SU4 = GateKind.SU4
 
-# number of qubit operands: every gate acts on one or two qubits
-_ARITY = {
-    GateKind.H: 1,
-    GateKind.X: 1,
-    GateKind.SX: 1,
-    GateKind.RZ: 1,
-    GateKind.RZZ: 2,
-    GateKind.CX: 2,
-    GateKind.SWAP: 2,
-    GateKind.U3: 1,
-    GateKind.SU4: 2,
-}
-
-# U3 carries (theta, phi, lam, phase): a full U(2) element with explicit
-# global phase, so that inversion is exact rather than up-to-phase.
-_NPARAMS = {
-    GateKind.RZ: 1,
-    GateKind.RZZ: 1,
-    GateKind.U3: 4,
-}
-
 # largest entry of |M M^dagger - I| an SU4 payload may have; KAK decomposition
 # uses the same bound on the imaginary part of its real orthogonal factor
 UNITARY_TOL = 1e-7
 
-# SX written as a U3; its inverse is a U3, and inverting that folds back to SX
-# so that double inversion is structure-preserving.
+# SX = exp(i pi/4) Rx(pi/2) written as a U3; its inverse is a U3, and
+# inverting that folds back to SX so that double inversion is structure-preserving.
 _SX_AS_U3 = (np.pi / 2, -np.pi / 2, np.pi / 2, np.pi / 4)
 
 
@@ -126,12 +121,10 @@ class Gate(FrozenRecord, _GateFields):
             raise InvalidGateError(f"{kind.value}: repeated qubit in {qubits}")
         if any(q < 0 for q in qubits):
             raise InvalidGateError(f"{kind.value}: negative qubit index")
-        if len(qubits) != _ARITY[kind]:
-            raise InvalidGateError(f"{kind.value} acts on {_ARITY[kind]} qubit(s), got {qubits}")
-        if len(params) != _NPARAMS.get(kind, 0):
-            raise InvalidGateError(
-                f"{kind.value} takes {_NPARAMS.get(kind, 0)} parameter(s), got {len(params)}"
-            )
+        if len(qubits) != kind.arity:
+            raise InvalidGateError(f"{kind.value} acts on {kind.arity} qubit(s), got {qubits}")
+        if len(params) != kind.param_count:
+            raise InvalidGateError(f"{kind.value} takes {kind.param_count} parameter(s), got {len(params)}")
         if not all(map(math.isfinite, params)):
             raise InvalidGateError(f"{kind.value}: non-finite parameter in {params}")
         if kind is _SU4:
@@ -207,16 +200,14 @@ class Gate(FrozenRecord, _GateFields):
             return self
         if k in (GateKind.RZ, GateKind.RZZ):
             return Gate(k, self.qubits, (-self.params[0],))
-        if k is GateKind.SX:
-            # SX = exp(i pi/4) Rx(pi/2); dagger carried exactly by a U3
-            return Gate.u3(self.qubits[0], -np.pi / 2, -np.pi / 2, np.pi / 2, -np.pi / 4)
-        if k is GateKind.U3:
-            theta, phi, lam, phase = self.params
-            inv = (-theta, -lam, -phi, -phase)
-            if inv == _SX_AS_U3:
-                return Gate(GateKind.SX, self.qubits)
-            return Gate(k, self.qubits, inv)
-        return Gate(k, self.qubits, (), self.matrix.conj().T)  # SU4
+        if k is _SU4:
+            return Gate(k, self.qubits, (), self.matrix.conj().T)
+        # a U3, or SX as the U3 `_SX_AS_U3`: its dagger is exactly a U3
+        theta, phi, lam, phase = _SX_AS_U3 if k is GateKind.SX else self.params
+        inv = (-theta, -lam, -phi, -phase)
+        if inv == _SX_AS_U3:
+            return Gate(GateKind.SX, self.qubits)
+        return Gate(GateKind.U3, self.qubits, inv)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gate):
@@ -311,28 +302,19 @@ class Circuit:
                 raise InvalidCircuitError(f"gate {g!r} exceeds circuit width {self.width}")
 
     @classmethod
-    def _trusted(cls, width: int, gates: tuple[Gate, ...], base_layers: int | None) -> "Circuit":
+    def _trusted(cls, width: int, gates, base_layers: int | None, length: int | None = None,
+                 depth: int | None = None, entries: list | None = None) -> "Circuit":
         """Build without `__post_init__`, for the transpiler's and the
-        generators' own output only: the caller guarantees that every gate
-        fits `width`."""
+        generators' own output only. `gates` is the tuple of gates, or a
+        function that builds it on first read; `length` and `depth` are given
+        when known, and a lowered circuit keeps its (qubits, rule profile)
+        `entries`, which the router walks. The caller guarantees that the
+        gates fit `width` and that every attribute agrees with them."""
         c = object.__new__(cls)
         fields = c.__dict__
-        fields["width"] = width
-        fields["gates"] = gates
-        fields["base_layers"] = base_layers
-        return c
-
-    @classmethod
-    def _lazy(cls, width: int, base_layers: int | None, gates, length: int | None = None,
-              depth: int | None = None, entries: list | None = None) -> "Circuit":
-        """A transpiler output: its gates from `gates()` on first read, and
-        its length and depth when known. A lowered circuit also keeps its
-        (qubits, rule profile) `entries`, which the router walks. The caller
-        guarantees that the gates fit `width` and that every attribute agrees
-        with them."""
-        c = object.__new__(cls)
-        c.__dict__.update(width=width, base_layers=base_layers, _build_gates=gates,
-                          _length=length, _depth=depth, _entries=entries)
+        fields.update(width=width, base_layers=base_layers, _length=length, _depth=depth,
+                      _entries=entries)
+        fields["_build_gates" if callable(gates) else "gates"] = gates
         return c
 
     def __getattr__(self, name: str):

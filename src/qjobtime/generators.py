@@ -131,28 +131,26 @@ def qv_circuit(q: int, layers: int, seed: "int | np.random.SeedSequence") -> Cir
     return Circuit._trusted(q, gates, layers)
 
 
-# Basis-gate counts, stated here rather than read from the lowering so that the
-# generators load no transpiler: H and RZZ lower to 3 gates, RZ to 1, and SU4
-# to 3 CX and eight 1q dressings of at most 5 (all 5 for a Haar draw).
 def qv_basis_gates(q: int, layers: int) -> int:
     """At most how many basis gates a QV circuit of width q lowers to,
-    43*layers*floor(q/2); a width under 2, no layers or a circuit above
-    `MAX_GATES` is refused."""
+    `SU4.basis_gates` per gate; a width under 2, no layers or a circuit
+    above `MAX_GATES` is refused."""
     if q < 2:
         raise InvalidParameterError("qv_circuit needs q >= 2")
     if layers < 1:
         raise InvalidParameterError("qv_circuit needs layers >= 1")
     return check_gates(f"a QV circuit of width {q} and {layers} layers",
-                       43 * layers * (q // 2), MAX_GATES)
+                       _SU4.basis_gates * layers * (q // 2), MAX_GATES)
 
 
 def kernel_basis_gates(fam: KernelFamily) -> int:
     """The basis gates of the family's overlap circuit, 2d(4n + 3|pairs|)
     exactly, worked out without building the pairs; a family above
     `MAX_GATES` is refused."""
+    per_round = (fam.n * (_H.basis_gates + _RZ.basis_gates)
+                 + fam.entanglement.pair_count(fam.n) * _RZZ.basis_gates)
     return check_gates(f"the overlap circuit of kernel family {fam.to_dict()}",
-                       2 * fam.d * (4 * fam.n + 3 * fam.entanglement.pair_count(fam.n)),
-                       MAX_GATES)
+                       2 * fam.d * per_round, MAX_GATES)
 
 
 def _as_features(fam: KernelFamily, x: Sequence[float]) -> np.ndarray:

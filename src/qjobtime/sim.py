@@ -11,6 +11,8 @@ Any array above `MAX_ENTRIES` = 2^24 entries (256 MiB of complex128) is
 refused before it is allocated: the 2^w state of `simulate`, the 4^w matrix of
 `circuit_unitary`, and `kernel_matrix`'s N x 2^n states, 2^n x n sign tables
 and N x N overlaps (so 16 qubits over 256 vectors, or 12 over 4096, fit).
+`kernel_matrix` also refuses, before any allocation, H rounds above
+`MAX_AMPLITUDE_UPDATES`: (d - 1) n N 2^n amplitude updates.
 
 Basis convention: the state is stored as a rank-n tensor with axis i belonging
 to qubit i; in the flattened vector, qubit 0 is the most significant bit.
@@ -28,6 +30,9 @@ from .model import FrozenRecord
 
 MAX_ENTRIES = 2**24  # most entries in any one array the simulator builds
 MAX_SHOTS = 2**63 - 1  # numpy's int64 limit for a binomial draw
+# most amplitude updates of `kernel_matrix`'s H rounds: about a minute at the
+# 5 to 6 ns per update measured for 12 qubits over 16 to 64 vectors (2 CPUs)
+MAX_AMPLITUDE_UPDATES = 10**10
 
 def _apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     """Apply a gate to a state tensor whose leading axes are the qubits.
@@ -184,6 +189,13 @@ def kernel_matrix(
     _check_entries(f"the {n} x 2^{fam.n} encoded states", n, fam.n)
     _check_entries(f"the 2^{fam.n} x {fam.n} sign tables", fam.n, fam.n)
     _check_entries(f"the {n} x {n} overlaps", n * n)
+    updates = (fam.d - 1) * fam.n * n << fam.n
+    if updates > MAX_AMPLITUDE_UPDATES:
+        raise SimulationCapError(
+            f"the {fam.d - 1} H rounds of {n} x 2^{fam.n} encoded states would make {updates} "
+            f"amplitude updates, more than the simulator's budget of MAX_AMPLITUDE_UPDATES = "
+            f"{MAX_AMPLITUDE_UPDATES} (about a minute)"
+        )
     angles += [phase_angles(fam, x) for x in dataset[1:]]
     states = _encoded_states(fam, np.remainder(angles, 2.0 * np.pi))
     upper = np.triu_indices(n, 1)

@@ -209,8 +209,8 @@ def _lower(c: Circuit, su4_counts, interaction) -> Circuit:
             if k not in _PASS_THROUGH:
                 rows.append(((), ()))
         entries.append((g.qubits, profile))
-    return Circuit._lazy(c.width, c.base_layers, partial(_lower_gates, c.gates, rows, interaction),
-                         entries=entries)
+    return Circuit._trusted(c.width, partial(_lower_gates, c.gates, rows, interaction), c.base_layers,
+                            entries=entries)
 
 
 def _lower_gates(gates: tuple[Gate, ...], rows, interaction) -> tuple[Gate, ...]:

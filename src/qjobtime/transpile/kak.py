@@ -29,14 +29,12 @@ spectrum is near-degenerate take the per-matrix refinement and retries.
 
 import numpy as np
 
-from ..circuit import UNITARY_TOL
+from ..circuit import _H, _X, UNITARY_TOL
 from ..errors import InvalidGateError
 
 _I2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
 
 MAGIC = np.array(

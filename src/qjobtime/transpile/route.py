@@ -88,8 +88,8 @@ def route(c: Circuit, cmap: CouplingMap) -> RoutedCircuit:
         top = ready[pa] if ready[pa] > ready[pb] else ready[pb]
         ready[pa], ready[pb] = top + after_a, top + after_b
         at += length
-    routed = Circuit._lazy(n, c.base_layers, partial(_replay, c, swaps, n),
-                           at + swap_length * swap_count, max(ready))
+    routed = Circuit._trusted(n, partial(_replay, c, swaps, n), c.base_layers,
+                              at + swap_length * swap_count, max(ready))
     return RoutedCircuit(routed, tuple(l2p[: c.width]), swap_count)
 
 

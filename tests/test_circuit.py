@@ -2,6 +2,7 @@ import ast
 import copy
 import operator
 import pickle
+import re
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -131,8 +132,21 @@ class TestValidation:
             Gate(GateKind.CX, (0, 0))
 
     def test_param_arity_enforced(self):
-        with pytest.raises(InvalidGateError):
-            Gate(GateKind.RZ, (0,), (0.1, 0.2))
+        """Every kind refuses one qubit or one parameter too few or too many,
+        with the count it takes in the message."""
+        takes = {"H": (1, 0), "X": (1, 0), "SX": (1, 0), "RZ": (1, 1), "RZZ": (2, 1),
+                 "CX": (2, 0), "SWAP": (2, 0), "U3": (1, 4), "SU4": (2, 0)}
+        assert {kind.value: (kind.arity, kind.param_count) for kind in GateKind} == takes
+        for kind in GateKind:
+            arity, count = takes[kind.value]
+            for qubits in (tuple(range(arity - 1)), tuple(range(arity + 1))):
+                with pytest.raises(InvalidGateError, match=re.escape(
+                        f"{kind.value} acts on {arity} qubit(s), got {qubits}")):
+                    Gate(kind, qubits)
+            for wrong in {count - 1, count + 1} - {-1}:
+                with pytest.raises(InvalidGateError, match=re.escape(
+                        f"{kind.value} takes {count} parameter(s), got {wrong}")):
+                    Gate(kind, tuple(range(arity)), (0.1,) * wrong)
 
     def test_gate_is_frozen_and_slotted(self):
         """Checked and trusted gates alike refuse field assignment and carry

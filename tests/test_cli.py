@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 
 from conftest import CliRunner
 from refdata import CLOPS_JOB_RUNS
+from qjobtime import sim
 from qjobtime.circuit import MAX_GATES, MAX_SAMPLE_GATES, read_circuits
 from qjobtime.cli import COMMANDS, main
 from qjobtime.errors import MalformedRecordsError
 from qjobtime.model import builtin_backends, registry_to_json
 from qjobtime.records import RECORD_HEADER, load_runtime_records
-from qjobtime.sim import MAX_ENTRIES
+from qjobtime.sim import MAX_AMPLITUDE_UPDATES, MAX_ENTRIES
 from qjobtime.transpile.coupling import MAX_MAP_QUBITS
 
 
@@ -446,6 +447,12 @@ WIDTH_OVER_CAP = ("WIDTH_OVER_CAP", 7)
                      f"the 2 x 2^24 encoded states {OVER_ENTRIES}", id="kernel-width-over-cap"),
         pytest.param(KERNEL, "0.1,0.2\n" * 4097, WIDTH_OVER_CAP,
                      f"the 4097 x 4097 overlaps {OVER_ENTRIES}", id="kernel-vectors-over-bound"),
+        # the largest linear d under MAX_GATES at n = 12, over 17 vectors: 1.03e10 updates
+        pytest.param(["simulate-kernel", "--family", '{"n":12,"d":12345}'] + KERNEL[3:],
+                     (",".join(["0.1"] * 12) + "\n") * 17, WIDTH_OVER_CAP,
+                     f"would make 10314448896 amplitude updates, more than the simulator's "
+                     f"budget of MAX_AMPLITUDE_UPDATES = {MAX_AMPLITUDE_UPDATES}",
+                     id="kernel-h-rounds-over-budget"),
         pytest.param(KERNEL + ["--shots", "0"], "0.1,0.2\n", BAD_VALUE, None,
                      id="kernel-zero-shots"),
         pytest.param(KERNEL, "1e200,1e200\n0.2,0.3\n", BAD_GATE, "non-finite",
@@ -739,19 +746,25 @@ def bound_near(draw, count: int) -> int:
 def sized_runs(draw):
     """(argv with INPUT and OUT for the data and output paths, a small
     MAX_GATES and MAX_SAMPLE_GATES near the run's counts, whether a count
-    worked out before any draw passes its bound, and whether the map is too
-    small). Counts are in basis gates: 43 per QV SU4 gate, 2d(4n + 3|pairs|)
-    per kernel circuit; a kernel side counts its gates and gate references,
-    2(2n + |pairs|)(d + 1) per sample, against a quarter of the side bound,
-    so four times that count is drawn against it. `gen-circuits` counts
-    `--count` times the gates per circuit against the side bound."""
+    worked out before any draw passes its bound, whether the map is too
+    small, and whether a `simulate-kernel` run's H rounds pass
+    `MAX_AMPLITUDE_UPDATES`). Counts are in basis gates: 43 per QV SU4 gate,
+    2d(4n + 3|pairs|) per kernel circuit; a kernel side counts its gates and
+    gate references, 2(2n + |pairs|)(d + 1) per sample, against a quarter of
+    the side bound, so four times that count is drawn against it.
+    `gen-circuits` counts `--count` times the gates per circuit against the
+    side bound. A `simulate-kernel` run over the budget takes the smallest d
+    whose (d - 1) n 2^n updates pass it on one vector."""
     command = draw(st.sampled_from(["deff", "deff-qv-job", "gen-kernel", "gen-qv", "simulate"]))
+    over_budget = command == "simulate" and draw(st.booleans())
     if command in ("deff-qv-job", "gen-qv"):
         q, layers = draw(st.integers(2, 9)), draw(st.integers(1, 6))
         circuits, widths = [43 * layers * (q // 2)], [q]
         family = {"n": q, "d": layers}
     else:
         n, d = draw(st.integers(1 if command == "simulate" else 2, 6)), draw(st.integers(1, 4))
+        if over_budget:
+            d = MAX_AMPLITUDE_UPDATES // (n << n) + 2
         entanglement = draw(st.sampled_from(["linear", "full"]))
         pairs = n - 1 if entanglement == "linear" else n * (n - 1) // 2
         v = math.isqrt(2 * d * n - 1) + 1
@@ -782,7 +795,11 @@ def sized_runs(draw):
         argv += ["--qv-job"] if command == "deff-qv-job" else []
     gates, sample_gates = bound_near(draw, max(circuits)), bound_near(draw, max(sides, default=1))
     over = max(circuits) > gates or max(sides, default=0) > sample_gates
-    return argv + ["--out", "OUT"], gates, sample_gates, over, map_too_small
+    return argv + ["--out", "OUT"], gates, sample_gates, over, map_too_small, over_budget
+
+
+def built_over_budget(*args):
+    raise AssertionError("encoded states built over MAX_AMPLITUDE_UPDATES")
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -793,8 +810,9 @@ def test_sizes_around_the_gate_bounds_give_a_result_or_a_coded_error(tmp_path_fa
     exit 0 with finite numbers and their file, or print the error JSON with
     its exit status, nothing on stdout and no file. A count over a bound
     before any draw is `INVALID_PARAMETER`; with every count under, only
-    routing may refuse (`COUPLING_MAP`), on one circuit or a side's total."""
-    argv, gates, sample_gates, over, map_too_small = run
+    routing may refuse (`COUPLING_MAP`), on one circuit or a side's total,
+    and the simulator's budget (`WIDTH_OVER_CAP`), before any allocation."""
+    argv, gates, sample_gates, over, map_too_small, over_budget = run
     tmp = tmp_path_factory.mktemp("run")
     data, out = tmp / "data.csv", tmp / "out"
     if argv[0] == "simulate-kernel":
@@ -802,10 +820,12 @@ def test_sizes_around_the_gate_bounds_give_a_result_or_a_coded_error(tmp_path_fa
         data.write_text("".join(",".join([str(0.5 + r)] * n) + "\n" for r in range(rows)))
     with pytest.MonkeyPatch.context() as monkeypatch:
         set_gate_bounds(monkeypatch, gates, sample_gates)
+        if over_budget:  # refused before any state is built: a missing check fails, not hangs
+            monkeypatch.setattr(sim, "_encoded_states", built_over_budget)
         result = CliRunner().invoke(main, [{"INPUT": str(data), "OUT": str(out)}.get(a, a)
                                            for a in argv])
     if result.exit_code == 0:
-        assert not over and not map_too_small, argv
+        assert not over and not map_too_small and not over_budget, argv
         if argv[0] == "gen-circuits":
             assert len(read_circuits(out)) == int(argv[argv.index("--count") + 1])
         else:
@@ -817,6 +837,9 @@ def test_sizes_around_the_gate_bounds_give_a_result_or_a_coded_error(tmp_path_fa
     error = json.loads(result.stderr)["error"]
     if map_too_small:
         assert (error["code"], result.exit_code) == BAD_MAP
+    elif over_budget and not over:
+        assert (error["code"], result.exit_code) == WIDTH_OVER_CAP
+        assert f"budget of MAX_AMPLITUDE_UPDATES = {MAX_AMPLITUDE_UPDATES}" in error["message"]
     else:
         assert (error["code"], result.exit_code) == (BAD_VALUE if over else BAD_MAP), (argv, error)
         assert error["message"].endswith((f"basis gates, more than {gates}",

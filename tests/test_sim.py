@@ -205,6 +205,23 @@ class TestKernelMatrix:
         with pytest.raises(SimulationCapError, match=re.escape("33 x 33 overlaps")):
             kernel_matrix(KernelFamily(2, 1), pairs + pairs[:1], shots=10)
 
+    def test_h_rounds_at_the_budget(self, monkeypatch):
+        """On a budget of 96 amplitude updates, (d - 1) n N 2^n: 4 vectors on
+        2 qubits with d = 4 are built; a fifth vector or a fifth round is
+        refused, naming the budget, before any state is built."""
+        monkeypatch.setattr(sim, "MAX_AMPLITUDE_UPDATES", 96)
+        built = []
+        encode = sim._encoded_states
+        monkeypatch.setattr(sim, "_encoded_states", lambda *a: built.append(a) or encode(*a))
+        data = [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]]
+        assert kernel_matrix(KernelFamily(2, 4), data).shape == (4, 4)
+        budget = "more than the simulator's budget of MAX_AMPLITUDE_UPDATES = 96"
+        with pytest.raises(SimulationCapError, match="make 120 amplitude updates, " + budget):
+            kernel_matrix(KernelFamily(2, 4), data + data[:1])
+        with pytest.raises(SimulationCapError, match="the 4 H rounds .* 128 amplitude updates"):
+            kernel_matrix(KernelFamily(2, 5), data)
+        assert len(built) == 1
+
     @pytest.mark.parametrize("seed", [0, 5, 99])
     def test_shot_counts_are_one_binomial_draw_on_stream_3(self, seed):
         rng = np.random.default_rng(seed)

@@ -14,7 +14,7 @@ SRC = ROOT / "src"
 
 # every size bound in the program, each defined once
 BOUNDS = {"MAX_SAMPLES", "MAX_GATES", "MAX_SAMPLE_GATES", "MAX_MAP_QUBITS", "MAX_ENTRIES",
-          "MAX_SHOTS"}
+          "MAX_SHOTS", "MAX_AMPLITUDE_UPDATES"}
 
 
 def module_level_bounds() -> dict[str, list[str]]:
@@ -68,8 +68,11 @@ def test_third_party_imports_are_the_declared_dependencies():
 def test_records_are_namedtuples_and_circuits_keep_only_their_gates():
     """Only `circuit.py` imports `dataclasses` (for `Circuit`): every value
     record is a `FrozenRecord` namedtuple. No module names a qubit stream,
-    a second representation of a circuit beside its gates."""
-    stream_names = {"_stream", "_build_stream", "_unkept_stream", "_entries_stream", "rule_stream"}
+    a second representation of a circuit beside its gates, nor a second
+    statement of what `GateKind` and `Circuit._trusted` state once: the
+    per-kind tables, the lazy constructor, and KAK's own H and X."""
+    forbidden = {"_stream", "_build_stream", "_unkept_stream", "_entries_stream", "rule_stream",
+                 "_ARITY", "_NPARAMS", "_lazy"}
     importers, named = [], []
     for path in sorted(SRC.rglob("*.py")):
         where = str(path.relative_to(SRC))
@@ -84,7 +87,11 @@ def test_records_are_namedtuples_and_circuits_keep_only_their_gates():
                 importers.append(where)
             name = (getattr(node, "id", None) or getattr(node, "attr", None)
                     or getattr(node, "name", None) or getattr(node, "value", None))
-            if isinstance(name, str) and name in stream_names:
+            if isinstance(name, str) and name in forbidden:
                 named.append((where, node.lineno, name))
     assert importers == ["qjobtime/circuit.py"]
     assert named == []
+    kak = ast.parse((SRC / "qjobtime" / "transpile" / "kak.py").read_text())
+    assigned = {target.id for node in ast.walk(kak) if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    assert assigned.isdisjoint({"_H", "_X"})

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import importlib
 import inspect
+import itertools
 import pickle
 from collections import Counter, deque
 
@@ -34,7 +35,8 @@ from qjobtime.transpile import (
 )
 from qjobtime.transpile import kak
 from qjobtime.transpile.coupling import MAX_MAP_QUBITS
-from qjobtime.transpile.decompose import KAK_BATCH, _su4_counts, _su4_dressings
+from qjobtime.transpile.decompose import (_ROW, _RULES, KAK_BATCH, _su4_counts, _su4_dressings,
+                                          rule_profile)
 from qjobtime.transpile.kak import canonical_matrix, kak_decompose
 
 BASIS = set(BASIS_1Q) | set(BASIS_2Q)
@@ -421,6 +423,18 @@ def test_eager_dressing_counts_equal_the_full_counts():
 
     check()
     assert branches == {True, False}
+
+
+def test_each_kind_s_basis_gates_is_its_longest_lowering():
+    """`GateKind.basis_gates` is the longest lowering of the kind's rule over
+    the `zsx_angles` counts (0, 1 or 3) of each of its row steps, and 1 for
+    every basis kind: the generators' size bounds read it, not the rules."""
+    for kind in GateKind:
+        rows = sum(step is _ROW for step, _, _ in _RULES[kind])
+        longest = max(rule_profile.__wrapped__(kind, counts).length
+                      for counts in itertools.product((0, 1, 3), repeat=rows))
+        assert longest == kind.basis_gates, kind
+    assert {kind.basis_gates for kind in BASIS} == {1}
 
 
 class TestRoute:
