@@ -58,19 +58,19 @@ class GateKind(Enum):
 # emits and that routing and depth walk. MAX_GATES bounds one circuit, before
 # its draw and as it is routed; lowering and routing peak at 19 to 32 B per
 # routed gate, about 75 MB at the bound (tracemalloc, 40-qubit map).
-# MAX_SAMPLE_GATES bounds one `deff` side, samples x gates per circuit before
-# any draw and the routed total: it admits 10 000 QV samples at v = 8 (13.8
-# million) and n = 60, d = 2, full on heavy-hex-like:127 (7.3 million routed).
-# Held QV samples cost 12 B per basis gate (250 MB at the bound); kernel
-# samples, whose d rounds share their gates, are bounded in what they hold.
+# MAX_SAMPLE_GATES bounds the work of one `deff` side or `gen-circuits`
+# file, samples x gates per circuit before any draw and the routed total: it
+# admits 10 000 QV samples at v = 8 (13.8 million) and n = 60, d = 2, full on
+# heavy-hex-like:127 (7.3 million routed). Samples are drawn as they are
+# lowered, so a side holds one circuit and one KAK batch, whatever its count.
 MAX_GATES = 2_000_000
 MAX_SAMPLE_GATES = 20_000_000
 
 
-def check_gates(what: str, gates: int, bound: int, error=InvalidParameterError, unit="basis gates") -> int:
-    """Refuse `what`, of `gates` `unit`, above `bound` with `error`; return `gates`."""
+def check_gates(what: str, gates: int, bound: int, error=InvalidParameterError) -> int:
+    """Refuse `what`, of `gates` basis gates, above `bound` with `error`; return `gates`."""
     if gates > bound:
-        raise error(f"{what} would hold {gates} {unit}, more than {bound}")
+        raise error(f"{what} would hold {gates} basis gates, more than {bound}")
     return gates
 
 
@@ -94,11 +94,26 @@ def check_su4_payloads(m: np.ndarray) -> None:
         raise InvalidGateError("SU4 matrix payload is not unitary")
 
 
+class ArrayRecord(FrozenRecord):
+    """A record with array fields: it equals a record of its own class whose
+    fields are equal, each array by `array_equal`, and does not hash."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return FrozenRecord.__eq__(self, other)  # a plain tuple of its fields is not equal
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+                   else a == b for a, b in zip(self, other))
+
+    __hash__ = None  # an array does not hash
+
+
 _GateFields = namedtuple("_GateFields", ("kind", "qubits", "params", "matrix"))
 _new_tuple = tuple.__new__
 
 
-class Gate(FrozenRecord, _GateFields):
+class Gate(ArrayRecord, _GateFields):
     """One gate application: a kind, the qubits it acts on, real parameters.
 
     Generic two-qubit gates (SU4) carry their 4x4 unitary as a matrix payload
@@ -208,18 +223,6 @@ class Gate(FrozenRecord, _GateFields):
         if inv == _SX_AS_U3:
             return Gate(GateKind.SX, self.qubits)
         return Gate(GateKind.U3, self.qubits, inv)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Gate):
-            # a plain tuple of the same fields is not a gate
-            return False if isinstance(other, tuple) else NotImplemented
-        if (self.kind, self.qubits, self.params) != (other.kind, other.qubits, other.params):
-            return False
-        if (self.matrix is None) != (other.matrix is None):
-            return False
-        return self.matrix is None or np.array_equal(self.matrix, other.matrix)
-
-    __hash__ = None  # a payload is an array, so gates compare by value but do not hash
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

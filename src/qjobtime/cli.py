@@ -29,8 +29,9 @@ from .records import (holds_prediction_pairs, load_dataset, load_prediction_pair
 _LAZY = {
     "write_circuits": "circuit", "deff_mod": "deff", "kernel_matrix": "sim",
     **dict.fromkeys(["StackTimingParams", "fit_params", "simulate_job_runtime"], "execsim"),
-    **dict.fromkeys(["KernelFamily", "kernel_basis_gates", "kernel_circuit", "qv_circuit",
-                     "seed_stream"], "generators"),
+    # `kernel_circuit` and `qv_circuit`, unused here (`gen-circuits` draws through `deff`),
+    # stay at this module path, where bench/tracing.py wraps them (ROADMAP item 1b)
+    **dict.fromkeys(["KernelFamily", "kernel_circuit", "qv_circuit", "seed_stream"], "generators"),
     **dict.fromkeys(["CouplingMap", "named_map"], "transpile.coupling"),
 }
 
@@ -301,20 +302,18 @@ def gen_circuits(family, qv_width, qv_layers, count, seed, out):
     deff.check_sample_count("--count", count)
     if family is not None:
         fam = _parse_family(family)
-        each = _this.kernel_basis_gates(fam)
-        circuits = (_this.kernel_circuit(fam, *deff.kernel_features(fam, seed, k))
-                    for k in range(count))
+        each = deff.kernel_basis_gates(fam)
+        circuits = deff.sample_kernel_circuits(fam, count, seed)
     elif qv_width is not None:
         if qv_layers is None:
             raise InvalidParameterError("--qv-layers is required with --qv-width")
         each = deff.qv_basis_gates(qv_width, qv_layers)
-        circuits = (_this.qv_circuit(qv_width, qv_layers, _this.seed_stream(seed, 1, k))
-                    for k in range(count))
+        circuits = deff.sample_qv_circuits(qv_width, qv_layers, count, seed)
     else:
         raise InvalidParameterError("provide --family or --qv-width/--qv-layers")
     # the file's total, refused before any draw: at the bound, about 0.3 GB of QV
     # SU4 lines (650 B per 43 basis gates) or 0.2 GB of kernel lines
-    deff._check_side("--count", count, each, deff.MAX_SAMPLE_GATES)
+    deff._check_side("--count", count, each)
     # each circuit is written as it is built; a refusal comes from the first
     # one, before the file is opened
     _this.write_circuits(out, circuits)

@@ -15,7 +15,7 @@ regardless of evaluation order.
 
 import math
 from collections import namedtuple
-from typing import Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -38,9 +38,9 @@ def check_sample_count(name: str, count: int) -> None:
         raise InvalidParameterError(f"{name} must be <= {MAX_SAMPLES}, got {count}")
 
 
-def _check_side(name: str, count: int, each: int, bound: int, unit: str = "basis gates") -> None:
-    """Refuse `count` samples of `each` `unit` per circuit above `bound` in all."""
-    check_gates(f"{name} {count} x {each} {unit} per circuit", count * each, bound, unit=unit)
+def _check_side(name: str, count: int, each: int) -> None:
+    """Refuse `count` samples of `each` basis gates per circuit above `MAX_SAMPLE_GATES` in all."""
+    check_gates(f"{name} {count} x {each} basis gates per circuit", count * each, MAX_SAMPLE_GATES)
 
 
 def equivalent_qv_width(n: int, d: int) -> int:
@@ -68,14 +68,30 @@ def kernel_features(fam: KernelFamily, seed: int, k: int) -> tuple[np.ndarray, n
     return sample_features(fam, rng), sample_features(fam, rng)
 
 
-def sample_kernel_circuits(fam: KernelFamily, count: int, seed: int) -> list[Circuit]:
-    """Kernel circuits at `count` independent (x, y) draws."""
-    return [kernel_circuit(fam, *kernel_features(fam, seed, k)) for k in range(count)]
+class _Samples(Sequence):
+    """`count` circuits, sample k drawn by `draw(k)` each time it is read, so
+    that a side's samples are lowered as they are drawn and none is held."""
+
+    def __init__(self, count: int, draw):
+        self._range, self._draw = range(count), draw
+
+    def __len__(self) -> int:
+        return len(self._range)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._draw(i) for i in self._range[k]]
+        return self._draw(self._range[k])
 
 
-def sample_qv_circuits(width: int, layers: int, count: int, seed: int) -> list[Circuit]:
+def sample_kernel_circuits(fam: KernelFamily, count: int, seed: int) -> Sequence[Circuit]:
+    """Kernel circuits at `count` independent (x, y) draws, sample k from `kernel_features`."""
+    return _Samples(count, lambda k: kernel_circuit(fam, *kernel_features(fam, seed, k)))
+
+
+def sample_qv_circuits(width: int, layers: int, count: int, seed: int) -> Sequence[Circuit]:
     """QV circuits, sample k from stream (seed, 1, k)."""
-    return [qv_circuit(width, layers, seed_stream(seed, 1, k)) for k in range(count)]
+    return _Samples(count, lambda k: qv_circuit(width, layers, seed_stream(seed, 1, k)))
 
 
 def mean_transpiled_depth(circuits: Sequence[Circuit], cmap: CouplingMap) -> float:
@@ -102,12 +118,9 @@ def effective_layers(
         if fam.n > cmap.num_qubits:
             raise CouplingError(f"map has {cmap.num_qubits} qubits, job needs {fam.n}")
         check_sample_count("qv_samples", qv_samples)
-        _check_side("qv_samples", qv_samples, qv_basis_gates(fam.n, fam.d), MAX_SAMPLE_GATES)
-        circuits = sample_qv_circuits(fam.n, fam.d, qv_samples, seed)
-        mean_depth = mean_transpiled_depth(circuits, cmap)
-        return DeffEstimate(
-            fam.d, mean_depth, mean_depth, float(fam.d), 0, qv_samples, seed
-        )
+        _check_side("qv_samples", qv_samples, qv_basis_gates(fam.n, fam.d))
+        mean_depth = mean_transpiled_depth(sample_qv_circuits(fam.n, fam.d, qv_samples, seed), cmap)
+        return DeffEstimate(fam.d, mean_depth, mean_depth, float(fam.d), 0, qv_samples, seed)
     v = equivalent_qv_width(fam.n, fam.d)
     if max(fam.n, v) > cmap.num_qubits:
         raise CouplingError(
@@ -115,14 +128,8 @@ def effective_layers(
         )
     check_sample_count("kernel_samples", kernel_samples)
     check_sample_count("qv_samples", qv_samples)
-    kernel_basis_gates(fam)
-    # kernel samples are all built before any is lowered; each holds 2(2n + |pairs|) gates
-    # of up to 210 B, shared by its d rounds, and d times as many 8 B references (tracemalloc):
-    # MAX_SAMPLE_GATES / 4 of both hold at most about 540 MB, and 4 times their count passes
-    # the side's basis gates
-    held = 2 * (2 * fam.n + fam.entanglement.pair_count(fam.n)) * (fam.d + 1)
-    _check_side("kernel_samples", kernel_samples, held, MAX_SAMPLE_GATES // 4, "gates and references")
-    _check_side("qv_samples", qv_samples, qv_basis_gates(v, v), MAX_SAMPLE_GATES)
+    _check_side("kernel_samples", kernel_samples, kernel_basis_gates(fam))
+    _check_side("qv_samples", qv_samples, qv_basis_gates(v, v))
     kernel_mean = mean_transpiled_depth(sample_kernel_circuits(fam, kernel_samples, seed), cmap)
     qv_mean = mean_transpiled_depth(sample_qv_circuits(v, v, qv_samples, seed), cmap)
     return DeffEstimate(

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Gate, gate_matrix  # gate_matrix is public here too
+from .circuit import ArrayRecord, Circuit, Gate, gate_matrix  # gate_matrix is public here too
 from .errors import InvalidParameterError, SimulationCapError
 from .generators import KernelFamily, kernel_basis_gates, kernel_circuit, phase_angles, seed_stream
 from .model import FrozenRecord
@@ -50,7 +50,7 @@ def _apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     return np.moveaxis(out, (0, 1), (qs[0], qs[1]))
 
 
-class StateVector(FrozenRecord, namedtuple("StateVector", "amplitudes n")):
+class StateVector(ArrayRecord, namedtuple("StateVector", "amplitudes n")):
     """Final state of a simulated circuit: 2^n amplitudes over n qubits."""
 
     __slots__ = ()

@@ -103,11 +103,12 @@ class CouplingMap:
     def from_json(cls, text: str) -> "CouplingMap":
         """Map from `{"n": ..., "edges": [[a, b], ...], "tag": ...}`; `n` and
         every endpoint must be JSON integers (bools, floats and strings are
-        refused, never rounded)."""
+        refused, never rounded), and the optional tag a string."""
         try:
             spec = json.loads(text)
             n = json_typed("n", spec["n"], int)
-            return cls(n, _integer_edges(spec["edges"]), spec.get("tag", "custom"))
+            tag = json_typed("tag", spec.get("tag", "custom"), str)
+            return cls(n, _integer_edges(spec["edges"]), tag)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CouplingError(f"bad coupling map JSON: {exc!r}") from exc
 

@@ -152,14 +152,14 @@ def _su4_counts(payloads: list[np.ndarray]):
 def decompose_all(circuits: Iterable[Circuit]) -> Iterator[Circuit]:
     """`decompose` of each circuit, yielded in order. Consecutive circuits are
     gathered while their SU4 payloads fit in `KAK_BATCH` (a larger circuit
-    forms a batch alone); a batch's payloads go through the interaction pass
-    in stacks of at most `KAK_BATCH`, and its circuits are then lowered one
-    at a time. Each circuit keeps its rows of the pass, from which its
-    dressings are computed on first access of its gates."""
+    forms a batch alone, and a batch without payloads takes no more); each
+    batch's payloads go through the interaction pass in stacks of at most
+    `KAK_BATCH`, then its circuits are lowered one at a time, each keeping the
+    rows of the pass its dressings are computed from when its gates are read."""
     batch, size = [], 0
     for c in circuits:
         su4 = [g.matrix for g in c.gates if g.kind is _SU4]
-        if batch and size + len(su4) > KAK_BATCH:
+        if batch and (size == 0 or size + len(su4) > KAK_BATCH):
             yield from _lower_batch(batch)
             batch, size = [], 0
         batch.append((c, su4))

@@ -19,7 +19,9 @@ from refdata import CLOPS_JOB_RUNS
 from qjobtime import sim
 from qjobtime.circuit import MAX_GATES, MAX_SAMPLE_GATES, read_circuits
 from qjobtime.cli import COMMANDS, main
+from qjobtime.deff import sample_kernel_circuits, sample_qv_circuits
 from qjobtime.errors import MalformedRecordsError
+from qjobtime.generators import Entanglement, KernelFamily
 from qjobtime.model import builtin_backends, registry_to_json
 from qjobtime.records import RECORD_HEADER, load_runtime_records
 from qjobtime.sim import MAX_AMPLITUDE_UPDATES, MAX_ENTRIES
@@ -236,6 +238,22 @@ class TestCircuitAndKernelCommands:
         circuits = read_circuits(out)
         assert len(circuits) == 2
         assert all(len(c) == 8 for c in circuits)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_gen_circuits_writes_the_samples_deff_draws(self, runner, tmp_path, seed):
+        """A `gen-circuits` file is the `to_text` of `deff`'s samples at its
+        seed, blank-line separated: both commands draw through one sampler."""
+        fam = KernelFamily(3, 2, Entanglement.FULL)
+        runs = {
+            "kernel": (["--family", json.dumps(fam.to_dict())],
+                       sample_kernel_circuits(fam, 3, seed)),
+            "qv": (["--qv-width", "5", "--qv-layers", "3"], sample_qv_circuits(5, 3, 3, seed)),
+        }
+        for name, (kind, samples) in runs.items():
+            out = tmp_path / f"{name}.txt"
+            args = ["gen-circuits", *kind, "--count", "3", "--seed", str(seed), "--out", str(out)]
+            assert runner.invoke(main, args).exit_code == 0
+            assert out.read_text() == "\n".join(c.to_text() for c in samples), name
 
     def test_gen_circuits_memory_does_not_grow_with_count(self, runner, tmp_path):
         """Each circuit is written as it is built: the traced peak at
@@ -493,6 +511,8 @@ WIDTH_OVER_CAP = ("WIDTH_OVER_CAP", 7)
         pytest.param(CONFIG, '{"predict": [1]}', BAD_VALUE, None, id="config-not-flag-defaults"),
         pytest.param(MAP_FILE, '{"n": 3, "edges": [[0, 1]', BAD_MAP, None, id="map-bad-json"),
         pytest.param(MAP_FILE, '{"n": 3}', BAD_MAP, None, id="map-missing-edges"),
+        pytest.param(MAP_FILE, '{"n": 3, "edges": [[0, 1], [1, 2]], "tag": 5}', BAD_MAP,
+                     "tag must be a string, got 5", id="map-tag-not-a-string"),
         pytest.param(MAP_FILE[:-1] + ["backend:nope"], None, ("BACKEND_NOT_FOUND", 3), "'nope'",
                      id="map-unknown-backend"),
         pytest.param(GEN + ["--qv-width", "3"], None, BAD_VALUE, "--qv-layers is required",
@@ -521,14 +541,14 @@ WIDTH_OVER_CAP = ("WIDTH_OVER_CAP", 7)
                      id="deff-qv-job-sample-gates-over-ceiling"),
         pytest.param(["deff", "--family", '{"n":100,"d":10}', "--map", "line:100",
                       "--kernel-samples", "10000", "--qv-samples", "1"], None, BAD_VALUE,
-                     f"kernel_samples 10000 x 6578 gates and references per circuit would hold "
-                     f"65780000 gates and references, more than {MAX_SAMPLE_GATES // 4}",
+                     f"kernel_samples 10000 x 13940 basis gates per circuit would hold "
+                     f"139400000 basis gates, more than {MAX_SAMPLE_GATES}",
                      id="deff-kernel-sample-gates-over-ceiling"),
         pytest.param(["deff", "--family", '{"n":1200,"d":1}', "--map", "line:1200",
-                      "--kernel-samples", "1190"], None, BAD_VALUE,
-                     f"kernel_samples 1190 x 14396 gates and references per circuit would hold "
-                     f"17131240 gates and references, more than {MAX_SAMPLE_GATES // 4}",
-                     id="deff-kernel-samples-held-over-ceiling"),
+                      "--kernel-samples", "1191"], None, BAD_VALUE,
+                     f"kernel_samples 1191 x 16794 basis gates per circuit would hold "
+                     f"20001654 basis gates, more than {MAX_SAMPLE_GATES}",
+                     id="deff-kernel-samples-one-over-ceiling"),
         pytest.param(DEFF + ["--qv-job", "--seed", "-1"], None, BAD_VALUE, "seed must be >= 0",
                      id="deff-qv-job-negative-seed"),
         pytest.param(GEN + ["--family", '{"n":2,"d":1}', "--seed", "-1"], None, BAD_VALUE,
@@ -749,11 +769,9 @@ def sized_runs(draw):
     worked out before any draw passes its bound, whether the map is too
     small, and whether a `simulate-kernel` run's H rounds pass
     `MAX_AMPLITUDE_UPDATES`). Counts are in basis gates: 43 per QV SU4 gate,
-    2d(4n + 3|pairs|) per kernel circuit; a kernel side counts its gates and
-    gate references, 2(2n + |pairs|)(d + 1) per sample, against a quarter of
-    the side bound, so four times that count is drawn against it.
-    `gen-circuits` counts `--count` times the gates per circuit against the
-    side bound. A `simulate-kernel` run over the budget takes the smallest d
+    2d(4n + 3|pairs|) per kernel circuit. Each `deff` side counts its samples
+    times the gates per circuit against the side bound, and `gen-circuits`
+    counts `--count` times them. A `simulate-kernel` run over the budget takes the smallest d
     whose (d - 1) n 2^n updates pass it on one vector."""
     command = draw(st.sampled_from(["deff", "deff-qv-job", "gen-kernel", "gen-qv", "simulate"]))
     over_budget = command == "simulate" and draw(st.booleans())
@@ -769,7 +787,6 @@ def sized_runs(draw):
         pairs = n - 1 if entanglement == "linear" else n * (n - 1) // 2
         v = math.isqrt(2 * d * n - 1) + 1
         circuits, widths = [2 * d * (4 * n + 3 * pairs), 43 * v * (v // 2)], [n, v]
-        held = [4 * 2 * (2 * n + pairs) * (d + 1), circuits[1]]
         family = {"n": n, "d": d, "entanglement": entanglement}
     argv, sides, map_too_small = [json.dumps(family)], [], False
     if command == "simulate":
@@ -789,7 +806,7 @@ def sized_runs(draw):
         map_too_small = size < max(widths)
         samples = draw(st.lists(st.integers(1, 6), min_size=len(circuits), max_size=2))
         for flag, count, gates in zip(["--kernel-samples", "--qv-samples"][-len(circuits):],
-                                      samples, circuits if command == "deff-qv-job" else held):
+                                      samples, circuits):
             argv += [flag, str(count)]
             sides.append(count * gates)
         argv += ["--qv-job"] if command == "deff-qv-job" else []
@@ -925,17 +942,20 @@ def test_sweep_leaves_fractions_unloaded(tmp_path):
 
 def test_wrappers_set_on_the_cli_module_are_called(runner, tmp_path, monkeypatch):
     """The array commands look their numpy-backed helpers up on the module at
-    each call, so a wrapper set there with `setattr` is what they call."""
+    each call, so a wrapper set there with `setattr` is what they call. The
+    circuits are drawn through `deff`'s samplers, which look `kernel_circuit`
+    and `qv_circuit` up on `deff` as each sample is read."""
     import qjobtime.cli as cli
+    import qjobtime.deff as deff
 
     calls = []
-    for name in ("kernel_matrix", "kernel_circuit", "qv_circuit", "simulate_job_runtime",
-                 "fit_params"):
-        def wrapper(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+    for module, name in ((cli, "kernel_matrix"), (deff, "kernel_circuit"), (deff, "qv_circuit"),
+                         (cli, "simulate_job_runtime"), (cli, "fit_params")):
+        def wrapper(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
     data, params = tmp_path / "data.csv", tmp_path / "params.json"
     data.write_text("0.1,0.2\n0.3,0.4\n")
     params.write_text(TIMING % "1.0")
@@ -953,8 +973,9 @@ def test_wrappers_set_on_the_cli_module_are_called(runner, tmp_path, monkeypatch
     ]
     for args in runs:
         assert runner.invoke(main, args).exit_code == 0
-    assert calls == ["kernel_matrix", "qv_circuit", "kernel_circuit", "simulate_job_runtime",
-                     "fit_params"]
+    # the sweep draws its one kernel sample and its one QV sample
+    assert calls == ["kernel_matrix", "qv_circuit", "kernel_circuit", "kernel_circuit",
+                     "qv_circuit", "simulate_job_runtime", "fit_params"]
 
 
 def test_cli_runs_as_main(tmp_path):

@@ -26,6 +26,7 @@ from qjobtime.generators import (
     kernel_basis_gates,
     kernel_circuit,
     qv_circuit,
+    seed_stream,
 )
 from qjobtime.model import DEFAULT_KERNEL_SAMPLES, DEFAULT_QV_SAMPLES
 from qjobtime.transpile import kak
@@ -140,30 +141,22 @@ class TestEffectiveLayers:
             with pytest.raises(InvalidParameterError, match=f"<= {MAX_SAMPLES}"):
                 effective_layers(KernelFamily(2, 1), line_map(2), **counts)
 
-    KERNEL_BOUND = MAX_SAMPLE_GATES // 4
-
-    @pytest.mark.parametrize("fam, name, gates, at_bound, bound, unit", [
-        (KernelFamily(2, 47), "qv_samples", 43 * 47, {"as_qv_job": True},
-         MAX_SAMPLE_GATES, "basis gates"),
-        (KernelFamily(100, 10), "kernel_samples", 2 * (2 * 100 + 99) * 11, {"qv_samples": 1},
-         KERNEL_BOUND, "gates and references"),
-        (KernelFamily(100, 1, Entanglement.FULL), "kernel_samples", 2 * (2 * 100 + 4950) * 2,
-         {"qv_samples": 1}, KERNEL_BOUND, "gates and references"),
-        (KernelFamily(10, 5), "qv_samples", 43 * 10 * 5, {"kernel_samples": 1},  # v = 10
-         MAX_SAMPLE_GATES, "basis gates"),
-        (KernelFamily(8, 4), "qv_samples", 43 * 8 * 4, {"kernel_samples": 1},  # v = 8
-         MAX_SAMPLE_GATES, "basis gates"),
+    @pytest.mark.parametrize("fam, name, gates, at_bound", [
+        (KernelFamily(2, 47), "qv_samples", 43 * 47, {"as_qv_job": True}),
+        (KernelFamily(100, 10), "kernel_samples", 2 * 10 * (4 * 100 + 3 * 99), {"qv_samples": 1}),
+        (KernelFamily(100, 1, Entanglement.FULL), "kernel_samples", 2 * (4 * 100 + 3 * 4950),
+         {"qv_samples": 1}),
+        (KernelFamily(10, 5), "qv_samples", 43 * 10 * 5, {"kernel_samples": 1}),  # v = 10
+        (KernelFamily(8, 4), "qv_samples", 43 * 8 * 4, {"kernel_samples": 1}),  # v = 8
     ])
-    def test_side_bound_is_checked_before_any_draw(self, monkeypatch, fam, name, gates, at_bound,
-                                                   bound, unit):
-        """samples x count per circuit is worked out before a sample is drawn:
-        the most samples under the side's bound reach the sampler, one more is
-        refused. QV samples count basis gates against `MAX_SAMPLE_GATES`: they
-        may hold 9896 x 47 = 465 112 SU4 gates here (the bound is 465 116 SU4
-        gates of 43 basis gates each), and `MAX_SAMPLES` QV samples at v = 8
-        (13.76 million) fit. Kernel samples count the gates and gate
-        references they hold, 2(2n + |pairs|)(d + 1), against a quarter of it:
-        760 samples of n = 100, d = 10 and 242 of the full n = 100, d = 1."""
+    def test_side_bound_is_checked_before_any_draw(self, monkeypatch, fam, name, gates, at_bound):
+        """samples x basis gates per circuit is worked out before a sample is
+        drawn: the most samples under `MAX_SAMPLE_GATES` reach the sampler,
+        one more is refused. QV samples may hold 9896 x 47 = 465 112 SU4 gates
+        here (the bound is 465 116 SU4 gates of 43 basis gates each), and
+        `MAX_SAMPLES` QV samples at v = 8 (13.76 million) fit. Kernel samples
+        count 2d(4n + 3|pairs|) each: 1434 samples of n = 100, d = 10 and 655
+        of the full n = 100, d = 1."""
         class Drawn(Exception):
             pass
 
@@ -172,13 +165,13 @@ class TestEffectiveLayers:
 
         for sampler in ("sample_kernel_circuits", "sample_qv_circuits"):
             monkeypatch.setattr(deff_mod, sampler, drawn)
-        most = min(bound // gates, MAX_SAMPLES)
+        most = min(MAX_SAMPLE_GATES // gates, MAX_SAMPLES)
         with pytest.raises(Drawn):
             effective_layers(fam, line_map(100), **{**at_bound, name: most})
         if most == MAX_SAMPLES:
             return
-        refusal = (f"{name} {most + 1} x {gates} {unit} per circuit would hold "
-                   f"{(most + 1) * gates} {unit}, more than {bound}")
+        refusal = (f"{name} {most + 1} x {gates} basis gates per circuit would hold "
+                   f"{(most + 1) * gates} basis gates, more than {MAX_SAMPLE_GATES}")
         with pytest.raises(InvalidParameterError, match=refusal):
             effective_layers(fam, line_map(100), **{**at_bound, name: most + 1})
 
@@ -186,7 +179,7 @@ class TestEffectiveLayers:
         (KernelFamily(40, 40), {"qv_samples": 10_000, "as_qv_job": True},
          "qv_samples 10000 x 34400"),
         (KernelFamily(100, 10), {"kernel_samples": 10_000, "qv_samples": 1},
-         "kernel_samples 10000 x 6578 gates and references"),
+         "kernel_samples 10000 x 13940 basis gates"),
         (KernelFamily(100, 10), {"kernel_samples": 1, "qv_samples": 10_000},
          "qv_samples 10000 x 42570"),
     ])
@@ -199,21 +192,46 @@ class TestEffectiveLayers:
         with pytest.raises(InvalidParameterError, match=name):
             effective_layers(fam, line_map(100), seed=0, **counts)
 
-    @pytest.mark.parametrize("fam", [KernelFamily(2, 1), KernelFamily(40, 1, Entanglement.FULL),
-                                     KernelFamily(12, 6), KernelFamily(12, 40, Entanglement.FULL)])
-    def test_kernel_samples_hold_at_most_110_bytes_per_counted_entry(self, fam):
-        """What a kernel side's bound counts, gates plus gate references, is
-        what its samples hold: at most 110 B each (about 100 at d = 1, where
-        the gates dominate), so a side at the bound holds at most 550 MB."""
-        held = 2 * (2 * fam.n + fam.entanglement.pair_count(fam.n)) * (fam.d + 1)
-        sample_kernel_circuits(fam, 1, seed=0)  # fill any first-call cache outside the count
-        tracemalloc.start()
-        try:
-            circuits = sample_kernel_circuits(fam, 20, seed=0)
-            size = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert len(circuits) == 20 and size <= 110 * 20 * held, size / (20 * held)
+    def test_samples_are_drawn_each_time_they_are_read(self, monkeypatch):
+        """A sampler returns a sequence of `count` circuits that holds none:
+        it has the length, indexing (negative and sliced) and iteration of
+        a list, and draws sample k, from its stream, each time it is read."""
+        fam = KernelFamily(3, 2, Entanglement.FULL)
+        drawn = []
+        for name in ("kernel_circuit", "qv_circuit"):
+            real = getattr(deff_mod, name)
+            monkeypatch.setattr(deff_mod, name, lambda *a, _real=real: drawn.append(1) or _real(*a))
+        kernel, qv = sample_kernel_circuits(fam, 4, seed=5), sample_qv_circuits(5, 3, 4, seed=5)
+        assert (len(kernel), len(qv), drawn) == (4, 4, [])
+        assert kernel[2] == kernel[-2] == kernel_circuit(fam, *kernel_features(fam, 5, 2))
+        assert qv[3] == qv[-1] == qv_circuit(5, 3, seed_stream(5, 1, 3))
+        assert len(drawn) == 4
+        assert list(kernel) == [kernel[k] for k in range(4)] == kernel[:]
+        assert qv[1:3] == [qv[1], qv[2]] and kernel[5:] == [] and not sample_qv_circuits(5, 3, 0, 5)
+        for k in (4, -5):
+            with pytest.raises(IndexError):
+                kernel[k]
+
+    @pytest.mark.parametrize("fam, cmap, counts", [
+        (KernelFamily(8, 26), line_map(8), {"as_qv_job": True}),  # 104 SU4 gates, 9 per batch
+        (KernelFamily(4, 30), line_map(16), {"qv_samples": 1}),
+    ])
+    def test_peak_memory_does_not_grow_with_the_sample_count(self, fam, cmap, counts):
+        """Each side's samples are drawn as they are lowered, so its peak
+        traced memory at 100 samples is within 20% of that at 10: a QV side
+        holds one KAK batch of circuits (10 samples already fill one), and a
+        kernel side one circuit."""
+        name = "qv_samples" if counts.get("as_qv_job") else "kernel_samples"
+        effective_layers(fam, cmap, **{**counts, name: 2})  # fill first-call caches
+        peaks = []
+        for samples in (10, 100):
+            tracemalloc.start()
+            try:
+                effective_layers(fam, cmap, **{**counts, name: samples})
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], peaks
 
     def test_routed_total_over_the_bound_is_refused_after_one_more_circuit(self, monkeypatch):
         """Each side's routed circuits are summed as they are routed; once the

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -66,6 +68,24 @@ class TestSimulate:
             simulate(Circuit(11))
         with pytest.raises(SimulationCapError, match=re.escape("4^6 unitary")):
             circuit_unitary(Circuit(6))
+
+
+    def test_states_compare_by_value(self, rng):
+        """Two runs of one circuit give equal states, rebuilt ones too; a state
+        of other amplitudes or width, or a plain tuple of its fields, is not
+        equal, and a state does not hash."""
+        c = random_circuit(3, 20, rng)
+        sv = simulate(c)
+        assert sv == simulate(c) and not sv != simulate(c)
+        zero = simulate(Circuit(3))
+        assert sv != zero and not sv == zero
+        assert sim.StateVector(zero.amplitudes, 2) != zero  # its amplitudes, another width
+        for stranger in (tuple(sv), (zero.amplitudes, 3)):
+            assert sv != stranger and stranger != sv and not sv == stranger
+        for clone in (pickle.loads(pickle.dumps(sv)), copy.copy(sv), copy.deepcopy(sv)):
+            assert type(clone) is sim.StateVector and clone == sv
+        with pytest.raises(TypeError):
+            hash(sv)
 
 
 class TestExactKernel:

@@ -359,9 +359,26 @@ class TestDecomposeAll:
         with pytest.raises(InvalidGateError):
             list(decompose_all(circuits))
 
+    def test_circuits_without_payloads_are_lowered_as_they_are_drawn(self):
+        """A batch without SU4 payloads is lowered before a third circuit is
+        drawn, so kernel samples stream; QV circuits still gather into one
+        batch."""
+        drawn = []
+
+        def draw(circuits):
+            for c in circuits:
+                drawn.append(c)
+                yield c
+
+        next(decompose_all(draw(sample_kernel_circuits(KernelFamily(3, 2), 5, seed=0))))
+        assert len(drawn) == 2
+        drawn.clear()
+        next(decompose_all(draw(sample_qv_circuits(6, 6, 5, seed=2))))  # 18 payloads each
+        assert len(drawn) == 5
+
     def test_depths_equal_one_circuit_depths(self):
-        circuits = sample_qv_circuits(6, 6, 5, seed=2) + sample_kernel_circuits(
-            KernelFamily(3, 2), 3, seed=2)
+        circuits = [*sample_qv_circuits(6, 6, 5, seed=2),
+                    *sample_kernel_circuits(KernelFamily(3, 2), 3, seed=2)]
         cmap = heavy_hex_like_map(12)
         assert transpiled_depths(circuits, cmap) == [transpiled_depth(c, cmap) for c in circuits]
 
@@ -741,21 +758,27 @@ class TestCouplingMaps:
             if kind != "ring" or n >= 3
         ]
         for cmap in maps:
+            neighbors = _neighbors(cmap)
             for src in range(cmap.num_qubits):
                 assert cmap._hop[src][src] == src
                 for dst in range(cmap.num_qubits):
                     if dst == src:
                         continue
                     hop = cmap._hop[src][dst]
-                    assert hop == _bfs_path(cmap, src, dst)[1], (cmap, src, dst)
+                    assert hop == _bfs_path(neighbors, src, dst)[1], (cmap, src, dst)
                     assert cmap.distance(hop, dst) == cmap.distance(src, dst) - 1
 
 
-def _bfs_path(cmap: CouplingMap, src: int, dst: int) -> list[int]:
-    """Reference: one BFS shortest path, ties broken by ascending neighbor
-    index, over neighbors read from the map's edge set."""
-    neighbors = {q: sorted({a + b - q for a, b in cmap.edges if q in (a, b)})
-                 for q in range(cmap.num_qubits)}
+def _neighbors(cmap: CouplingMap) -> dict[int, list[int]]:
+    """Reference: each qubit's neighbors in ascending order, read from the
+    map's edge set."""
+    return {q: sorted({a + b - q for a, b in cmap.edges if q in (a, b)})
+            for q in range(cmap.num_qubits)}
+
+
+def _bfs_path(neighbors: dict[int, list[int]], src: int, dst: int) -> list[int]:
+    """Reference: one BFS shortest path over `_neighbors`, ties broken by
+    ascending neighbor index."""
     parent = {src: src}
     queue = deque([src])
     while queue:
@@ -820,8 +843,8 @@ def test_pinned_deff_and_checked_transpiler_output(rng):
         est = effective_layers(fam, maps[map_name], kernel_samples=3, qv_samples=2, seed=seed)
         assert repr(est.d_eff) == want, (n, d, ent, map_name, seed)
         if seed == 0 and map_name == "heavy-hex-like":
-            circuits = sample_kernel_circuits(fam, 3, seed) + sample_qv_circuits(est.v, est.v, 2, seed)
-            for c in circuits:
+            for c in [*sample_kernel_circuits(fam, 3, seed),
+                      *sample_qv_circuits(est.v, est.v, 2, seed)]:
                 lowered = decompose(c)
                 assert_passes_checks(lowered)
                 assert_passes_checks(route(lowered, maps[map_name]).circuit)
@@ -839,12 +862,12 @@ def _reference_route(c: Circuit, cmap: CouplingMap):
     step along `_bfs_path` toward the other, by SWAP = CX CX(reversed) CX.
     Returns the routed gates, the final layout, the swap count and the ASAP
     depth counted from the gates."""
-    l2p = list(range(c.width))
+    l2p, neighbors = list(range(c.width)), _neighbors(cmap)
     gates, swaps = [], 0
     for g in decompose(c).gates:
         while len(g.qubits) == 2:
             mover, target = sorted(l2p[q] for q in g.qubits)
-            path = _bfs_path(cmap, mover, target)
+            path = _bfs_path(neighbors, mover, target)
             if len(path) == 2:
                 break
             step = path[1]
