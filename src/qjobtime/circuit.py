@@ -61,8 +61,8 @@ class GateKind(Enum):
 # MAX_SAMPLE_GATES bounds the work of one `deff` side or `gen-circuits`
 # file, samples x gates per circuit before any draw and the routed total: it
 # admits 10 000 QV samples at v = 8 (13.8 million) and n = 60, d = 2, full on
-# heavy-hex-like:127 (7.3 million routed). Samples are drawn as they are
-# lowered, so a side holds one circuit and one KAK batch, whatever its count.
+# heavy-hex-like:127 (7.3 million routed). A `deff` side routes one sample at
+# a time and holds none of them, whatever its count.
 MAX_GATES = 2_000_000
 MAX_SAMPLE_GATES = 20_000_000
 

@@ -16,18 +16,21 @@ regardless of evaluation order.
 import math
 from collections import namedtuple
 from collections.abc import Sequence
+from functools import cache, partial
 
 import numpy as np
 
-from .circuit import MAX_SAMPLE_GATES, Circuit, check_gates
-from .errors import CouplingError, InvalidParameterError
+from .circuit import MAX_SAMPLE_GATES, Circuit, GateKind, check_gates
+from .errors import CouplingError, InvalidCircuitError, InvalidParameterError
 from .generators import (KernelFamily, kernel_basis_gates, kernel_circuit, qv_basis_gates,
-                         qv_circuit, sample_features, seed_stream)
+                         qv_circuit, qv_draw, sample_features, seed_stream)
 from .model import DEFAULT_KERNEL_SAMPLES, DEFAULT_QV_SAMPLES, FrozenRecord
 from .transpile.coupling import CouplingMap
-from .transpile.route import transpiled_depths
+from .transpile.decompose import decompose, rule_profile
+from .transpile.route import routed_depths
 
 MAX_SAMPLES = 10_000  # ceiling on every sample count, refused before any circuit is built
+_HAAR_SU4 = rule_profile(GateKind.SU4, (3,) * 8)  # eight full dressings, as in a Haar draw
 
 
 def check_sample_count(name: str, count: int) -> None:
@@ -69,11 +72,13 @@ def kernel_features(fam: KernelFamily, seed: int, k: int) -> tuple[np.ndarray, n
 
 
 class _Samples(Sequence):
-    """`count` circuits, sample k drawn by `draw(k)` each time it is read, so
-    that a side's samples are lowered as they are drawn and none is held."""
+    """`count` circuits, sample k drawn by `draw(k)` each time it is read, and
+    lowered for d_eff without a draw, from its structure: the (qubits,
+    `rule_profile`) entries `structure(k)` on `width` qubits."""
 
-    def __init__(self, count: int, draw):
-        self._range, self._draw = range(count), draw
+    def __init__(self, count: int, draw, structure, width: int, layers: int):
+        self._range, self._draw, self._structure = range(count), draw, structure
+        self._width, self._layers = width, layers
 
     def __len__(self) -> int:
         return len(self._range)
@@ -83,21 +88,37 @@ class _Samples(Sequence):
             return [self._draw(i) for i in self._range[k]]
         return self._draw(self._range[k])
 
+    def mean_depth(self, cmap: CouplingMap) -> float:
+        """Mean routed depth of the samples lowered from their structure, as `np.mean` gives it."""
+        return sum(routed_depths(map(self._lowered, self._range), cmap)) / len(self._range)
+
+    def _lowered(self, k: int) -> Circuit:
+        entries = self._structure(k)
+        return Circuit._trusted(self._width, partial(self._exact_gates, k, entries), self._layers,
+                                entries=entries)
+
+    def _exact_gates(self, k: int, entries: list):
+        lowered = decompose(self[k])
+        if lowered._entries != entries:  # the gates would not be those that were routed
+            raise InvalidCircuitError(f"sample {k} does not lower to the structure routed for it")
+        return lowered.gates
+
 
 def sample_kernel_circuits(fam: KernelFamily, count: int, seed: int) -> Sequence[Circuit]:
-    """Kernel circuits at `count` independent (x, y) draws, sample k from `kernel_features`."""
-    return _Samples(count, lambda k: kernel_circuit(fam, *kernel_features(fam, seed, k)))
+    """Kernel circuits at `count` independent (x, y) draws, sample k from `kernel_features`;
+    all have the structure of sample 0, since their gate kinds and qubits do not depend on them."""
+    first = cache(lambda: decompose(kernel_circuit(fam, *kernel_features(fam, seed, 0)))._entries)
+    return _Samples(count, lambda k: kernel_circuit(fam, *kernel_features(fam, seed, k)),
+                    lambda k: first(), fam.n, 2 * fam.d)
 
 
 def sample_qv_circuits(width: int, layers: int, count: int, seed: int) -> Sequence[Circuit]:
-    """QV circuits, sample k from stream (seed, 1, k)."""
-    return _Samples(count, lambda k: qv_circuit(width, layers, seed_stream(seed, 1, k)))
-
-
-def mean_transpiled_depth(circuits: Sequence[Circuit], cmap: CouplingMap) -> float:
-    if not circuits:
-        raise InvalidParameterError("need at least one circuit")
-    return float(np.mean(transpiled_depths(circuits, cmap)))
+    """QV circuits, sample k from stream (seed, 1, k). Its structure is its pairs (`qv_draw`),
+    each SU4 gate lowered by `_HAAR_SU4`, as a Haar draw's is but for odds of 5e-12 (README)."""
+    stream = partial(seed_stream, seed, 1)
+    return _Samples(count, lambda k: qv_circuit(width, layers, stream(k)),
+                    lambda k: [(p, _HAAR_SU4) for p in qv_draw(width, layers, stream(k))[0]],
+                    width, layers)
 
 
 def effective_layers(
@@ -119,7 +140,7 @@ def effective_layers(
             raise CouplingError(f"map has {cmap.num_qubits} qubits, job needs {fam.n}")
         check_sample_count("qv_samples", qv_samples)
         _check_side("qv_samples", qv_samples, qv_basis_gates(fam.n, fam.d))
-        mean_depth = mean_transpiled_depth(sample_qv_circuits(fam.n, fam.d, qv_samples, seed), cmap)
+        mean_depth = sample_qv_circuits(fam.n, fam.d, qv_samples, seed).mean_depth(cmap)
         return DeffEstimate(fam.d, mean_depth, mean_depth, float(fam.d), 0, qv_samples, seed)
     v = equivalent_qv_width(fam.n, fam.d)
     if max(fam.n, v) > cmap.num_qubits:
@@ -130,8 +151,8 @@ def effective_layers(
     check_sample_count("qv_samples", qv_samples)
     _check_side("kernel_samples", kernel_samples, kernel_basis_gates(fam))
     _check_side("qv_samples", qv_samples, qv_basis_gates(v, v))
-    kernel_mean = mean_transpiled_depth(sample_kernel_circuits(fam, kernel_samples, seed), cmap)
-    qv_mean = mean_transpiled_depth(sample_qv_circuits(v, v, qv_samples, seed), cmap)
+    kernel_mean = sample_kernel_circuits(fam, kernel_samples, seed).mean_depth(cmap)
+    qv_mean = sample_qv_circuits(v, v, qv_samples, seed).mean_depth(cmap)
     return DeffEstimate(
         v, kernel_mean, qv_mean, kernel_mean / qv_mean * v, kernel_samples, qv_samples, seed
     )

@@ -118,17 +118,24 @@ def qv_circuit(q: int, layers: int, seed: "int | np.random.SeedSequence") -> Cir
     and made read-only, and each gate holds one row of that stack.
     """
     qv_basis_gates(q, layers)
+    pairs, normals = qv_draw(q, layers, seed)
+    payloads = _haar_su4(normals.reshape(-1, 2, 4, 4))
+    check_su4_payloads(payloads)
+    payloads.setflags(write=False)
+    gates = tuple(Gate._trusted(_SU4, pair, (), m) for pair, m in zip(pairs, payloads))
+    return Circuit._trusted(q, gates, layers)
+
+
+def qv_draw(q: int, layers: int, seed) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The draw of `qv_circuit(q, layers, seed)`: its pairs in gate order, and
+    its normals (layers, q // 2, 2, 4, 4), each layer's after its permutation."""
     rng = np.random.default_rng(seed)
     pairs, normals = [], np.empty((layers, q // 2, 2, 4, 4))
     for layer in normals:
         perm = rng.permutation(q).tolist()
         pairs += zip(perm[::2], perm[1::2])  # an odd width leaves its last qubit out
         rng.standard_normal(out=layer)
-    payloads = _haar_su4(normals.reshape(-1, 2, 4, 4))
-    check_su4_payloads(payloads)
-    payloads.setflags(write=False)
-    gates = tuple(Gate._trusted(_SU4, pair, (), m) for pair, m in zip(pairs, payloads))
-    return Circuit._trusted(q, gates, layers)
+    return pairs, normals
 
 
 def qv_basis_gates(q: int, layers: int) -> int:

@@ -2,6 +2,7 @@
 
 import json
 from collections import deque
+from functools import cached_property
 from itertools import chain
 from typing import Iterable
 
@@ -37,32 +38,41 @@ class CouplingMap:
     """
 
     def __init__(self, num_qubits: int, edges: Iterable[tuple[int, int]], tag: str = "custom"):
+        def adjacency():
+            norm = set()
+            for a, b in edges:
+                a, b = int(a), int(b)
+                if a == b:
+                    raise CouplingError(f"self-loop on qubit {a}")
+                if not (0 <= a < num_qubits and 0 <= b < num_qubits):
+                    raise CouplingError(f"edge ({a},{b}) outside 0..{num_qubits - 1}")
+                norm.add((min(a, b), max(a, b)))
+            self.edges = frozenset(norm)
+            return _adjacency(num_qubits, norm)
+
+        self._fill(num_qubits, adjacency, tag)
+
+    @classmethod
+    def _trusted(cls, num_qubits: int, adjacency, tag: str) -> "CouplingMap":
+        """A named builder's map, unchecked: `adjacency()` gives each qubit's sorted neighbours."""
+        cmap = object.__new__(cls)
+        cmap._fill(num_qubits, adjacency, tag)
+        return cmap
+
+    def _fill(self, num_qubits: int, adjacency, tag: str) -> None:
         if num_qubits < 1:
             raise CouplingError("coupling map needs at least one qubit")
         if num_qubits > MAX_MAP_QUBITS:
             raise CouplingError(f"coupling map has {num_qubits} qubits, above {MAX_MAP_QUBITS}")
-        norm = set()
-        for a, b in edges:
-            a, b = int(a), int(b)
-            if a == b:
-                raise CouplingError(f"self-loop on qubit {a}")
-            if not (0 <= a < num_qubits and 0 <= b < num_qubits):
-                raise CouplingError(f"edge ({a},{b}) outside 0..{num_qubits - 1}")
-            norm.add((min(a, b), max(a, b)))
-        self.num_qubits = num_qubits
-        self.edges = frozenset(norm)
-        self.tag = tag
-        self._adj: tuple[tuple[int, ...], ...] = self._adjacency()
+        self.num_qubits, self.tag, self._adj = num_qubits, tag, adjacency()
         self._dist, self._hop = _Rows(self._bfs), _Rows(self._bfs)
         if -1 in self._dist[0]:
             raise CouplingError("coupling map is not connected")
 
-    def _adjacency(self):
-        adj = [[] for _ in range(self.num_qubits)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return tuple(tuple(sorted(nbrs)) for nbrs in adj)
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Each edge once, as (a, b) with a < b, read from the adjacency on first use."""
+        return frozenset((a, b) for a, nbrs in enumerate(self._adj) for b in nbrs if a < b)
 
     def _bfs(self, src: int) -> None:
         """Fill row `src` of the distance and first-hop tables by one BFS;
@@ -97,7 +107,8 @@ class CouplingMap:
         return (min(a, b), max(a, b)) in self.edges
 
     def __repr__(self):
-        return f"CouplingMap({self.tag}, n={self.num_qubits}, edges={len(self.edges)})"
+        edges = sum(map(len, self._adj)) // 2
+        return f"CouplingMap({self.tag}, n={self.num_qubits}, edges={edges})"
 
     @classmethod
     def from_json(cls, text: str) -> "CouplingMap":
@@ -123,29 +134,37 @@ def _integer_edges(edges):
         yield edge
 
 
-# The builders pass their edges as generators, so a map above
-# `MAX_MAP_QUBITS` is refused before any edge exists.
+def _adjacency(num_qubits: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    adj = [[] for _ in range(num_qubits)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return tuple(tuple(sorted(nbrs)) for nbrs in adj)
 
 
 def line_map(n: int) -> CouplingMap:
-    return CouplingMap(n, ((i, i + 1) for i in range(n - 1)), tag="line")
+    return CouplingMap._trusted(n, lambda: _adjacency(n, zip(range(n - 1), range(1, n))), "line")
 
 
 def ring_map(n: int) -> CouplingMap:
     if n < 3:
         raise CouplingError("ring needs at least 3 qubits")
-    return CouplingMap(n, ((i, (i + 1) % n) for i in range(n)), tag="ring")
+    return CouplingMap._trusted(n, lambda: _adjacency(n, zip(range(n), [*range(1, n), 0])), "ring")
 
 
 def all_to_all_map(n: int) -> CouplingMap:
-    return CouplingMap(n, ((i, j) for i in range(n) for j in range(i + 1, n)), tag="all-to-all")
+    def adjacency():  # each qubit's neighbours are all the other qubits
+        row = tuple(range(n))
+        return tuple(row[:q] + row[q + 1:] for q in row)
+
+    return CouplingMap._trusted(n, adjacency, "all-to-all")
 
 
 def heavy_hex_like_map(n: int) -> CouplingMap:
     """Sparse degree-<=3 graph approximating heavy-hex device connectivity:
     a backbone path with a rung every eight qubits."""
-    rungs = ((i, i + 4) for i in range(1, n - 4, 8))
-    return CouplingMap(n, chain(((i, i + 1) for i in range(n - 1)), rungs), tag="heavy-hex-like")
+    edges = chain(zip(range(n - 1), range(1, n)), ((i, i + 4) for i in range(1, n - 4, 8)))
+    return CouplingMap._trusted(n, lambda: _adjacency(n, edges), "heavy-hex-like")
 
 
 _NAMED = {

@@ -118,9 +118,8 @@ def emit_rule(out: list[Gate], kind: GateKind, qubits: tuple[int, ...],
             out.append(trusted(step, q, params if angles is _OWN else angles))
 
 
-# most SU4 payloads one stacked KAK interaction pass takes: a whole QV baseline of 20
-# width-8 circuits (640 payloads) fits in one pass, and the pass's
-# intermediates stay the same size however many circuits are lowered
+# most SU4 payloads one stacked KAK interaction pass takes: 20 width-8 QV circuits (640
+# payloads) fit in one pass, whose intermediates stay the same size however many are lowered
 KAK_BATCH = 1024
 
 

@@ -18,7 +18,7 @@ rebuilt from the input's gates and the swaps when first read.
 
 from collections import namedtuple
 from functools import partial
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ..circuit import MAX_GATES, MAX_SAMPLE_GATES, Circuit, Gate, GateKind, check_gates
 from ..errors import CouplingError
@@ -143,14 +143,18 @@ def transpiled_depth(c: Circuit, cmap: CouplingMap) -> int:
 
 
 def transpiled_depths(circuits: Iterable[Circuit], cmap: CouplingMap) -> list[int]:
-    """`transpiled_depth` of each circuit, with the SU4 payloads of all of
-    them factored together by `decompose_all`. Refused with `CouplingError`
-    once the routed circuits pass `MAX_SAMPLE_GATES` basis gates in all."""
-    depths, total = [], 0
-    for lowered in decompose_all(circuits):
-        routed = route(lowered, cmap).circuit
-        total += len(routed)
-        check_gates(f"the first {len(depths) + 1} routed circuits", total, MAX_SAMPLE_GATES,
-                    CouplingError)
-        depths.append(routed.depth())
-    return depths
+    """`transpiled_depth` of each circuit, their SU4 payloads factored together."""
+    return list(routed_depths(decompose_all(circuits), cmap))
+
+
+def routed_depths(lowered: Iterable[Circuit], cmap: CouplingMap) -> Iterator[int]:
+    """Each lowered circuit's routed depth, yielded once neither is held; refused with
+    `CouplingError` once the routed circuits pass `MAX_SAMPLE_GATES` basis gates in all."""
+    count = total = 0  # not `enumerate`, whose result tuple would hold c
+    for c in lowered:
+        routed = route(c, cmap).circuit
+        count, total = count + 1, total + len(routed)
+        check_gates(f"the first {count} routed circuits", total, MAX_SAMPLE_GATES, CouplingError)
+        depth = routed.depth()
+        del c, routed  # the next circuit is drawn and lowered without them
+        yield depth

@@ -11,6 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from qjobtime.circuit import Circuit, Gate
 from qjobtime.generators import haar_su4
+from qjobtime.transpile import transpiled_depths
 
 
 @dataclass
@@ -52,6 +53,11 @@ def up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
     if abs(overlap) < 1e-9:
         return np.inf
     return float(np.abs(a - (overlap / abs(overlap)) * b).max())
+
+
+def mean_transpiled_depth(circuits, cmap) -> float:
+    """Mean depth of `circuits` lowered and routed by the full path, `transpiled_depths`."""
+    return float(np.mean(transpiled_depths(circuits, cmap)))
 
 
 def random_circuit(width: int, n_gates: int, rng: np.random.Generator,

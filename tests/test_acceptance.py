@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CliRunner, random_circuit
+from conftest import CliRunner, mean_transpiled_depth, random_circuit
 from refdata import (
     CLOPS_JOB_RUNS,
     SHOT_SWEEP_RUNS,
@@ -23,7 +23,6 @@ from qjobtime.circuit import Circuit
 from qjobtime.cli import main as cli_main
 from qjobtime.deff import (
     equivalent_qv_width,
-    mean_transpiled_depth,
     sample_kernel_circuits,
     sample_qv_circuits,
 )

@@ -973,9 +973,10 @@ def test_wrappers_set_on_the_cli_module_are_called(runner, tmp_path, monkeypatch
     ]
     for args in runs:
         assert runner.invoke(main, args).exit_code == 0
-    # the sweep draws its one kernel sample and its one QV sample
+    # the sweep draws its one kernel sample; its QV side is routed from the
+    # pairings alone and draws no QV circuit
     assert calls == ["kernel_matrix", "qv_circuit", "kernel_circuit", "kernel_circuit",
-                     "qv_circuit", "simulate_job_runtime", "fit_params"]
+                     "simulate_job_runtime", "fit_params"]
 
 
 def test_cli_runs_as_main(tmp_path):

@@ -4,22 +4,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import mean_transpiled_depth
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qjobtime.deff as deff_mod
-from qjobtime.circuit import MAX_SAMPLE_GATES, Gate
+import qjobtime.generators as generators
+from qjobtime.circuit import MAX_SAMPLE_GATES, Gate, GateKind
 from qjobtime.deff import (
     MAX_SAMPLES,
     DeffEstimate,
     effective_layers,
     equivalent_qv_width,
     kernel_features,
-    mean_transpiled_depth,
     sample_kernel_circuits,
     sample_qv_circuits,
 )
-from qjobtime.errors import CouplingError, InvalidParameterError
+from qjobtime.errors import CouplingError, InvalidCircuitError, InvalidParameterError
 from qjobtime.generators import (
     Entanglement,
     KernelFamily,
@@ -38,7 +39,10 @@ from qjobtime.transpile import (
     named_map,
     route,
     transpiled_depth,
+    transpiled_depths,
 )
+from qjobtime.transpile.decompose import rule_profile
+from qjobtime.transpile.route import routed_depths
 
 
 class TestEquivalentQvWidth:
@@ -312,3 +316,113 @@ def test_effective_layers_runs_no_local_factor_pass(monkeypatch):
     assert factored == []
     assert routed.circuit.gates
     assert factored == [6, 6]  # kron(a1, a0) and kron(b1, b0) of the 6 payloads
+
+
+# d_eff routes each sample from its structure: a kernel sample from the
+# entries of sample 0 lowered once, a QV sample from its pairs alone, every
+# SU4 gate with eight generic dressings. The gates, when read, are the exact
+# lowering of the drawn sample.
+STRUCTURE_MAPS = [named_map(name, 13) for name in ("line", "ring", "all-to-all", "heavy-hex-like")]
+
+
+def _structural_depths(samples, cmap):
+    return list(routed_depths(map(samples._lowered, range(len(samples))), cmap))
+
+
+@pytest.mark.parametrize("v", range(2, 13))
+def test_qv_structure_gives_the_full_path_depths(v):
+    """The QV side from pairings alone gives the depths of drawing, lowering
+    and routing each sample, for widths 2..12, seeds 0..2 and every named
+    map kind; its entries are those of the exact lowering."""
+    for seed in range(3):
+        samples = sample_qv_circuits(v, v, 2, seed)
+        for k in range(2):
+            assert samples._lowered(k)._entries == decompose(samples[k])._entries, (v, seed, k)
+        for cmap in STRUCTURE_MAPS:
+            assert _structural_depths(samples, cmap) == transpiled_depths(samples, cmap), (v, seed)
+
+
+@pytest.mark.parametrize("fam", [KernelFamily(n, d, ent) for ent in Entanglement
+                                 for n, d in ((2, 1), (5, 2), (8, 4), (4, 8))])
+def test_kernel_structure_gives_the_full_path_depths(fam):
+    """Every kernel sample routed with the entries of sample 0 has the depth
+    of its own lowering, on every named map kind."""
+    samples = sample_kernel_circuits(fam, 4, seed=3)
+    for k in range(4):
+        assert samples._lowered(k)._entries == decompose(samples[k])._entries, k
+    for cmap in STRUCTURE_MAPS:
+        assert _structural_depths(samples, cmap) == transpiled_depths(samples, cmap), cmap
+
+
+def test_structural_gates_are_the_exact_lowering_or_a_coded_error(monkeypatch):
+    """Reading a structural circuit's gates, or its route's, gives the exact
+    lowering of the drawn sample; with doctored entries it is refused with
+    `INVALID_CIRCUIT` instead of returning gates that were not routed."""
+    samples, cmap = sample_qv_circuits(5, 4, 2, seed=1), line_map(6)
+    exact = decompose(samples[1])
+    assert samples._lowered(1).gates == exact.gates
+    assert route(samples._lowered(1), cmap).circuit.gates == route(exact, cmap).circuit.gates
+    structure = samples._structure
+    fewer = rule_profile(GateKind.SU4, (3,) * 7 + (1,))
+    monkeypatch.setattr(samples, "_structure",
+                        lambda k: structure(k)[:-1] + [(structure(k)[-1][0], fewer)])
+    for read in (lambda: samples._lowered(1).gates,
+                 lambda: route(samples._lowered(1), cmap).circuit.gates):
+        with pytest.raises(InvalidCircuitError, match="sample 1 does not lower") as info:
+            read()
+        assert info.value.code == "INVALID_CIRCUIT"
+
+
+def test_effective_layers_draws_one_kernel_circuit_and_no_haar_matrix(monkeypatch):
+    """d_eff draws kernel sample 0 alone and no QV circuit, and makes no Haar
+    matrix and no KAK interaction pass, with or without `as_qv_job`."""
+    calls = []
+    for module, name in ((deff_mod, "kernel_circuit"), (deff_mod, "qv_circuit"),
+                         (generators, "_haar_su4"),
+                         (sys.modules["qjobtime.transpile.decompose"], "kak_interaction")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    fam, cmap = KernelFamily(8, 4), heavy_hex_like_map(27)
+    est = effective_layers(fam, cmap, seed=2)
+    assert calls == ["kernel_circuit"]
+    assert effective_layers(fam, cmap, seed=2, as_qv_job=True).mean_qv_depth > 0
+    assert calls == ["kernel_circuit"]
+    seventh = kernel_circuit(fam, *kernel_features(fam, 2, 7))
+    assert est.mean_kernel_depth == transpiled_depth(seventh, cmap)
+
+
+def test_routing_loop_holds_no_earlier_circuit():
+    """`transpiled_depths` drops each lowered and routed circuit before the
+    next batch is drawn and lowered: its peak traced memory at 30 samples is
+    within 5% of that at 10 (104 SU4 gates a sample, 9 samples a KAK batch)."""
+    cmap = line_map(8)
+    transpiled_depths(sample_qv_circuits(8, 26, 2, 0), cmap)  # fill first-call caches
+    peaks = []
+    for samples in (10, 30):
+        tracemalloc.start()
+        try:
+            transpiled_depths(sample_qv_circuits(8, 26, samples, 0), cmap)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
+# repr(d_eff) of the two `sweep-kak` families at the CLI's default sample
+# counts (25 kernel, 20 QV) on heavy-hex-like:27, computed by drawing every
+# sample, lowering it with KAK and routing it
+PINNED_BENCH_DEFF = {
+    (8, 4, 0): "2.3060796645702304",
+    (8, 4, 1): "2.3106209793882106",
+    (4, 8, 0): "3.480083857442348",
+    (4, 8, 1): "3.486937114349481",
+}
+
+
+def test_pinned_deff_at_the_default_sample_counts():
+    cmap = heavy_hex_like_map(27)
+    for (n, d, seed), want in PINNED_BENCH_DEFF.items():
+        est = effective_layers(KernelFamily(n, d), cmap, seed=seed)
+        assert (est.kernel_samples, est.qv_samples) == (DEFAULT_KERNEL_SAMPLES, DEFAULT_QV_SAMPLES)
+        assert repr(est.d_eff) == want, (n, d, seed)

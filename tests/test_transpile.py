@@ -836,6 +836,29 @@ def assert_passes_checks(c: Circuit):
     assert Circuit(c.width, c.gates, c.base_layers) == c
 
 
+# each named kind's edges as the checked constructor takes them
+NAMED_EDGES = {
+    "line": lambda n: [(i, i + 1) for i in range(n - 1)],
+    "ring": lambda n: [(i, (i + 1) % n) for i in range(n)],
+    "all-to-all": lambda n: [(i, j) for i in range(n) for j in range(i + 1, n)],
+    "heavy-hex-like": lambda n: ([(i, i + 1) for i in range(n - 1)]
+                                 + [(i, i + 4) for i in range(1, n - 4, 8)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NAMED_EDGES))
+def test_named_maps_equal_the_checked_path(kind):
+    """A named builder hands its adjacency over unchecked; its map has the
+    edges, adjacency, distance and first-hop rows and repr of the same edges
+    given to the checked constructor."""
+    for n in (3, 4, 9, 27, 64):
+        named, checked = named_map(kind, n), CouplingMap(n, NAMED_EDGES[kind](n), kind)
+        assert (named.num_qubits, named.tag, named._adj) == (n, kind, checked._adj)
+        assert named.edges == checked.edges and repr(named) == repr(checked)
+        for q in range(n):
+            assert (named._dist[q], named._hop[q]) == (checked._dist[q], checked._hop[q]), (n, q)
+
+
 def test_pinned_deff_and_checked_transpiler_output(rng):
     maps = {"line": line_map(8), "heavy-hex-like": heavy_hex_like_map(16)}
     for ((n, d, ent), map_name, seed), want in PINNED_DEFF.items():
