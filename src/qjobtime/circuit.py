@@ -56,8 +56,9 @@ class GateKind(Enum):
 
 # Size bounds of the d_eff path, in basis gates: the entries that lowering
 # emits and that routing and depth walk. MAX_GATES bounds one circuit, before
-# its draw and as it is routed; lowering and routing peak at 19 to 32 B per
-# routed gate, about 75 MB at the bound (tracemalloc, 40-qubit map).
+# its draw and as it is routed; lowering and routing peak at 30 to 45 B per
+# routed gate, about 90 MB at the bound (tracemalloc: a QV circuit on
+# all-to-all:40, whose one KAK pass over 46 500 SU4 gates is the peak).
 # MAX_SAMPLE_GATES bounds the work of one `deff` side or `gen-circuits`
 # file, samples x gates per circuit before any draw and the routed total: it
 # admits 10 000 QV samples at v = 8 (13.8 million) and n = 60, d = 2, full on

@@ -200,7 +200,9 @@ def predict_runtime(job: JobSpec, backend: BackendSpec) -> float:
 def loss_from_ratio(ratio: float) -> float:
     """r - 1 when over-predicting (r >= 1), 1/r - 1 when under-predicting."""
     check_range("runtime ratio", ratio, 0.0)
-    return ratio - 1.0 if ratio >= 1.0 else 1.0 / ratio - 1.0
+    loss = ratio - 1.0 if ratio >= 1.0 else 1.0 / ratio - 1.0
+    check_range("runtime loss", loss)  # 1/r overflows for a subnormal r
+    return loss
 
 
 def score(predicted: float, actual: float) -> RuntimeReport:

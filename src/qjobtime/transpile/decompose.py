@@ -6,10 +6,9 @@ Output is unitarily equivalent to the input up to global phase. Fixed rules:
     RZZ(t)    -> CX, RZ(t) on the target, CX            (exact)
     SWAP      -> CX, CX, CX                             (exact)
     U3        -> ZYZ Euler angles as an RZ/SX string
-    SU4       -> three CX with 1q dressings (see kak); the SU4 payloads of
-                 the circuits given to `decompose_all` go through KAK's
-                 interaction pass in stacks of at most `KAK_BATCH`
-                 payloads, which gives each dressing's gate count
+    SU4       -> three CX with 1q dressings (see kak); a circuit's SU4
+                 payloads go through KAK's interaction pass as one stack,
+                 which gives each dressing's gate count
 
 Each rule states its gate sequence once, in `_RULES`; a basis gate's rule is
 the gate itself. Routing and depth read a rule through its `rule_profile`:
@@ -118,11 +117,6 @@ def emit_rule(out: list[Gate], kind: GateKind, qubits: tuple[int, ...],
             out.append(trusted(step, q, params if angles is _OWN else angles))
 
 
-# most SU4 payloads one stacked KAK interaction pass takes: 20 width-8 QV circuits (640
-# payloads) fit in one pass, whose intermediates stay the same size however many are lowered
-KAK_BATCH = 1024
-
-
 def _su4_dressings(k1: np.ndarray, p: np.ndarray, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of an interaction pass, the `zsx_angles` counts (k, 8) and
     angles (k, 8, 3) of its SU4 payload's eight 1q dressings in emission
@@ -148,50 +142,16 @@ def _su4_counts(payloads: list[np.ndarray]):
     return counts, k1, p, xyz
 
 
-def decompose_all(circuits: Iterable[Circuit]) -> Iterator[Circuit]:
-    """`decompose` of each circuit, yielded in order. Consecutive circuits are
-    gathered while their SU4 payloads fit in `KAK_BATCH` (a larger circuit
-    forms a batch alone, and a batch without payloads takes no more); each
-    batch's payloads go through the interaction pass in stacks of at most
-    `KAK_BATCH`, then its circuits are lowered one at a time, each keeping the
-    rows of the pass its dressings are computed from when its gates are read."""
-    batch, size = [], 0
-    for c in circuits:
-        su4 = [g.matrix for g in c.gates if g.kind is _SU4]
-        if batch and (size == 0 or size + len(su4) > KAK_BATCH):
-            yield from _lower_batch(batch)
-            batch, size = [], 0
-        batch.append((c, su4))
-        size += len(su4)
-    yield from _lower_batch(batch)
-
-
-def _lower_batch(batch: list[tuple[Circuit, list[np.ndarray]]]) -> Iterator[Circuit]:
-    payloads = [m for _, su4 in batch for m in su4]
-    passes = [_su4_counts(payloads[i : i + KAK_BATCH])
-              for i in range(0, len(payloads), KAK_BATCH)]
-    counts, k1, p, xyz = map(np.concatenate, zip(*passes)) if passes else (None,) * 4
-    start = 0
-    for c, su4 in batch:
-        end = start + len(su4)
-        if su4:  # the counts become Python values only for the circuit being lowered
-            yield _lower(c, map(tuple, counts[start:end].tolist()),
-                         (k1[start:end], p[start:end], xyz[start:end]))
-        else:
-            yield _lower(c, None, None)
-        start = end
-
-
 def decompose(c: Circuit) -> Circuit:
-    """Rewrite every gate into basis gates; width and metadata preserved."""
-    return next(decompose_all((c,)))
-
-
-def _lower(c: Circuit, su4_counts, interaction) -> Circuit:
-    """`c` in basis gates: one (qubits, `rule_profile`) entry per gate now,
-    taking each SU4 gate's dressing counts in gate order from the iterator
-    `su4_counts`, and the gates on first access, with the SU4 dressings
-    computed then from the interaction-pass rows `interaction`, (k1, p, xyz)."""
+    """`c` in basis gates, width and metadata preserved: one (qubits,
+    `rule_profile`) entry per gate now, its SU4 payloads through one stacked
+    interaction pass for their dressing counts, and the gates on first access,
+    with the SU4 dressings computed then from the rows of that pass."""
+    su4 = [g.matrix for g in c.gates if g.kind is _SU4]
+    interaction = None
+    if su4:
+        counts, *interaction = _su4_counts(su4)
+        su4_counts = map(tuple, counts.tolist())
     entries = []
     rows = []  # per U3, H, RZZ or SWAP gate, in order: its (counts, angles)
     for g in c.gates:
@@ -212,8 +172,13 @@ def _lower(c: Circuit, su4_counts, interaction) -> Circuit:
                             entries=entries)
 
 
+def decompose_all(circuits: Iterable[Circuit]) -> Iterator[Circuit]:
+    """`decompose` of each circuit, lowered as it is drawn and yielded in order."""
+    return map(decompose, circuits)
+
+
 def _lower_gates(gates: tuple[Gate, ...], rows, interaction) -> tuple[Gate, ...]:
-    """The gates of `_lower`'s circuit, from the input gates, the rows it
+    """The gates of `decompose`'s circuit, from the input gates, the rows it
     kept and the dressings of its interaction-pass rows."""
     out: list[Gate] = []
     rows = iter(rows)

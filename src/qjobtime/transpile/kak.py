@@ -23,7 +23,7 @@ every dressing to the full RZ SX RZ SX RZ string (`zsx_angles` count 3), so
 a caller that needs only gate counts can skip the second pass for them.
 
 Every step works on a stack (k, 4, 4) of payloads at once, so the SU(4) gates
-of many circuits are factored in one pass; only the rows whose interaction
+of a circuit are factored in one pass; only the rows whose interaction
 spectrum is near-degenerate take the per-matrix refinement and retries.
 """
 
@@ -190,7 +190,7 @@ def kak_interaction(u: np.ndarray):
             raise InvalidGateError(
                 f"KAK decomposition failed: input is not unitary within {UNITARY_TOL}"
             )
-    k1 = k1.real
+    k1 = k1.real.copy()  # not a view, which would keep the complex array alive
     theta[_proper(k1), 0] += np.pi
     x, y, z, w = np.linalg.solve(_COEFF, theta[:, :, None])[:, :, 0].T
     return gamma, k1, p, np.stack([x, y, z], -1), w

@@ -143,7 +143,7 @@ def transpiled_depth(c: Circuit, cmap: CouplingMap) -> int:
 
 
 def transpiled_depths(circuits: Iterable[Circuit], cmap: CouplingMap) -> list[int]:
-    """`transpiled_depth` of each circuit, their SU4 payloads factored together."""
+    """`transpiled_depth` of each circuit, each lowered and routed as it is drawn."""
     return list(routed_depths(decompose_all(circuits), cmap))
 
 

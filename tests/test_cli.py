@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 from conftest import CliRunner
 from refdata import CLOPS_JOB_RUNS
-from qjobtime import sim
+from qjobtime import cli, deff, sim
 from qjobtime.circuit import MAX_GATES, MAX_SAMPLE_GATES, read_circuits
-from qjobtime.cli import COMMANDS, main
+from qjobtime.cli import COMMANDS, MAX_GRID_ROWS, main
 from qjobtime.deff import sample_kernel_circuits, sample_qv_circuits
-from qjobtime.errors import MalformedRecordsError
+from qjobtime.errors import MalformedRecordsError, QJobTimeError
 from qjobtime.generators import Entanglement, KernelFamily
 from qjobtime.model import builtin_backends, registry_to_json
 from qjobtime.records import RECORD_HEADER, load_runtime_records
@@ -763,17 +763,43 @@ def bound_near(draw, count: int) -> int:
 
 
 @st.composite
+def grid_runs(draw):
+    """A `sweep` or `extrapolate` run as `sized_runs` gives it, with the gate
+    bounds at their defaults and `MAX_GRID_ROWS` near its rows: families ×
+    |M| × |S| for `sweep`, |N| × |clops| for `extrapolate`."""
+    values = lambda low, high: draw(st.lists(st.integers(low, high), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        families = [{"n": 2, "d": d} for d in values(1, 2)[:2]]
+        m, s = values(1, 50), values(1, 4000)
+        argv = ["sweep", "--backend", "ibm_hanoi", "--params", "INPUT", "--M", ",".join(map(str, m)),
+                "--S", ",".join(map(str, s)), "--families", json.dumps(families),
+                "--kernel-samples", "1", "--qv-samples", "1"]
+        rows = len(families) * len(m) * len(s)
+    else:
+        n, clops = values(2, 10**6), values(1, 10**6)
+        argv = ["extrapolate", "--N", ",".join(map(str, n)), "--S", "100", "--deff", "2",
+                "--clops", ",".join(map(str, clops))]
+        rows = len(n) * len(clops)
+    grid = bound_near(draw, rows)
+    return argv + ["--out", "OUT"], MAX_GATES, MAX_SAMPLE_GATES, grid, rows > grid, False, False
+
+
+@st.composite
 def sized_runs(draw):
     """(argv with INPUT and OUT for the data and output paths, a small
-    MAX_GATES and MAX_SAMPLE_GATES near the run's counts, whether a count
-    worked out before any draw passes its bound, whether the map is too
-    small, and whether a `simulate-kernel` run's H rounds pass
+    MAX_GATES and MAX_SAMPLE_GATES near the run's counts, MAX_GRID_ROWS,
+    whether a count worked out before any draw passes its bound, whether the
+    map is too small, and whether a `simulate-kernel` run's H rounds pass
     `MAX_AMPLITUDE_UPDATES`). Counts are in basis gates: 43 per QV SU4 gate,
     2d(4n + 3|pairs|) per kernel circuit. Each `deff` side counts its samples
     times the gates per circuit against the side bound, and `gen-circuits`
     counts `--count` times them. A `simulate-kernel` run over the budget takes the smallest d
-    whose (d - 1) n 2^n updates pass it on one vector."""
-    command = draw(st.sampled_from(["deff", "deff-qv-job", "gen-kernel", "gen-qv", "simulate"]))
+    whose (d - 1) n 2^n updates pass it on one vector. A third of the runs
+    are `grid_runs`."""
+    command = draw(st.sampled_from(["deff", "deff-qv-job", "gen-kernel", "gen-qv", "simulate",
+                                    "grid", "grid"]))
+    if command == "grid":
+        return draw(grid_runs())
     over_budget = command == "simulate" and draw(st.booleans())
     if command in ("deff-qv-job", "gen-qv"):
         q, layers = draw(st.integers(2, 9)), draw(st.integers(1, 6))
@@ -812,39 +838,54 @@ def sized_runs(draw):
         argv += ["--qv-job"] if command == "deff-qv-job" else []
     gates, sample_gates = bound_near(draw, max(circuits)), bound_near(draw, max(sides, default=1))
     over = max(circuits) > gates or max(sides, default=0) > sample_gates
-    return argv + ["--out", "OUT"], gates, sample_gates, over, map_too_small, over_budget
+    return argv + ["--out", "OUT"], gates, sample_gates, MAX_GRID_ROWS, over, map_too_small, over_budget
 
 
 def built_over_budget(*args):
     raise AssertionError("encoded states built over MAX_AMPLITUDE_UPDATES")
 
 
+def built_over_grid(*args, **kwargs):
+    raise AssertionError("d_eff computed for a grid over MAX_GRID_ROWS")
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(run=sized_runs(), rows=st.integers(1, 3))
 def test_sizes_around_the_gate_bounds_give_a_result_or_a_coded_error(tmp_path_factory, run, rows):
     """`deff` (with and without `--qv-job`), both `gen-circuits` modes and
-    `simulate-kernel` at sizes around both gate bounds, set small, either
+    `simulate-kernel` at sizes around both gate bounds, set small, and
+    `sweep` and `extrapolate` around `MAX_GRID_ROWS`, set small, either
     exit 0 with finite numbers and their file, or print the error JSON with
     its exit status, nothing on stdout and no file. A count over a bound
-    before any draw is `INVALID_PARAMETER`; with every count under, only
-    routing may refuse (`COUPLING_MAP`), on one circuit or a side's total,
-    and the simulator's budget (`WIDTH_OVER_CAP`), before any allocation."""
-    argv, gates, sample_gates, over, map_too_small, over_budget = run
+    before any draw is `INVALID_PARAMETER`, and a grid over its bound is too,
+    before any d_eff; with every count under, only routing may refuse
+    (`COUPLING_MAP`), on one circuit or a side's total, and the simulator's
+    budget (`WIDTH_OVER_CAP`), before any allocation."""
+    argv, gates, sample_gates, grid, over, map_too_small, over_budget = run
     tmp = tmp_path_factory.mktemp("run")
     data, out = tmp / "data.csv", tmp / "out"
     if argv[0] == "simulate-kernel":
         n = json.loads(argv[2])["n"]
         data.write_text("".join(",".join([str(0.5 + r)] * n) + "\n" for r in range(rows)))
+    elif argv[0] == "sweep":
+        data.write_text(json.dumps({"t_job": 2.0, "t_circ": 0.05, "t_layer_shot": 5e-4, "jitter": 0.05}))
     with pytest.MonkeyPatch.context() as monkeypatch:
         set_gate_bounds(monkeypatch, gates, sample_gates)
+        monkeypatch.setattr(cli, "MAX_GRID_ROWS", grid)
         if over_budget:  # refused before any state is built: a missing check fails, not hangs
             monkeypatch.setattr(sim, "_encoded_states", built_over_budget)
+        if over and argv[0] == "sweep":
+            monkeypatch.setattr(deff, "effective_layers", built_over_grid)
         result = CliRunner().invoke(main, [{"INPUT": str(data), "OUT": str(out)}.get(a, a)
                                            for a in argv])
     if result.exit_code == 0:
         assert not over and not map_too_small and not over_budget, argv
         if argv[0] == "gen-circuits":
             assert len(read_circuits(out)) == int(argv[argv.index("--count") + 1])
+        elif argv[0] in ("sweep", "extrapolate"):
+            table = list(csv.reader(out.read_text().splitlines()))[1:]
+            assert len(table) <= grid and all(math.isfinite(float(v)) for row in table
+                                              for v in row[1:])
         else:
             assert out.exists()
             values = json.loads(result.stdout).values()
@@ -861,9 +902,144 @@ def test_sizes_around_the_gate_bounds_give_a_result_or_a_coded_error(tmp_path_fa
         assert (error["code"], result.exit_code) == (BAD_VALUE if over else BAD_MAP), (argv, error)
         assert error["message"].endswith((f"basis gates, more than {gates}",
                                           f"basis gates, more than {sample_gates}",
-                                          f"references, more than {sample_gates // 4}")), error
+                                          f"references, more than {sample_gates // 4}",
+                                          f"rows, more than {grid}")), error
     assert result.stdout == ""
     assert not out.exists()
+
+
+# words for a flag that takes a number, and for the numbers inside a file
+# input: finite extremes, inf, nan, zero, negatives, huge integers, and a word
+NUMBERS = ["0", "1", "2", "3", "-1", "-2.5", "0.25", "5e-324", "1.7976931348623157e308", "-1e308",
+           "inf", "-inf", "nan", str(2**63), str(10**20), "many"]
+# every coded error's (code, exit status)
+CODED = {(cls.code, cls.exit_code) for cls in QJobTimeError.__subclasses__()}
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv of any command, with the names of its input files and OUT and
+    SUMMARY for its outputs, {input file name: its contents}). A number is
+    one of `NUMBERS` or, three times as often, a small integer; each file
+    input is one well-formed file whose numbers are drawn, or a malformed
+    one."""
+    number = st.sampled_from(["1", "2", "3"] * 16 + NUMBERS)
+    files = {}
+
+    def num():
+        return draw(number)
+
+    def nums():
+        return ",".join(draw(st.lists(number, min_size=1, max_size=3)))
+
+    def file(name, *texts):
+        files[name] = draw(st.sampled_from(texts))
+        return name
+
+    def family(n=None):
+        n, d = n or draw(st.sampled_from([2, 3, 2, 3, 1, num()])), draw(st.sampled_from([1, 2, num()]))
+        ent = draw(st.sampled_from(['"linear"', '"full"', '"linear"', '"full"', '"ring"', "5"]))
+        return draw(st.sampled_from([f'{{"n": {n}, "d": {d}, "entanglement": {ent}}}'] * 4
+                                    + [f'{{"n": {n}, "d": {d}}}', f"[{n}, {d}]", "{"]))
+
+    def samples():
+        return ["--kernel-samples", draw(st.sampled_from(["1", "2"] * 3 + ["0", "nan", str(10**20)])),
+                "--qv-samples", draw(st.sampled_from(["1", "2"] * 3 + ["0", str(2**63)]))]
+
+    def records():
+        return file("RECORDS",
+                    f"backend,M,S,K,deff,T_seconds\nibm_hanoi,{num()},100,1,4,{num()}\n"
+                    f"ibm_hanoi,200,{num()},1,{num()},80\nibmq_auckland,10,1000,1,4,12\n",
+                    f"T_pred,T_actual\n{num()},{num()}\n1,2\n", "", "backend,M\nibm_hanoi,1\n",
+                    "T_pred,T_actual\n1\n", "backend,M,S,K,deff,T_seconds\nnope,1,1,1,1,1\n")
+
+    def params():
+        jitter = draw(st.sampled_from(["0.05"] * 3 + NUMBERS))
+        return file("PARAMS", f'{{"t_job": {num()}, "t_circ": 0.05, "t_layer_shot": {num()}, '
+                              f'"jitter": {jitter}}}', "{", "[1]", '{"t_job": "1"}')
+
+    map_file = ('{"n": 3, "edges": [[0, 1], [1, 2]]}', "{", '{"n": 1e20, "edges": []}',
+                f'{{"n": {10**20}, "edges": []}}', '{"n": 3, "edges": [[0, 5]]}',
+                '{"n": 2, "edges": [[0, 1]], "tag": 5}', '{"n": 3, "edges": [[0, 0]]}', "[3]")
+    maps = ["line:4", "ring:2", "heavy-hex-like:27", "all-to-all:5", "line:-1", "line:nan",
+            f"line:{10**20}", "backend:ibm_hanoi", "backend:nope", "MAP"]
+    command = draw(st.sampled_from(["predict", "score", "deff", "gen-kernel", "gen-qv", "simulate",
+                                    "extrapolate", "sweep", "fit", "list", "export"]))
+    registry = True
+    if command == "predict":
+        argv = ["predict", "--backend", draw(st.sampled_from(["ibm_hanoi", "nope"])), "--M", num(),
+                "--S", num(), "--K", num(), "--deff", num()]
+    elif command == "score":
+        argv = ["score", "--records", records(), "--out", "OUT"]
+    elif command == "deff":
+        argv = ["deff", "--family", family(), "--map", draw(st.sampled_from(maps)),
+                *samples(), "--seed", num(), *draw(st.sampled_from([[], ["--qv-job"]])), "--out", "OUT"]
+        if argv[4] == "MAP":
+            file("MAP", *map_file)
+    elif command.startswith("gen"):
+        kind = (["--family", family()] if command == "gen-kernel"
+                else ["--qv-width", draw(st.sampled_from(["2", "3"] * 3 + ["-1", "1e3", str(10**20)])),
+                      "--qv-layers", draw(st.sampled_from(["1", "2"] * 3 + ["0", "nan"]))])
+        argv = ["gen-circuits", *kind, "--count", draw(st.sampled_from(["1", "2"] * 3 + ["0", "nan"])),
+                "--seed", num(), "--out", "OUT"]
+        registry = False
+    elif command == "simulate":
+        argv = ["simulate-kernel", "--family", family(2),
+                "--data", file("DATA", *[f"0.1,{num()}\n0.3,0.4\n"] * 3, f"{num()}\n0.5\n", "",
+                               "a,b\n", "0.1\n0.1,0.2\n"),
+                "--shots", draw(st.sampled_from(["exact", "100"] * 3 + ["0", "-5", "nan", str(2**63)])),
+                "--seed", num(), "--out", "OUT", *draw(st.sampled_from([[], ["--summary", "SUMMARY"]]))]
+        registry = False
+    elif command == "extrapolate":
+        argv = ["extrapolate", "--N", nums(), "--S", num(), "--deff", num(), "--clops", nums(),
+                *draw(st.sampled_from([[], ["--out", "OUT"]]))]
+        registry = False
+    elif command == "sweep":
+        argv = ["sweep", "--backend", "ibm_hanoi", "--params", params(), "--M", nums(), "--S", nums(),
+                "--families", f"[{family()}]", *samples(), "--seed", num(), "--out", "OUT"]
+    elif command == "fit":
+        argv = ["fit", "--records", records(), *draw(st.sampled_from([[], ["--fix-t-job", num()]])),
+                "--out", "OUT"]
+        registry = False
+    else:
+        argv = ["backends", command] + (["--out", "OUT"] if command == "export" else [])
+    if registry and draw(st.booleans()):
+        argv += ["--registry", file(
+            "REGISTRY", *[registry_to_json(builtin_backends())] * 4, "{", "[]", '{"backends": "x"}',
+            f'{{"backends": [{{"name": "x", "num_qubits": 5, "quantum_volume": 32, "clops": {num()}}}]}}',
+            '{"backends": [{"name": 5, "num_qubits": 5, "quantum_volume": 32, "clops": 1.0}]}')]
+    if draw(st.integers(0, 3)) == 0:
+        argv = ["--config", file("CONFIG", f'{{"predict": {{"m": {num()}, "s": 100, "deff": 6}}}}',
+                                 f'{{"extrapolate": {{"clops": "{num()}"}}}}', "[1, 2]", "{",
+                                 '{"predict": [1]}', '{"deff": {"qv_job": "maybe"}}',
+                                 '{"backends": {"list": {"registry": 5}}}'), *argv]
+    return argv, files
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(run=cli_runs())
+def test_every_command_gives_a_finite_result_or_a_coded_error(tmp_path_factory, run):
+    """Every command, on numbers from finite extremes to nan and on
+    malformed file inputs, either exits 0 with only finite numbers in stdout
+    and its files, or prints a coded error JSON with its exit status, nothing
+    on stdout and no file."""
+    argv, files = run
+    tmp = tmp_path_factory.mktemp("cli")
+    for name, text in files.items():
+        (tmp / name).write_text(text)
+    paths = {name: str(tmp / name) for name in [*files, "OUT", "SUMMARY"]}
+    result = CliRunner().invoke(main, [paths.get(word, word) for word in argv])
+    written = {p.name: p.read_text() for p in tmp.iterdir() if p.name not in files}
+    if result.exit_code == 0:
+        assert result.exception is None, argv
+        for text in [result.stdout, *written.values()]:
+            assert not NON_FINITE.search(text), (argv, text[:400])
+        return
+    assert isinstance(result.exception, SystemExit), (argv, result.exception)
+    error = json.loads(result.stderr)["error"]
+    assert (error["code"], result.exit_code) in CODED, (argv, error)
+    assert result.stdout == "" and written == {}, (argv, result.stdout, written)
 
 
 def run_fresh(*argv: str, cwd=None) -> str:

@@ -217,14 +217,13 @@ class TestEffectiveLayers:
                 kernel[k]
 
     @pytest.mark.parametrize("fam, cmap, counts", [
-        (KernelFamily(8, 26), line_map(8), {"as_qv_job": True}),  # 104 SU4 gates, 9 per batch
+        (KernelFamily(8, 26), line_map(8), {"as_qv_job": True}),  # 104 SU4 gates a sample
         (KernelFamily(4, 30), line_map(16), {"qv_samples": 1}),
     ])
     def test_peak_memory_does_not_grow_with_the_sample_count(self, fam, cmap, counts):
         """Each side's samples are drawn as they are lowered, so its peak
-        traced memory at 100 samples is within 20% of that at 10: a QV side
-        holds one KAK batch of circuits (10 samples already fill one), and a
-        kernel side one circuit."""
+        traced memory at 100 samples is within 20% of that at 10: each side
+        holds one sample at a time."""
         name = "qv_samples" if counts.get("as_qv_job") else "kernel_samples"
         effective_layers(fam, cmap, **{**counts, name: 2})  # fill first-call caches
         peaks = []
@@ -394,8 +393,8 @@ def test_effective_layers_draws_one_kernel_circuit_and_no_haar_matrix(monkeypatc
 
 def test_routing_loop_holds_no_earlier_circuit():
     """`transpiled_depths` drops each lowered and routed circuit before the
-    next batch is drawn and lowered: its peak traced memory at 30 samples is
-    within 5% of that at 10 (104 SU4 gates a sample, 9 samples a KAK batch)."""
+    next one is drawn and lowered: its peak traced memory at 30 samples is
+    within 5% of that at 10 (104 SU4 gates a sample)."""
     cmap = line_map(8)
     transpiled_depths(sample_qv_circuits(8, 26, 2, 0), cmap)  # fill first-call caches
     peaks = []

@@ -191,6 +191,7 @@ NAN = math.nan
         pytest.param(lambda: score(NAN, 1.0), id="score-nan-predicted"),
         pytest.param(lambda: score(1.0, NAN), id="score-nan-actual"),
         pytest.param(lambda: loss_from_ratio(NAN), id="loss-nan-ratio"),
+        pytest.param(lambda: score(0.17, 1.7976931348623157e308), id="score-overflowing-loss"),
         pytest.param(lambda: clops_from_measurement(1, 1, 1, 1, NAN), id="clops-nan-elapsed"),
         pytest.param(lambda: format_duration(NAN), id="duration-nan"),
         pytest.param(lambda: format_duration(math.inf), id="duration-inf"),

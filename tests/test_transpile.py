@@ -35,8 +35,7 @@ from qjobtime.transpile import (
 )
 from qjobtime.transpile import kak
 from qjobtime.transpile.coupling import MAX_MAP_QUBITS
-from qjobtime.transpile.decompose import (_ROW, _RULES, KAK_BATCH, _su4_counts, _su4_dressings,
-                                          rule_profile)
+from qjobtime.transpile.decompose import _ROW, _RULES, _su4_counts, _su4_dressings, rule_profile
 from qjobtime.transpile.kak import canonical_matrix, kak_decompose
 
 BASIS = set(BASIS_1Q) | set(BASIS_2Q)
@@ -281,30 +280,24 @@ def kicked_cx(log_eps: float, seed: int) -> np.ndarray:
 class TestDecomposeAll:
     @pytest.fixture(scope="class")
     def pool(self):
-        """QV circuits (one alone larger than `KAK_BATCH`), kernel circuits,
-        random circuits with U3, SWAP, RZZ and SU4 gates, circuits without
-        SU4, and a kicked CX whose KAK takes the retry path."""
+        """QV circuits (one with 1052 SU4 payloads), kernel circuits, random
+        circuits with U3, SWAP, RZZ and SU4 gates, circuits without SU4, and a
+        kicked CX whose KAK takes the retry path."""
         rng = np.random.default_rng(15)
         circuits = [qv_circuit(q, layers, seed=k) for k, (q, layers) in enumerate(
             [(8, 8)] * 30 + [(2, 1), (3, 5), (9, 4), (5, 2)])]
-        circuits.append(qv_circuit(9, KAK_BATCH // 4 + 7, seed=99))
+        circuits.append(qv_circuit(9, 263, seed=99))
         circuits += sample_kernel_circuits(KernelFamily(4, 2, Entanglement.FULL), 4, seed=1)
         circuits += [random_circuit(3, 25, rng) for _ in range(12)]
         circuits += [random_circuit(4, 10, rng, two_qubit_only_cx=True) for _ in range(4)]
         circuits.append(Circuit(2, (Gate.h(0), Gate.su4(0, 1, kicked_cx(-10.0, 148)), Gate.x(1))))
         return circuits, [decompose(c) for c in circuits]
 
-    def test_batches_equal_per_circuit_lowering(self, pool):
-        """Lowered together, in random order and random batch sizes (some
-        beyond `KAK_BATCH` payloads), each circuit gives the gates `decompose`
-        gives it alone, with bit-identical angles."""
+    def test_decompose_all_is_decompose_of_each_circuit(self, pool):
         circuits, lowered = pool
-        rng = np.random.default_rng(7)
-        orders = [np.arange(len(circuits))] + [rng.permutation(len(circuits)) for _ in range(3)]
-        for order in orders + [rng.choice(len(circuits), int(rng.integers(1, 12))) for _ in range(6)]:
-            got = list(decompose_all([circuits[i] for i in order]))
-            assert got == [lowered[i] for i in order]
-            assert [c.to_text() for c in got] == [lowered[i].to_text() for i in order]
+        got = list(decompose_all(circuits))
+        assert got == lowered
+        assert [c.to_text() for c in got] == [c.to_text() for c in lowered]
 
     def test_retry_payload_takes_the_retry_path(self, pool, monkeypatch):
         retried = []
@@ -314,12 +307,12 @@ class TestDecomposeAll:
         assert list(decompose_all(circuits[-3:])) == lowered[-3:]
         assert retried
 
-    def test_passes_hold_at_most_the_batch_constant(self, pool, monkeypatch):
-        """Every payload goes through the interaction pass once, in passes of
-        at most `KAK_BATCH`; a batch of circuits without SU4 gates makes no
-        pass. The local-factor pass runs once per circuit with SU4 gates, on
-        its payloads, when its `.gates` is read (and before that only on the
-        rows that `all_three_rows` does not clear)."""
+    def test_each_circuit_makes_one_interaction_pass(self, pool, monkeypatch):
+        """Each circuit with SU4 gates puts its payloads through exactly one
+        interaction pass, of its own SU4 count; one without makes none. The
+        local-factor pass runs once per circuit with SU4 gates, on its
+        payloads, when its `.gates` is read (and before that only on the rows
+        that `all_three_rows` does not clear)."""
         module = importlib.import_module("qjobtime.transpile.decompose")
         shapes, factored = [], []
         interaction, local_factors = module.kak_interaction, module.kak_local_factors
@@ -329,28 +322,22 @@ class TestDecomposeAll:
                             lambda k1, p: factored.append(len(k1)) or local_factors(k1, p))
         circuits, _ = pool
         lowered = list(decompose_all(circuits))
-        total = sum(g.kind is GateKind.SU4 for c in circuits for g in c.gates)
-        assert total > 2 * KAK_BATCH
-        assert sum(shape[0] for shape in shapes) == total
-        assert max(shape[0] for shape in shapes) <= KAK_BATCH
-        assert len(shapes) <= 2 * total // KAK_BATCH + 2  # two neighbouring batches overflow one
+        su4 = [sum(g.kind is GateKind.SU4 for g in c.gates) for c in circuits]
+        assert shapes == [(n, 4, 4) for n in su4 if n]
+        assert max(su4) == 1052 and 0 in su4
         # before `.gates` is read, only the rows below the margin (the kicked CX among them)
-        assert 0 < sum(factored) < total // 100
+        assert 0 < sum(factored) < sum(su4) // 100
         factored.clear()
-        for c, d in zip(circuits, lowered):
-            su4 = sum(g.kind is GateKind.SU4 for g in c.gates)
+        for c, d, n in zip(circuits, lowered, su4):
             assert d.gates is d.gates
-            assert factored == ([su4] if su4 else []), c
+            assert factored == ([n] if n else []), c
             factored.clear()
-        shapes.clear()
-        list(decompose_all(sample_kernel_circuits(KernelFamily(3, 2), 5, seed=0)))
-        assert shapes == []
 
     @pytest.mark.parametrize("where", [0, 5, 39])
-    def test_failing_payload_in_a_batch_is_a_coded_error(self, where):
+    def test_failing_payload_in_a_stream_is_a_coded_error(self, where):
         """A payload that fails KAK (built unchecked here, as no checked gate
-        can carry one) raises `InvalidGateError` from any place in a batch,
-        a later batch included."""
+        can carry one) raises `InvalidGateError` from any circuit of a
+        stream, a late one included."""
         rng = np.random.default_rng(where)
         bad = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         circuits = [qv_circuit(8, 8, seed=k) for k in range(40)]
@@ -359,10 +346,13 @@ class TestDecomposeAll:
         with pytest.raises(InvalidGateError):
             list(decompose_all(circuits))
 
-    def test_circuits_without_payloads_are_lowered_as_they_are_drawn(self):
-        """A batch without SU4 payloads is lowered before a third circuit is
-        drawn, so kernel samples stream; QV circuits still gather into one
-        batch."""
+    @pytest.mark.parametrize("samples", [
+        lambda: sample_kernel_circuits(KernelFamily(3, 2), 5, seed=0),
+        lambda: sample_qv_circuits(6, 6, 5, seed=2),
+    ], ids=["kernel", "qv"])
+    def test_each_circuit_is_lowered_as_it_is_drawn(self, samples):
+        """`decompose_all` draws one circuit per circuit it yields, so kernel
+        and QV samples alike stream."""
         drawn = []
 
         def draw(circuits):
@@ -370,11 +360,10 @@ class TestDecomposeAll:
                 drawn.append(c)
                 yield c
 
-        next(decompose_all(draw(sample_kernel_circuits(KernelFamily(3, 2), 5, seed=0))))
-        assert len(drawn) == 2
-        drawn.clear()
-        next(decompose_all(draw(sample_qv_circuits(6, 6, 5, seed=2))))  # 18 payloads each
-        assert len(drawn) == 5
+        for count, lowered in enumerate(decompose_all(draw(samples())), 1):
+            assert len(drawn) == count
+            assert lowered == decompose(drawn[-1])
+        assert count == 5
 
     def test_depths_equal_one_circuit_depths(self):
         circuits = [*sample_qv_circuits(6, 6, 5, seed=2),
@@ -415,7 +404,7 @@ COUNT_PAYLOADS = {
 
 
 def test_eager_dressing_counts_equal_the_full_counts():
-    """The counts `decompose_all` derives from the interaction pass alone equal
+    """The counts `decompose` derives from the interaction pass alone equal
     those of the full dressing path (local factors, `canonical_layers` and
     `zsx_angles` on every row), on stacks of the `COUNT_PAYLOADS` kinds: Haar
     draws, the identity, CX, SWAP, products of Haar 1q unitaries, canonical
@@ -674,7 +663,7 @@ class TestTranspiledDepth:
         """Replacing every SU4 payload of a QV circuit with one fixed Haar
         matrix leaves its transpiled depth unchanged: the depth follows the
         pairings, and the payloads matter only through the 1e-12 branches of
-        `zsx_angles`. This bounds what a batching fault could change unseen."""
+        `zsx_angles`. This bounds what a fault in the stacked passes could change unseen."""
         fixed = haar_su4(np.random.default_rng(2024))
         maps = (line_map(9), heavy_hex_like_map(16))
         for v in range(4, 10):
