@@ -11,8 +11,8 @@ circuits in one file are separated by blank lines.
 
 import math
 from collections import namedtuple
-from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -225,12 +225,6 @@ class Gate(ArrayRecord, _GateFields):
             return Gate(GateKind.SX, self.qubits)
         return Gate(GateKind.U3, self.qubits, inv)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __repr__(self) -> str:
         parts = [self.kind.value, ",".join(map(str, self.qubits))]
         if self.params:
@@ -281,7 +275,6 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     return gate.matrix  # SU4
 
 
-@dataclass(frozen=True, eq=False)
 class Circuit:
     """An ordered gate list on `width` qubits.
 
@@ -290,51 +283,52 @@ class Circuit:
 
     A circuit made by the transpiler builds its gates only when they are
     read, and a routed one is made with its length and depth; any other
-    circuit's depth and length are read from its gates.
+    circuit's depth and length are read from its gates. Its fields cannot be assigned.
     """
 
-    width: int
-    gates: tuple[Gate, ...] = field(default_factory=tuple)
-    base_layers: int | None = None
+    # a transpiler output's length, depth and (qubits, rule profile) entries, when made with them
+    _length = _depth = _entries = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        if self.width < 0:
+    def __init__(self, width: int, gates: Iterable[Gate] = (), base_layers: int | None = None):
+        gates = tuple(gates)
+        vars(self).update(width=width, gates=gates, base_layers=base_layers)
+        if width < 0:
             raise InvalidCircuitError("width must be nonnegative")
-        for g in self.gates:
-            if any(q >= self.width for q in g.qubits):
-                raise InvalidCircuitError(f"gate {g!r} exceeds circuit width {self.width}")
+        for g in gates:
+            if any(q >= width for q in g.qubits):
+                raise InvalidCircuitError(f"gate {g!r} exceeds circuit width {width}")
 
     @classmethod
     def _trusted(cls, width: int, gates, base_layers: int | None, length: int | None = None,
                  depth: int | None = None, entries: list | None = None) -> "Circuit":
-        """Build without `__post_init__`, for the transpiler's and the
+        """Build without the checks of `__init__`, for the transpiler's and the
         generators' own output only. `gates` is the tuple of gates, or a
         function that builds it on first read; `length` and `depth` are given
         when known, and a lowered circuit keeps its (qubits, rule profile)
         `entries`, which the router walks. The caller guarantees that the
         gates fit `width` and that every attribute agrees with them."""
         c = object.__new__(cls)
-        fields = c.__dict__
+        fields = vars(c)
         fields.update(width=width, base_layers=base_layers, _length=length, _depth=depth,
                       _entries=entries)
         fields["_build_gates" if callable(gates) else "gates"] = gates
         return c
 
-    def __getattr__(self, name: str):
-        # reached only for an attribute not set yet: the gates of a
-        # transpiler output, from the function it was made with
-        fields = self.__dict__
-        if name == "gates" and "_build_gates" in fields:
-            fields.setdefault("gates", fields["_build_gates"]())
-            fields.pop("_build_gates", None)
-        if name not in fields:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return fields[name]
+    @cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        # a transpiler output's, built on first read by the function it was made with
+        fields = vars(self)
+        fields.setdefault("gates", fields["_build_gates"]())
+        fields.pop("_build_gates", None)
+        return fields["gates"]
+
+    __setattr__, __delattr__ = FrozenRecord.__setattr__, FrozenRecord.__delattr__
+
+    def __repr__(self) -> str:
+        return f"Circuit(width={self.width!r}, gates={self.gates!r}, base_layers={self.base_layers!r})"
 
     def __len__(self) -> int:
-        length = self.__dict__.get("_length")
-        return len(self.gates) if length is None else length
+        return len(self.gates) if self._length is None else self._length
 
     def __iter__(self) -> Iterator[Gate]:
         return iter(self.gates)
@@ -351,9 +345,8 @@ class Circuit:
     def depth(self) -> int:
         """Longest chain of gates sharing qubits (unit-cost ASAP layering);
         a routed circuit's was found while routing."""
-        depth = self.__dict__.get("_depth")
-        if depth is not None:
-            return depth
+        if self._depth is not None:
+            return self._depth
         ready = [0] * self.width
         top = 0
         for g in self.gates:

@@ -395,13 +395,24 @@ def sweep_cmd(backend, registry, params_path, m, s, families,
         raise InvalidParameterError(f"--families must be a JSON array, got {families!r}")
     circuit_counts, shot_counts = _list(m), _list(s)
     _check_grid("sweep", descriptors, circuit_counts, shot_counts)
+    deff = _this.deff_mod
+    if len(descriptors) > deff.MAX_SAMPLES:
+        raise InvalidParameterError(
+            f"--families holds {len(descriptors)} families, more than {deff.MAX_SAMPLES}")
+    for flag, counts in (("--M", circuit_counts), ("--S", shot_counts)):
+        if min(counts) < 1:
+            raise InvalidParameterError(f"{flag} values must be >= 1, got {min(counts)}")
     spec = get_backend(backend, _load_registry(registry))
     params = _this.StackTimingParams.from_dict(_read_json(params_path, "--params"))
     fams = [_this.KernelFamily.from_dict(d) for d in descriptors]
+    # the d_eff work of all families, refused before any: at most one `deff` run's two sides
+    deff.check_gates(f"the d_eff of {len(fams)} families",
+                     sum(deff.side_gates(fam, kernel_samples, qv_samples) for fam in fams),
+                     2 * deff.MAX_SAMPLE_GATES)
     rows = []
     for fam in fams:
-        est = _this.deff_mod.effective_layers(fam, spec.coupling, kernel_samples=kernel_samples,
-                                              qv_samples=qv_samples, seed=seed)
+        est = deff.effective_layers(fam, spec.coupling, kernel_samples=kernel_samples,
+                                    qv_samples=qv_samples, seed=seed)
         aspect = 2 * fam.d / fam.n  # float(fam.aspect_ratio), without loading fractions
         for circuits in circuit_counts:
             for shots in shot_counts:

@@ -46,6 +46,12 @@ def _check_side(name: str, count: int, each: int) -> None:
     check_gates(f"{name} {count} x {each} basis gates per circuit", count * each, MAX_SAMPLE_GATES)
 
 
+def side_gates(fam: KernelFamily, kernel_samples: int, qv_samples: int) -> int:
+    """The basis gates of `effective_layers(fam)`'s two sides, samples x gates per circuit."""
+    v = equivalent_qv_width(fam.n, fam.d)
+    return kernel_samples * kernel_basis_gates(fam) + qv_samples * qv_basis_gates(v, v)
+
+
 def equivalent_qv_width(n: int, d: int) -> int:
     """Width of the square QV circuit with volumetric area 2*d*n: ceil(sqrt(2dn))."""
     if n < 2 or d < 1:

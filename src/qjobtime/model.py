@@ -73,9 +73,9 @@ def _finite(what: str, compute) -> float:
 class FrozenRecord:
     """The value rules of the records below, mixed into a namedtuple subclass:
     a record equals only a record of its own class with equal fields, hashes
-    as the tuple of its fields, is not ordered and cannot be assigned to.
-    Construction runs the class's `_check`; so do `_make`, `_replace`,
-    pickling and copying, which rebuild through the constructor."""
+    as the tuple of its fields, is not ordered and, like a `Circuit`, cannot
+    be assigned to. Construction runs the class's `_check`; so do `_make`,
+    `_replace`, pickling and copying, which rebuild through the constructor."""
 
     __slots__ = ()
 

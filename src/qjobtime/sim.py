@@ -31,7 +31,9 @@ from .model import FrozenRecord
 MAX_ENTRIES = 2**24  # most entries in any one array the simulator builds
 MAX_SHOTS = 2**63 - 1  # numpy's int64 limit for a binomial draw
 # most amplitude updates of `kernel_matrix`'s H rounds: about a minute at the
-# 5 to 6 ns per update measured for 12 qubits over 16 to 64 vectors (2 CPUs)
+# 5 to 6 ns per update measured for 12 qubits over 16 to 64 vectors, and about
+# 135 s at the worst accepted matrix, 16 qubits over 256 vectors at d = 38
+# (13.4 ns per update, extrapolated from d = 2 and 3; 2 CPUs)
 MAX_AMPLITUDE_UPDATES = 10**10
 
 def _apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
@@ -194,7 +196,7 @@ def kernel_matrix(
         raise SimulationCapError(
             f"the {fam.d - 1} H rounds of {n} x 2^{fam.n} encoded states would make {updates} "
             f"amplitude updates, more than the simulator's budget of MAX_AMPLITUDE_UPDATES = "
-            f"{MAX_AMPLITUDE_UPDATES} (about a minute)"
+            f"{MAX_AMPLITUDE_UPDATES} (about a minute at 12 qubits, 135 s at 16)"
         )
     angles += [phase_angles(fam, x) for x in dataset[1:]]
     states = _encoded_states(fam, np.remainder(angles, 2.0 * np.pi))

@@ -32,11 +32,16 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..circuit import Circuit, Gate, GateKind, gate_matrix
-from .kak import all_three_rows, canonical_layers, kak_interaction, kak_local_factors, zsx_angles
 
-# the two KAK passes in one call, unused here but bound at this module path,
-# where bench/tracing.py wraps it
-from .kak import kak_decompose  # noqa: F401
+
+def __getattr__(name: str):
+    # `kak_decompose`, unused here but read at this path, where bench/tracing.py wraps it:
+    # `kak` loads on the first SU4 or U3 lowering or on this read, and on no other name
+    if name != "kak_decompose":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .kak import kak_decompose
+    return kak_decompose
+
 
 BASIS_1Q = (GateKind.RZ, GateKind.SX, GateKind.X)
 BASIS_2Q = (GateKind.CX,)
@@ -121,6 +126,7 @@ def _su4_dressings(k1: np.ndarray, p: np.ndarray, xyz: np.ndarray) -> tuple[np.n
     """Per row of an interaction pass, the `zsx_angles` counts (k, 8) and
     angles (k, 8, 3) of its SU4 payload's eight 1q dressings in emission
     order: (hi, lo) before the first CX and after each of the three CX."""
+    from .kak import canonical_layers, kak_local_factors, zsx_angles
     a1, a0, b1, b0 = kak_local_factors(k1, p)
     (pre_hi, pre_lo), (m1_hi, m1_lo), (m2_hi, m2_lo) = canonical_layers(*xyz.T)
     layers = np.broadcast_arrays(pre_hi @ b1, pre_lo @ b0, m1_hi, m1_lo, m2_hi, m2_lo, a1, a0)
@@ -134,6 +140,7 @@ def _su4_counts(payloads: list[np.ndarray]):
     that the dressings are later computed from. The counts of a row that
     `all_three_rows` clears are all 3; only the other rows take
     `_su4_dressings` now."""
+    from .kak import all_three_rows, kak_interaction
     _, k1, p, xyz, _ = kak_interaction(np.stack(payloads))
     counts = np.full((len(payloads), 8), 3)
     rest = np.flatnonzero(~all_three_rows(k1, p, xyz))
@@ -159,6 +166,7 @@ def decompose(c: Circuit) -> Circuit:
         if k is _SU4:
             profile = rule_profile(k, next(su4_counts))
         elif k is _U3:
+            from .kak import zsx_angles
             counts, angles = zsx_angles(gate_matrix(g)[None])
             counts = tuple(counts.tolist())
             rows.append((counts, angles.tolist()))

@@ -40,6 +40,10 @@ _S = np.array([[1, 0], [0, 1j]], dtype=complex)
 MAGIC = np.array(
     [[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]], dtype=complex
 ) / np.sqrt(2)
+# bound once, in the layout each call made them in: MAGIC^dag (a transposed
+# view) and the Newton-Schulz step's 1.5 I
+_MAGIC_DAG = MAGIC.conj().T
+_NEWTON_SCHULZ = 1.5 * np.eye(4)
 
 # columns: magic-basis diagonal patterns of XX, YY, ZZ, II;
 # theta = _COEFF @ (x, y, z, w)
@@ -173,10 +177,10 @@ def kak_interaction(u: np.ndarray):
     moves u to the nearest unitary, so that any payload within `UNITARY_TOL`
     of unitary factors.
     """
-    u = u @ (1.5 * np.eye(4) - 0.5 * (u.conj().swapaxes(1, 2) @ u))
+    u = u @ (_NEWTON_SCHULZ - 0.5 * (u.conj().swapaxes(1, 2) @ u))
     gamma = np.angle(np.linalg.det(u)) / 4
     us = u * np.exp(-1j * gamma)[:, None, None]
-    m = MAGIC.conj().T @ us @ MAGIC
+    m = _MAGIC_DAG @ us @ MAGIC
     m2 = m.swapaxes(1, 2) @ m
     p = _simdiag_symmetric_unitary(m2)
     theta, k1, ok = _phase_columns(m, p)
@@ -205,7 +209,7 @@ def kak_local_factors(k1: np.ndarray, p: np.ndarray):
 
 def _tensor_products(k1: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """kron(a1, a0) and kron(b1, b0): the magic-basis conjugates of k1 and p^T."""
-    return MAGIC @ k1 @ MAGIC.conj().T, MAGIC @ p.swapaxes(1, 2) @ MAGIC.conj().T
+    return MAGIC @ k1 @ _MAGIC_DAG, MAGIC @ p.swapaxes(1, 2) @ _MAGIC_DAG
 
 
 def kak_decompose(u: np.ndarray):

@@ -57,7 +57,7 @@ def route(c: Circuit, cmap: CouplingMap) -> RoutedCircuit:
     swap_count = 0
     # checked where a swap is placed: without swaps a route is as long as its input
     what = f"the route of a {c.width}-qubit circuit onto a {n}-qubit map"
-    entries = c.__dict__.get("_entries")
+    entries = c._entries
     if entries is None:
         entries = [(g.qubits, _UNIT[len(g.qubits)]) for g in c.gates]
     at = 0  # the index in c of the next entry's first gate

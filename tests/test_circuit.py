@@ -3,7 +3,6 @@ import copy
 import operator
 import pickle
 import re
-from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +21,7 @@ from qjobtime.circuit import (
 from qjobtime.errors import InvalidCircuitError, InvalidGateError, WidthMismatchError
 from qjobtime.generators import haar_su4, haar_su4_stack
 from qjobtime.sim import circuit_unitary
+from qjobtime.transpile import decompose
 
 
 def longest_dag_path(c: Circuit) -> int:
@@ -131,6 +131,22 @@ class TestValidation:
         with pytest.raises(InvalidGateError):
             Gate(GateKind.CX, (0, 0))
 
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: Gate(GateKind.RZ, (-1,), (0.5,)), InvalidGateError, "RZ: negative qubit index"),
+        (lambda: Gate(GateKind.SU4, (0, 1)), InvalidGateError,
+         "SU4 requires a 4x4 unitary matrix payload"),
+        (lambda: Gate(GateKind.SU4, (0, 1), (), np.eye(2, dtype=complex)), InvalidGateError,
+         "SU4 requires a 4x4 unitary matrix payload"),
+        (lambda: Gate(GateKind.CX, (0, 1), (), np.eye(4, dtype=complex)), InvalidGateError,
+         "CX does not take a matrix payload"),
+        (lambda: Circuit(-1), InvalidCircuitError, "width must be nonnegative"),
+    ])
+    def test_malformed_gate_or_circuit_is_coded(self, build, error, message):
+        with pytest.raises(error, match=re.escape(message)) as info:
+            build()
+        assert info.value.code == {InvalidGateError: "INVALID_GATE",
+                                   InvalidCircuitError: "INVALID_CIRCUIT"}[error]
+
     def test_param_arity_enforced(self):
         """Every kind refuses one qubit or one parameter too few or too many,
         with the count it takes in the message."""
@@ -149,12 +165,31 @@ class TestValidation:
                     Gate(kind, tuple(range(arity)), (0.1,) * wrong)
 
     def test_gate_is_frozen_and_slotted(self):
-        """Checked and trusted gates alike refuse field assignment and carry
-        no `__dict__`."""
+        """Checked and trusted gates alike refuse field assignment, as every
+        record does, and carry no `__dict__`."""
         for g in (Gate.rz(0, 0.5), Gate._trusted(GateKind.RZ, (0,), (0.5,))):
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError, match="^cannot assign to field 'params'$"):
                 g.params = (1.0,)
             assert not hasattr(g, "__dict__")
+
+    def test_circuit_is_frozen(self):
+        """A circuit refuses assignment and deletion with the records' rule and
+        message, before and after a transpiler output's gates are built, and
+        keeps its repr and its unhashability."""
+        c = Circuit(2, (Gate.h(0), Gate.cx(0, 1)), 3)
+        assert repr(c) == "Circuit(width=2, gates=(Gate(H 0), Gate(CX 0,1)), base_layers=3)"
+        assert repr(Circuit(1)) == "Circuit(width=1, gates=(), base_layers=None)"
+        assert Circuit(width=2, gates=list(c.gates), base_layers=3) == c
+        with pytest.raises(TypeError):
+            hash(c)
+        lowered = decompose(c)
+        for circuit in (c, lowered, lowered):  # the second time, with its gates built
+            for name in ("width", "gates", "base_layers", "extra"):
+                with pytest.raises(AttributeError, match=f"^cannot assign to field {name!r}$"):
+                    setattr(circuit, name, None)
+                with pytest.raises(AttributeError, match=f"^cannot delete field {name!r}$"):
+                    delattr(circuit, name)
+            assert circuit.gates and circuit.width == 2
 
     def test_gate_contract(self, rng):
         """Gates compare by value (payloads by `array_equal`), are neither
@@ -177,7 +212,7 @@ class TestValidation:
             for order in (operator.lt, operator.le, operator.gt, operator.ge):
                 with pytest.raises(TypeError):
                     order(g, g)
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError, match="^cannot delete field 'kind'$"):
                 del g.kind
             clones = [pickle.loads(pickle.dumps(g, protocol)) for protocol in range(6)]
             for clone in clones + [copy.copy(g), copy.deepcopy(g)]:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CliRunner
@@ -621,6 +621,27 @@ WIDTH_OVER_CAP = ("WIDTH_OVER_CAP", 7)
           for family, detail, name in BAD_FAMILIES),
         pytest.param(PARAMS[:-4] + ["--families", "3", "--out", "OUT"], TIMING % "1.0", BAD_VALUE,
                      "--families must be a JSON array", id="sweep-families-not-an-array"),
+        pytest.param(PARAMS[:-4] + ["--families", json.dumps([{"n": 2, "d": 1}] * 10001), "--out",
+                                    "OUT"], TIMING % "1.0", BAD_VALUE,
+                     "--families holds 10001 families, more than 10000", id="sweep-too-many-families"),
+        pytest.param(PARAMS[:6] + ["0"] + PARAMS[7:], TIMING % "1.0", BAD_VALUE,
+                     "--M values must be >= 1, got 0", id="sweep-zero-circuits"),
+        pytest.param(PARAMS[:8] + ["1,-3"] + PARAMS[9:], TIMING % "1.0", BAD_VALUE,
+                     "--S values must be >= 1, got -3", id="sweep-negative-shots"),
+        pytest.param(EXTRAPOLATE + [","], None, BAD_VALUE, "expected at least one number in ','",
+                     id="extrapolate-empty-list"),
+        pytest.param(DEFF[:-1] + ["line:x"], None, BAD_MAP, "bad map spec 'line:x'",
+                     id="deff-map-not-a-size"),
+        pytest.param(DEFF[:-1] + ["ring:2"], None, BAD_MAP, "ring needs at least 3 qubits",
+                     id="deff-ring-of-two"),
+        pytest.param(DEFF[:-1] + ["line:0"], None, BAD_MAP, "coupling map needs at least one qubit",
+                     id="deff-map-of-no-qubits"),
+        pytest.param(MAP_FILE[:-1] + ["MISSING"], None, BAD_MAP,
+                     "coupling map file 'MISSING' not found", id="map-file-missing"),
+        pytest.param(MAP_FILE, '{"n": 2, "edges": [[1, 1]]}', BAD_MAP, "self-loop on qubit 1",
+                     id="map-file-self-loop"),
+        pytest.param(SCORE, "", BAD_CSV, "empty file, expected header", id="records-empty-file"),
+        pytest.param(KERNEL, "", BAD_VALUE, "no feature vectors found", id="kernel-empty-dataset"),
         pytest.param(DEFF[:-1] + [f"line:{OVER_MAP}"], None, BAD_MAP, f"above {MAX_MAP_QUBITS}",
                      id="deff-map-over-ceiling"),
         pytest.param(DEFF[:-1] + ["line:99999999999999999999"], None, BAD_MAP,
@@ -762,26 +783,40 @@ def bound_near(draw, count: int) -> int:
     return max(1, draw(st.sampled_from([count - 1, count, count + 1, 2 * count, 10 * count])))
 
 
+# per n=2 family of depth d, one sample a side: the kernel side's 22d basis
+# gates and the QV side's 43 v (v // 2), at v = 2 for d = 1 and v = 3 for d = 2
+SWEEP_SIDES = {1: (22, 86), 2: (44, 129)}
+
+
+def sweep_run(depths: list, m: list, s: list) -> list:
+    """`sweep` argv over n=2 families of `depths`, one sample a side, with INPUT and OUT."""
+    families = json.dumps([{"n": 2, "d": d} for d in depths])
+    return ["sweep", "--backend", "ibm_hanoi", "--params", "INPUT", "--M", ",".join(map(str, m)),
+            "--S", ",".join(map(str, s)), "--families", families,
+            "--kernel-samples", "1", "--qv-samples", "1", "--out", "OUT"]
+
+
 @st.composite
 def grid_runs(draw):
-    """A `sweep` or `extrapolate` run as `sized_runs` gives it, with the gate
-    bounds at their defaults and `MAX_GRID_ROWS` near its rows: families ×
-    |M| × |S| for `sweep`, |N| × |clops| for `extrapolate`."""
+    """A `sweep` or `extrapolate` run as `sized_runs` gives it, with
+    `MAX_GATES` at its default and `MAX_GRID_ROWS` near its rows: families ×
+    |M| × |S| for `sweep`, |N| × |clops| for `extrapolate`. A `sweep`'s
+    `MAX_SAMPLE_GATES` is near half its families' summed d_eff work, which
+    is refused above twice that bound, and at least each side's own work."""
     values = lambda low, high: draw(st.lists(st.integers(low, high), min_size=1, max_size=4))
     if draw(st.booleans()):
-        families = [{"n": 2, "d": d} for d in values(1, 2)[:2]]
-        m, s = values(1, 50), values(1, 4000)
-        argv = ["sweep", "--backend", "ibm_hanoi", "--params", "INPUT", "--M", ",".join(map(str, m)),
-                "--S", ",".join(map(str, s)), "--families", json.dumps(families),
-                "--kernel-samples", "1", "--qv-samples", "1"]
-        rows = len(families) * len(m) * len(s)
+        depths, m, s = values(1, 2), values(1, 50), values(1, 4000)
+        argv, rows = sweep_run(depths, m, s), len(depths) * len(m) * len(s)
+        work = sum(sum(SWEEP_SIDES[d]) for d in depths)
+        sample_gates = max(bound_near(draw, -(-work // 2)), *(max(SWEEP_SIDES[d]) for d in depths))
+        over = work > 2 * sample_gates
     else:
         n, clops = values(2, 10**6), values(1, 10**6)
         argv = ["extrapolate", "--N", ",".join(map(str, n)), "--S", "100", "--deff", "2",
-                "--clops", ",".join(map(str, clops))]
-        rows = len(n) * len(clops)
+                "--clops", ",".join(map(str, clops)), "--out", "OUT"]
+        rows, sample_gates, over = len(n) * len(clops), MAX_SAMPLE_GATES, False
     grid = bound_near(draw, rows)
-    return argv + ["--out", "OUT"], MAX_GATES, MAX_SAMPLE_GATES, grid, rows > grid, False, False
+    return argv, MAX_GATES, sample_gates, grid, over or rows > grid, False, False
 
 
 @st.composite
@@ -846,21 +881,26 @@ def built_over_budget(*args):
 
 
 def built_over_grid(*args, **kwargs):
-    raise AssertionError("d_eff computed for a grid over MAX_GRID_ROWS")
+    raise AssertionError("d_eff computed for a sweep over MAX_GRID_ROWS or its work bound")
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(run=sized_runs(), rows=st.integers(1, 3))
+# two d = 1 families hold 2 x 108 basis gates of d_eff: at the bound of 2 x 108, and just over it
+@example(run=(sweep_run([1, 1], [1], [1]), MAX_GATES, 108, MAX_GRID_ROWS, False, False, False), rows=1)
+@example(run=(sweep_run([1, 1], [1], [1]), MAX_GATES, 107, MAX_GRID_ROWS, True, False, False), rows=1)
 def test_sizes_around_the_gate_bounds_give_a_result_or_a_coded_error(tmp_path_factory, run, rows):
     """`deff` (with and without `--qv-job`), both `gen-circuits` modes and
     `simulate-kernel` at sizes around both gate bounds, set small, and
-    `sweep` and `extrapolate` around `MAX_GRID_ROWS`, set small, either
-    exit 0 with finite numbers and their file, or print the error JSON with
-    its exit status, nothing on stdout and no file. A count over a bound
-    before any draw is `INVALID_PARAMETER`, and a grid over its bound is too,
-    before any d_eff; with every count under, only routing may refuse
-    (`COUPLING_MAP`), on one circuit or a side's total, and the simulator's
-    budget (`WIDTH_OVER_CAP`), before any allocation."""
+    `sweep` and `extrapolate` around `MAX_GRID_ROWS`, set small, and
+    `sweep` around its d_eff work bound, 2 x `MAX_SAMPLE_GATES` set small,
+    either exit 0 with finite numbers and their file, or print the error
+    JSON with its exit status, nothing on stdout and no file. A count over a
+    bound before any draw is `INVALID_PARAMETER`, and a grid or a sweep's
+    work over its bound is too, before any d_eff; with every count under,
+    only routing may refuse (`COUPLING_MAP`), on one circuit or a side's
+    total, and the simulator's budget (`WIDTH_OVER_CAP`), before any
+    allocation."""
     argv, gates, sample_gates, grid, over, map_too_small, over_budget = run
     tmp = tmp_path_factory.mktemp("run")
     data, out = tmp / "data.csv", tmp / "out"
@@ -902,6 +942,7 @@ def test_sizes_around_the_gate_bounds_give_a_result_or_a_coded_error(tmp_path_fa
         assert (error["code"], result.exit_code) == (BAD_VALUE if over else BAD_MAP), (argv, error)
         assert error["message"].endswith((f"basis gates, more than {gates}",
                                           f"basis gates, more than {sample_gates}",
+                                          f"basis gates, more than {2 * sample_gates}",
                                           f"references, more than {sample_gates // 4}",
                                           f"rows, more than {grid}")), error
     assert result.stdout == ""
@@ -1076,6 +1117,21 @@ def test_deff_leaves_the_simulator_unloaded():
              "effective_layers(KernelFamily(3, 1), line_map(4), kernel_samples=2, qv_samples=2)\n"
              "print('qjobtime.sim' in sys.modules)")
     assert run_fresh("-c", probe) == "False"
+
+
+def test_deff_loads_kak_only_to_lower_su4_gates():
+    """The array commands' modules and a d_eff estimate on heavy-hex-like:27
+    load neither `dataclasses` nor KAK; lowering an SU4 gate loads KAK."""
+    probe = ("import sys\nimport qjobtime.cli, qjobtime.deff, qjobtime.execsim\n"
+             "from qjobtime.generators import KernelFamily, qv_circuit\n"
+             "from qjobtime.transpile import decompose, heavy_hex_like_map\n"
+             "qjobtime.deff.effective_layers(KernelFamily(4, 2), heavy_hex_like_map(27))\n"
+             "kak, loaded = 'qjobtime.transpile.kak', lambda: [m for m in (kak, 'dataclasses')"
+             " if m in sys.modules]\n"
+             "print(loaded(), vars(sys.modules['qjobtime.transpile.decompose']).get('kak_decompose'))\n"
+             "decompose(qv_circuit(2, 1, seed=0))\n"
+             "print(loaded())")
+    assert run_fresh("-c", probe).splitlines() == ["[] None", "['qjobtime.transpile.kak']"]
 
 
 @pytest.mark.parametrize(

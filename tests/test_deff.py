@@ -1,3 +1,4 @@
+import importlib
 import math
 import sys
 import tracemalloc
@@ -378,7 +379,7 @@ def test_effective_layers_draws_one_kernel_circuit_and_no_haar_matrix(monkeypatc
     calls = []
     for module, name in ((deff_mod, "kernel_circuit"), (deff_mod, "qv_circuit"),
                          (generators, "_haar_su4"),
-                         (sys.modules["qjobtime.transpile.decompose"], "kak_interaction")):
+                         (importlib.import_module("qjobtime.transpile.kak"), "kak_interaction")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))

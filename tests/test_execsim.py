@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,22 @@ class TestFitParams:
         obs = [(j, 1.0 + j.shots * 0.001) for j in jobs]
         with pytest.raises(FitError, match="t_job and t_circ"):
             fit_params(obs)
+
+    @pytest.mark.parametrize("jobs, times, error, message", [
+        # K*S*d_eff is 200 in every job, so t_circ and t_layer_shot scale one column
+        ([(10, 100, 2.0), (20, 200, 1.0), (30, 400, 0.5)], (11.0, 21.0, 31.0), FitError,
+         "every observation has K*S*d_eff=200.0; vary the shot count"),
+        # M*K*S*d_eff is 6 in every job, the t_job column times 6
+        ([(1, 6, 1.0), (2, 3, 1.0), (3, 2, 1.0)], (2.0, 3.0, 4.0), FitError,
+         "design matrix is rank deficient; observations do not separate the parameters"),
+        ([(1, 6, 1.0), (2, 3, 1.0), (3, 2, 1.0)], (1.0, 0.0, 1.0), InvalidParameterError,
+         "observed runtimes must be positive"),
+    ])
+    def test_unfittable_observations_are_coded(self, jobs, times, error, message):
+        observations = [(JobSpec(m, s, 1, d), t) for (m, s, d), t in zip(jobs, times)]
+        with pytest.raises(error, match=re.escape(message)) as info:
+            fit_params(observations)
+        assert info.value.code == error.code
 
     def test_constant_shots_rejected(self):
         jobs = [JobSpec(m, 100, 1, 4.0) for m in (10, 100, 1000)]

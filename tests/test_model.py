@@ -214,6 +214,18 @@ def test_non_finite_input_or_result_is_a_coded_error(call):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: clops_from_measurement(0, 1, 1, 1, 1.0), "all job counts must be positive",
+                 id="clops-zero-circuits"),
+    pytest.param(lambda: required_shots(1, 0.1), "need at least 2 feature vectors",
+                 id="shots-one-vector"),
+])
+def test_count_out_of_range_is_a_coded_error(call, message):
+    with pytest.raises(InvalidParameterError, match=message) as info:
+        call()
+    assert info.value.code == "INVALID_PARAMETER"
+
+
 class TestRegistry:
     def test_builtin_contents(self):
         reg = builtin_backends()

@@ -244,7 +244,7 @@ class TestDecompose:
         made through the module attribute; a circuit without SU4 gates makes
         none. The local-factor pass runs only when `.gates` is read, once per
         circuit."""
-        module = importlib.import_module("qjobtime.transpile.decompose")
+        module = importlib.import_module("qjobtime.transpile.kak")
         shapes, factored = [], []
         interaction, local_factors = module.kak_interaction, module.kak_local_factors
 
@@ -313,7 +313,7 @@ class TestDecomposeAll:
         local-factor pass runs once per circuit with SU4 gates, on its
         payloads, when its `.gates` is read (and before that only on the rows
         that `all_three_rows` does not clear)."""
-        module = importlib.import_module("qjobtime.transpile.decompose")
+        module = importlib.import_module("qjobtime.transpile.kak")
         shapes, factored = [], []
         interaction, local_factors = module.kak_interaction, module.kak_local_factors
         monkeypatch.setattr(module, "kak_interaction",
