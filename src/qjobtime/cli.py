@@ -19,7 +19,7 @@ from .errors import CouplingError, InvalidParameterError, QJobTimeError
 from .model import (DEFAULT_KERNEL_SAMPLES, DEFAULT_QV_SAMPLES, BackendSpec, JobSpec,
                     builtin_backends, extrapolate, format_duration, get_backend, loss_from_ratio,
                     predict_runtime, registry_from_json, registry_to_json, score)
-from .records import (holds_prediction_pairs, load_dataset, load_prediction_pairs,
+from .records import (MAX_GRID_ROWS, holds_prediction_pairs, load_dataset, load_prediction_pairs,
                       load_runtime_records, write_csv)
 
 # Names the array commands take from the numpy-backed modules, imported on
@@ -115,11 +115,6 @@ def _list(text: str, kind=int) -> list:
     if not values:
         raise InvalidParameterError(f"expected at least one {noun} in {text!r}")
     return values
-
-
-# most rows one `sweep` or `extrapolate` grid builds and holds: at the bound, a
-# one-family sweep took 30 s and an extrapolate 13 s on a 2-CPU host
-MAX_GRID_ROWS = 10**6
 
 
 def _check_grid(what: str, *axes: list) -> None:
@@ -243,6 +238,25 @@ def main(args=None, prog_name: str = "qjobtime", standalone_mode: bool = True):
 
 
 main.main = main
+
+
+def run() -> None:
+    """The entry of `python -m qjobtime.cli` and the `qjobtime` script: run
+    `main` on `sys.argv[1:]`, flush stdout and stderr, and end the process
+    with its status, skipping teardown. A command closes every file it
+    writes, and nothing registers an `atexit` hook or starts a thread. A
+    stream that will not flush, or a status that is not an int, exits
+    through `sys.exit`, whose teardown reports it as before."""
+    status = main(sys.argv[1:], standalone_mode=False)
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # None: a closed descriptor
+            stream.flush()
+    except OSError:
+        sys.exit(status)
+    if isinstance(status, int):
+        os._exit(status)
+    sys.exit(status)
+
 
 _DEFAULT = " [default: %(default)s]"
 _REGISTRY = _opt("--registry", help="Backend registry JSON overriding the built-in one.")
@@ -467,4 +481,4 @@ def backends_export(registry, out):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    run()

@@ -13,6 +13,10 @@ from .model import FrozenRecord, JobSpec, check_range
 
 RECORD_HEADER = ["backend", "M", "S", "K", "deff", "T_seconds"]
 PAIRS_HEADER = ["T_pred", "T_actual"]
+# most rows one command reads or builds and holds: a record or pair CSV, or a
+# `sweep` or `extrapolate` grid. At the bound on a 2-CPU host, a one-family
+# sweep took 30 s, an extrapolate 13 s, a `score` of records 16 s and a `fit` 12 s
+MAX_GRID_ROWS = 10**6
 
 
 class RuntimeRecord(FrozenRecord, namedtuple("RuntimeRecord", "job backend seconds")):
@@ -29,7 +33,8 @@ def _number(cell: str, low: float = -math.inf) -> float:
 
 def _parse_rows(path, header, parse_row) -> list:
     """`parse_row` of every nonblank row after `header` (None: no header, any
-    width); every bad row is a `MalformedRecordsError` naming its row number."""
+    width); every bad row is a `MalformedRecordsError` naming its row number,
+    and so is the first row over `MAX_GRID_ROWS` of a file with a header."""
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -42,6 +47,8 @@ def _parse_rows(path, header, parse_row) -> list:
         for row_no, row in enumerate(reader, start=1 if header is None else 2):
             if not any(cell.strip() for cell in row):
                 continue
+            if header is not None and len(out) == MAX_GRID_ROWS:
+                raise MalformedRecordsError(f"{path}:{row_no}: more than {MAX_GRID_ROWS} rows")
             if header is not None and len(row) != len(header):
                 raise MalformedRecordsError(f"{path}:{row_no}: expected {len(header)} columns")
             try:

@@ -11,6 +11,9 @@ Any array above `MAX_ENTRIES` = 2^24 entries (256 MiB of complex128) is
 refused before it is allocated: the 2^w state of `simulate`, the 4^w matrix of
 `circuit_unitary`, and `kernel_matrix`'s N x 2^n states, 2^n x n sign tables
 and N x N overlaps (so 16 qubits over 256 vectors, or 12 over 4096, fit).
+The bound is per array, and several are live at once (the phases, the
+diagonal, the states and an H round's temporaries): a kernel matrix of 16
+qubits over 256 vectors peaks at 1.47 GB, about 5.7 x one array's 256 MiB.
 `kernel_matrix` also refuses, before any allocation, H rounds above
 `MAX_AMPLITUDE_UPDATES`: (d - 1) n N 2^n amplitude updates.
 

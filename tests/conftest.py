@@ -1,4 +1,6 @@
 import io
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
@@ -12,6 +14,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from qjobtime.circuit import Circuit, Gate
 from qjobtime.generators import haar_su4
 from qjobtime.transpile import transpiled_depths
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @dataclass
@@ -45,6 +49,18 @@ class CliRunner:
             except Exception as exc:  # a traceback, which the test reports
                 code, exception = 1, exc
         return Result(code, out.getvalue(), err.getvalue(), exception)
+
+
+def run_python(*argv: str, cwd=None, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """`python *argv` in a fresh interpreter that imports from src/, with text
+    streams; `kwargs` go to `subprocess.run`. It returns whatever the exit
+    status. `env` is by default this process's environment without
+    `PYTHONUNBUFFERED`, so that its stdout is block-buffered, as a pipe's or a
+    file's is by default."""
+    env = dict({k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+               if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env=env, cwd=cwd, text=True, **kwargs)
 
 
 def up_to_phase(a: np.ndarray, b: np.ndarray) -> float:

@@ -5,16 +5,14 @@ import math
 import os
 import re
 import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CliRunner
+from conftest import CliRunner, run_python
 from refdata import CLOPS_JOB_RUNS
 from qjobtime import cli, deff, sim
 from qjobtime.circuit import MAX_GATES, MAX_SAMPLE_GATES, read_circuits
@@ -23,7 +21,7 @@ from qjobtime.deff import sample_kernel_circuits, sample_qv_circuits
 from qjobtime.errors import MalformedRecordsError, QJobTimeError
 from qjobtime.generators import Entanglement, KernelFamily
 from qjobtime.model import builtin_backends, registry_to_json
-from qjobtime.records import RECORD_HEADER, load_runtime_records
+from qjobtime.records import RECORD_HEADER, load_dataset, load_prediction_pairs, load_runtime_records
 from qjobtime.sim import MAX_AMPLITUDE_UPDATES, MAX_ENTRIES
 from qjobtime.transpile.coupling import MAX_MAP_QUBITS
 
@@ -92,6 +90,19 @@ class TestRecords:
         path.write_text("backend,M,S\n")
         with pytest.raises(MalformedRecordsError):
             load_runtime_records(path)
+
+    def test_rows_over_the_bound_are_refused_before_the_rest_is_read(self, tmp_path, monkeypatch):
+        """A record or pair CSV is refused at its first row over
+        `MAX_GRID_ROWS`, before a later row is read; a dataset, bounded by
+        its N x N overlaps, is not."""
+        monkeypatch.setattr("qjobtime.records.MAX_GRID_ROWS", 2)
+        for loader, text in ((load_runtime_records, RECORDS), (load_prediction_pairs, PAIRS)):
+            path = tmp_path / "rows.csv"
+            path.write_text(text + (text.splitlines()[1] + "\n") * 2 + "not,a,row\n")
+            with pytest.raises(MalformedRecordsError, match=r"rows.csv:4: more than 2 rows$"):
+                loader(path)
+        path.write_text("1.0\n2.0\n3.0\n")
+        assert len(load_dataset(path)) == 3
 
     def test_save_load_round_trip(self, tmp_path):
         path = write_reference_records(tmp_path / "runs.csv")
@@ -889,15 +900,24 @@ def built_over_grid(*args, **kwargs):
 # two d = 1 families hold 2 x 108 basis gates of d_eff: at the bound of 2 x 108, and just over it
 @example(run=(sweep_run([1, 1], [1], [1]), MAX_GATES, 108, MAX_GRID_ROWS, False, False, False), rows=1)
 @example(run=(sweep_run([1, 1], [1], [1]), MAX_GATES, 107, MAX_GRID_ROWS, True, False, False), rows=1)
+# `score` and `fit` CSVs of three rows, under, at and over `MAX_GRID_ROWS` set small
+@example(run=(SCORE, MAX_GATES, MAX_SAMPLE_GATES, 4, False, False, False), rows=3)
+@example(run=(SCORE, MAX_GATES, MAX_SAMPLE_GATES, 2, True, False, False), rows=3)
+@example(run=(FIX_T_JOB + ["0", "--out", "OUT"], MAX_GATES, MAX_SAMPLE_GATES, 3, False, False, False),
+         rows=3)
+@example(run=(FIX_T_JOB + ["0", "--out", "OUT"], MAX_GATES, MAX_SAMPLE_GATES, 2, True, False, False),
+         rows=3)
 def test_sizes_around_the_gate_bounds_give_a_result_or_a_coded_error(tmp_path_factory, run, rows):
     """`deff` (with and without `--qv-job`), both `gen-circuits` modes and
     `simulate-kernel` at sizes around both gate bounds, set small, and
     `sweep` and `extrapolate` around `MAX_GRID_ROWS`, set small, and
     `sweep` around its d_eff work bound, 2 x `MAX_SAMPLE_GATES` set small,
-    either exit 0 with finite numbers and their file, or print the error
-    JSON with its exit status, nothing on stdout and no file. A count over a
+    and `score` and `fit` around `MAX_GRID_ROWS` CSV rows, either exit 0
+    with finite numbers and their file, or print the error JSON with its
+    exit status, nothing on stdout and no file. A count over a
     bound before any draw is `INVALID_PARAMETER`, and a grid or a sweep's
-    work over its bound is too, before any d_eff; with every count under,
+    work over its bound is too, before any d_eff, and a CSV's first row over
+    `MAX_GRID_ROWS` is `MALFORMED_CSV`; with every count under,
     only routing may refuse (`COUPLING_MAP`), on one circuit or a side's
     total, and the simulator's budget (`WIDTH_OVER_CAP`), before any
     allocation."""
@@ -909,9 +929,13 @@ def test_sizes_around_the_gate_bounds_give_a_result_or_a_coded_error(tmp_path_fa
         data.write_text("".join(",".join([str(0.5 + r)] * n) + "\n" for r in range(rows)))
     elif argv[0] == "sweep":
         data.write_text(json.dumps({"t_job": 2.0, "t_circ": 0.05, "t_layer_shot": 5e-4, "jitter": 0.05}))
+    elif argv[0] in ("score", "fit"):  # `rows` pairs, or records of distinct shot counts
+        header, *body = (PAIRS if argv[0] == "score" else FIT_RECORDS).splitlines()
+        data.write_text("\n".join([header, *(body * rows)[:rows]]) + "\n")
     with pytest.MonkeyPatch.context() as monkeypatch:
         set_gate_bounds(monkeypatch, gates, sample_gates)
-        monkeypatch.setattr(cli, "MAX_GRID_ROWS", grid)
+        for module in ("cli", "records"):
+            monkeypatch.setattr(f"qjobtime.{module}.MAX_GRID_ROWS", grid)
         if over_budget:  # refused before any state is built: a missing check fails, not hangs
             monkeypatch.setattr(sim, "_encoded_states", built_over_budget)
         if over and argv[0] == "sweep":
@@ -922,7 +946,7 @@ def test_sizes_around_the_gate_bounds_give_a_result_or_a_coded_error(tmp_path_fa
         assert not over and not map_too_small and not over_budget, argv
         if argv[0] == "gen-circuits":
             assert len(read_circuits(out)) == int(argv[argv.index("--count") + 1])
-        elif argv[0] in ("sweep", "extrapolate"):
+        elif argv[0] in ("sweep", "extrapolate", "score"):
             table = list(csv.reader(out.read_text().splitlines()))[1:]
             assert len(table) <= grid and all(math.isfinite(float(v)) for row in table
                                               for v in row[1:])
@@ -938,6 +962,9 @@ def test_sizes_around_the_gate_bounds_give_a_result_or_a_coded_error(tmp_path_fa
     elif over_budget and not over:
         assert (error["code"], result.exit_code) == WIDTH_OVER_CAP
         assert f"budget of MAX_AMPLITUDE_UPDATES = {MAX_AMPLITUDE_UPDATES}" in error["message"]
+    elif argv[0] in ("score", "fit"):  # refused at the first row over, the header's line + 1
+        assert over and (error["code"], result.exit_code) == BAD_CSV
+        assert error["message"].endswith(f":{grid + 2}: more than {grid} rows"), error
     else:
         assert (error["code"], result.exit_code) == (BAD_VALUE if over else BAD_MAP), (argv, error)
         assert error["message"].endswith((f"basis gates, more than {gates}",
@@ -1084,13 +1111,10 @@ def test_every_command_gives_a_finite_result_or_a_coded_error(tmp_path_factory, 
 
 
 def run_fresh(*argv: str, cwd=None) -> str:
-    """stdout of `python *argv` in a fresh interpreter that imports from src/."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, *argv], env={**os.environ, "PYTHONPATH": path}, cwd=cwd,
-        capture_output=True, text=True, check=True,
-    )
+    """stdout of `python *argv` in a fresh interpreter that imports from src/,
+    which must exit 0."""
+    out = run_python(*argv, cwd=cwd, capture_output=True)
+    out.check_returncode()
     return out.stdout.strip()
 
 
@@ -1216,6 +1240,78 @@ def test_cli_runs_as_main(tmp_path):
     while it runs as `__main__`."""
     out = run_fresh("-m", "qjobtime.cli", *GEN_QV, "qv.txt", "--count", "2", cwd=tmp_path)
     assert out == "wrote 2 circuit(s) -> qv.txt"
+
+
+# enough N values that `extrapolate` prints more than one 8 KiB stdout buffer
+MANY_SIZES = ",".join(map(str, range(100, 400)))
+FAMILY = '{"n":2,"d":1}'
+ONE_SAMPLE = ["--kernel-samples", "1", "--qv-samples", "1"]
+# every command, tiny, and a coded and a usage error, each run from a
+# directory holding the inputs below
+BOTH_WAYS = {
+    "predict": PREDICT + ["2"],
+    "score-pairs": ["score", "--records", "pairs.csv", "--out", "report.csv"],
+    "score-records": ["score", "--records", "records.csv", "--out", "report.csv"],
+    "extrapolate": EXTRAPOLATE[:2] + [MANY_SIZES] + EXTRAPOLATE[3:] + ["1000", "--out", "grid.csv"],
+    "fit": ["fit", "--records", "fit.csv", "--out", "params.json"],
+    "backends-list": ["backends", "list"],
+    "backends-export": EXPORT + ["registry.json"],
+    "help": ["--help"],
+    "deff": ["deff", "--family", FAMILY, "--map", "line:3", *ONE_SAMPLE, "--out", "deff.json"],
+    "gen-circuits": GEN_QV + ["qv.txt", "--count", "2"],
+    "simulate-kernel": KERNEL[:4] + ["data.csv", "--shots", "100", "--out", "kernel.csv",
+                                     "--summary", "summary.json"],
+    "sweep": ["sweep", "--backend", "ibm_hanoi", "--params", "params.json", "--M", "1,2",
+              "--S", "10", "--families", f"[{FAMILY}]", *ONE_SAMPLE, "--out", "sweep.csv"],
+    "unknown-backend": PREDICT[:2] + ["ibm_atlantis"] + PREDICT[3:] + ["2"],
+    "usage-error": PREDICT,
+}
+INPUTS = {"pairs.csv": PAIRS, "records.csv": RECORDS, "fit.csv": FIT_RECORDS,
+          "data.csv": "0.1,0.2\n0.3,0.4\n", "params.json": TIMING % "1.0"}
+
+
+@pytest.mark.parametrize("args", BOTH_WAYS.values(), ids=BOTH_WAYS)
+def test_a_fresh_process_gives_what_main_gives_in_process(tmp_path, monkeypatch, args):
+    """`python -m qjobtime.cli`, which flushes its streams and ends without
+    interpreter teardown, exits with the status, prints the stdout and
+    stderr and writes the bytes that `main` does in process."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal's width
+    runs = []
+    for way in ("fresh", "in-process"):
+        work = tmp_path / way
+        work.mkdir()
+        for name, text in INPUTS.items():
+            (work / name).write_text(text)
+        if way == "fresh":
+            proc = run_python("-m", "qjobtime.cli", *args, cwd=work, capture_output=True)
+            run = proc.returncode, proc.stdout, proc.stderr
+        else:
+            monkeypatch.chdir(work)
+            result = CliRunner().invoke(main, args)
+            run = result.exit_code, result.stdout, result.stderr
+        runs.append((run, {path.name: path.read_bytes() for path in sorted(work.iterdir())}))
+    assert runs[0] == runs[1]
+    assert args[0] != "extrapolate" or len(runs[0][0][1]) > 8192
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["block-buffered", "unbuffered"])
+def test_a_stdout_that_cannot_be_written_fails_as_it_did_before_the_early_exit(unbuffered):
+    """With stdout on /dev/full, a block-buffered stdout fails as it is
+    flushed. The process then exits through teardown, which reports it in two
+    lines and exits 120, as it did before the early exit. An unbuffered
+    stdout fails at the command's first print: a traceback and exit 1."""
+    env = {**os.environ, "PYTHONUNBUFFERED": "1"} if unbuffered else None
+    with open("/dev/full", "w") as full:
+        proc = run_python("-m", "qjobtime.cli", "backends", "list", env=env,
+                          stdout=full, stderr=subprocess.PIPE)
+    lines = proc.stderr.splitlines()
+    assert lines[-1] == "OSError: [Errno 28] No space left on device"
+    if unbuffered:
+        assert (proc.returncode, lines[0]) == (1, "Traceback (most recent call last):")
+    else:
+        assert proc.returncode == 120 and len(lines) == 2, proc.stderr
+        assert lines[0].startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
 
 
 def test_lazy_exports_resolve_to_their_definitions():

@@ -2,15 +2,19 @@
 and documented, and what its modules import."""
 
 import ast
-import os
+import importlib
+import json
 import re
-import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
+import pytest
+
+from conftest import SRC, run_python
+from qjobtime import cli
+
+ROOT = SRC.parent
 
 # every size bound in the program, each defined once
 BOUNDS = {"MAX_SAMPLES", "MAX_GATES", "MAX_SAMPLE_GATES", "MAX_MAP_QUBITS", "MAX_ENTRIES",
@@ -41,24 +45,28 @@ def test_simulator_import_leaves_the_transpiler_unloaded():
     """The simulator and the generators it uses load no transpiler module,
     so `simulate-kernel` compiles none of it, nor `fractions`, which loads
     `decimal` and which only `KernelFamily.aspect_ratio` uses."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     probe = ("import sys, qjobtime.sim\n"
              "print(sorted(m for m in sys.modules if 'transpile' in m or m == 'fractions'))")
-    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
-                         capture_output=True, text=True, check=True)
+    out = run_python("-c", probe, capture_output=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def absolute_imports(path: Path) -> list[str]:
+    """The modules `path` imports by absolute name, at any depth."""
+    modules = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module)
+    return modules
 
 
 def test_third_party_imports_are_the_declared_dependencies():
     """Every top-level import in src/ outside the standard library and the
     package itself, at any depth, is a dependency pyproject.toml declares."""
-    imported = set()
-    for path in SRC.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.add(node.module.split(".")[0])
+    imported = {module.split(".")[0] for path in SRC.rglob("*.py")
+                for module in absolute_imports(path)}
     third_party = imported - set(sys.stdlib_module_names) - {"qjobtime"}
     block = re.search(r"^dependencies = \[(.*?)\]", (ROOT / "pyproject.toml").read_text(),
                       re.MULTILINE | re.DOTALL)[1]
@@ -97,3 +105,48 @@ def test_records_are_namedtuples_and_circuits_keep_only_their_gates():
     assigned = {target.id for node in ast.walk(kak) if isinstance(node, ast.Assign)
                 for target in node.targets if isinstance(target, ast.Name)}
     assert assigned.isdisjoint({"_H", "_X"})
+
+
+def test_nothing_is_left_for_teardown_to_close():
+    """`cli.run` ends the process without interpreter teardown, so no module
+    may import what leaves work for it: exit hooks, threads, log handlers,
+    worker pools and temporary files. A file a command leaves open fails its
+    in-process test as a `ResourceWarning`."""
+    deferred = {"atexit", "threading", "logging", "multiprocessing", "concurrent", "tempfile"}
+    found = [(str(path.relative_to(SRC)), module) for path in sorted(SRC.rglob("*.py"))
+             for module in absolute_imports(path) if module.split(".")[0] in deferred]
+    assert found == []
+    assert '"error::ResourceWarning"' in (ROOT / "pyproject.toml").read_text()
+
+
+@pytest.mark.parametrize("args, status", [
+    (["extrapolate", "--N", ",".join(map(str, range(100, 400))), "--S", "1", "--deff", "2",
+      "--clops", "1000"], 0),
+    (["predict", "--backend", "ibm_atlantis", "--M", "1", "--S", "1", "--deff", "2"], 3),
+], ids=["success", "coded-error"])
+def test_run_skips_teardown_and_keeps_every_byte(args, status):
+    """An `atexit` hook registered before `cli.run` never runs, yet the run's
+    stdout (here over one 8 KiB buffer), its error JSON and its status all
+    come out."""
+    probe = ("import atexit, sys\nfrom qjobtime import cli\n"
+             "atexit.register(print, 'teardown ran')\n"
+             f"sys.argv[1:] = {args!r}\ncli.run()")
+    proc = run_python("-c", probe, capture_output=True)
+    assert proc.returncode == status and "teardown ran" not in proc.stdout + proc.stderr
+    if status:
+        assert proc.stdout == "" and json.loads(proc.stderr)["error"]["code"] == "BACKEND_NOT_FOUND"
+    else:
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 300 and lines[-1].startswith("N=399 ") and proc.stderr == ""
+
+
+def test_the_console_script_is_the_entry_that_runs_as_main():
+    """`pyproject.toml`'s `qjobtime` script names `cli.run`, the function that
+    `python -m qjobtime.cli` calls, so both end their process the same way."""
+    tomllib = pytest.importorskip("tomllib")  # the standard library's from Python 3.11
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, name = scripts["qjobtime"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
+    block = next(node for node in ast.parse(Path(cli.__file__).read_text()).body
+                 if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'")
+    assert [ast.unparse(node) for node in block.body] == [f"{name}()"]
